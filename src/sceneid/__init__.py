@@ -27,6 +27,7 @@ from .features import (
     Spectrogram,
     append_sdc,
     extract_features,
+    extract_features_many,
     make_mel_bank,
     mfcc,
     power_spectrogram,
@@ -48,6 +49,7 @@ from .noisefloor import (
     init_state,
     noise_floor_spectrogram,
     speech_presence_prob,
+    track_noise_floor,
     update,
 )
 from .pipeline import EvalReport, ModelBundle, run_evaluation, run_sbr_sweep, run_training

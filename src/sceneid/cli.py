@@ -154,7 +154,7 @@ def cmd_extract_features(args) -> int:
             except NoiseFloorError as exc:
                 raise _CliFailure(pipe.STAGE_NOISE_FLOOR, str(exc)) from exc
             save_features(FeatureMatrix(floor.frames, args.audio, True), args.dump_noise_floor)
-    feats = pipe.features_for_buffer(buf, cfg, rec_id=args.audio)
+    (feats,) = pipe.features_for_buffers([(args.audio, buf)], cfg)
     save_features(feats, args.out)
     if args.csv:
         export_csv(feats, args.csv)
@@ -251,7 +251,7 @@ def cmd_classify(args) -> int:
     lines = []
     for rec_id, path in items:
         buf = pipe.load_audio(path, bundle.config)
-        feats = pipe.features_for_buffer(buf, bundle.config, rec_id=str(rec_id))
+        (feats,) = pipe.features_for_buffers([(str(rec_id), buf)], bundle.config)
         stats = gmm_mod.accumulate_stats(bundle.ubm, feats)
         w = ivector_mod.extract_ivector(bundle.tv, bundle.ubm, stats)
         scores = backend_mod.score(bundle.backend, w.w)

@@ -9,6 +9,7 @@ can be substituted before the mel stage (see sceneid.noisefloor).
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,9 +124,15 @@ def power_spectrogram(frames: Frames) -> Spectrogram:
     if frames.data.shape[0] == 0:
         raise ValueError("no frames to transform")
     fft_size = 1 << (frames.frame_len - 1).bit_length()
-    spectrum = np.fft.rfft(frames.data, n=fft_size, axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
+    power = np.empty((frames.data.shape[0], fft_size // 2 + 1))
+    _power_into(frames, fft_size, power)
     return Spectrogram(power, frames.sample_rate / fft_size, frames.hop / frames.sample_rate)
+
+
+def _power_into(frames: Frames, fft_size: int, out: np.ndarray) -> None:
+    spectrum = np.fft.rfft(frames.data, n=fft_size, axis=1)
+    np.square(spectrum.real, out=out)
+    out += spectrum.imag**2
 
 
 def make_mel_bank(
@@ -231,24 +238,87 @@ def extract_features(
     recording_id: str = "",
 ) -> FeatureMatrix:
     """Full front end: frame -> power spectrogram -> [noise floor] -> MFCC -> SDC."""
-    if buf.channel_count != 1:
-        raise ValueError("extract_features expects a mono buffer")
-    if buf.sample_rate != config.sample_rate:
-        raise ValueError(
-            f"buffer rate {buf.sample_rate} differs from configured {config.sample_rate}"
-        )
-    spec = power_spectrogram(frame_signal(buf, config.frame))
-    if use_noise_floor:
-        from .noisefloor import SppParams, noise_floor_spectrogram
-
-        spec = noise_floor_spectrogram(spec, spp_params or SppParams(), n_init)
-    bank = make_mel_bank(
-        config.n_mels, config.fft_size(), config.sample_rate, config.fmin_hz, config.fmax_hz
+    (feats,) = extract_features_many(
+        [buf], config, use_noise_floor, spp_params, n_init, [recording_id]
     )
-    feats = mfcc(spec, bank, config.n_ceps)
-    if config.use_sdc:
-        feats = append_sdc(feats, config.sdc)
-    return replace(feats, recording_id=recording_id, noise_floor=use_noise_floor)
+    return feats
+
+
+@contextmanager
+def _naming(recording_id: str):
+    """Prefix an error raised for one recording with its id; the type is kept."""
+    try:
+        yield
+    except (SceneidError, ValueError) as exc:
+        if not recording_id:
+            raise
+        raise type(exc)(f"{recording_id}: {exc}") from exc
+
+
+def extract_features_many(
+    bufs,
+    config: FeatureConfig = FeatureConfig(),
+    use_noise_floor: bool = False,
+    spp_params=None,
+    n_init: int = 5,
+    recording_ids=None,
+) -> list[FeatureMatrix]:
+    """`extract_features` for several recordings, in their order.
+
+    Power spectra of recordings with the same frame count share one (N, T, B)
+    stack, and the noise tracker runs over each stack in place, one step per
+    frame for all of its recordings. The output equals per-recording
+    `extract_features` bit for bit. An error raised for one recording names
+    its id.
+    """
+    bufs = list(bufs)
+    ids = [""] * len(bufs) if recording_ids is None else list(recording_ids)
+    if len(ids) != len(bufs):
+        raise ValueError(f"{len(bufs)} buffers but {len(ids)} recording ids")
+    if not bufs:
+        return []
+    if use_noise_floor:
+        from .noisefloor import SppParams, check_tracker_length, track_noise_floor
+
+        params = spp_params or SppParams()
+
+    framed = []
+    by_length: dict[int, list[int]] = {}
+    for i, (buf, rid) in enumerate(zip(bufs, ids)):
+        with _naming(rid):
+            if buf.channel_count != 1:
+                raise ValueError("extract_features expects a mono buffer")
+            if buf.sample_rate != config.sample_rate:
+                raise ValueError(
+                    f"buffer rate {buf.sample_rate} differs from configured {config.sample_rate}"
+                )
+            frames = frame_signal(buf, config.frame)
+            if use_noise_floor:
+                check_tracker_length(len(frames.data), n_init)
+        framed.append(frames)
+        by_length.setdefault(len(frames.data), []).append(i)
+
+    fft_size = config.fft_size()
+    bin_hz = config.sample_rate / fft_size
+    hop_s = framed[0].hop / config.sample_rate
+    bank = make_mel_bank(
+        config.n_mels, fft_size, config.sample_rate, config.fmin_hz, config.fmax_hz
+    )
+    out: list = [None] * len(bufs)
+    for n_frames, members in by_length.items():
+        stack = np.empty((len(members), n_frames, fft_size // 2 + 1))
+        for j, i in enumerate(members):
+            _power_into(framed[i], fft_size, stack[j])
+            framed[i] = None
+        if use_noise_floor:
+            track_noise_floor(stack, params, n_init)
+        for j, i in enumerate(members):
+            with _naming(ids[i]):
+                feats = mfcc(Spectrogram(stack[j], bin_hz, hop_s), bank, config.n_ceps)
+                if config.use_sdc:
+                    feats = append_sdc(feats, config.sdc)
+            out[i] = replace(feats, recording_id=ids[i], noise_floor=use_noise_floor)
+    return out
 
 
 def save_features(feats: FeatureMatrix, path) -> None:

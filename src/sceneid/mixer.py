@@ -150,9 +150,18 @@ def condition_tag(sbr_db) -> str:
     return "clean" if sbr_db is None else f"sbr{sbr_db:+g}dB"
 
 
-def _mix_seed(root_seed: int, condition_index: int, entry_index: int) -> int:
+def draw_speech(
+    pool, root_seed: int, condition_index: int, entry_index: int
+) -> tuple[int, ManifestEntry]:
+    """Seed of one mix and the speech entry it draws from the pool.
+
+    Depends only on the root seed and the (condition, entry) position, so a
+    sweep and a built corpus with the same seed mix the same clips.
+    """
     ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(condition_index, entry_index))
-    return int(ss.generate_state(1)[0])
+    seed = int(ss.generate_state(1)[0])
+    rng = np.random.default_rng(seed)
+    return seed, pool[int(rng.integers(0, len(pool)))]
 
 
 def build_multicondition_corpus(
@@ -189,9 +198,7 @@ def build_multicondition_corpus(
             continue
         tag = condition_tag(cond)
         for ei, entry in enumerate(manifest.entries):
-            seed = _mix_seed(rng_seed, ci, ei)
-            rng = np.random.default_rng(seed)
-            speech_entry = pool[int(rng.integers(0, len(pool)))]
+            seed, speech_entry = draw_speech(pool, rng_seed, ci, ei)
 
             background = read_wav(manifest.resolve(entry))
             speech = read_wav(speech_pool.resolve(speech_entry))

@@ -137,6 +137,65 @@ def update(
     return NoiseFloorState(psd, smoothed, state.frame_index + 1), psd
 
 
+def check_tracker_length(n_frames: int, n_init: int) -> None:
+    """The tracker needs its n_init seed frames plus at least one to track."""
+    if n_frames <= n_init:
+        raise NoiseFloorError(
+            f"spectrogram has {n_frames} frames; need more than n_init={n_init}"
+        )
+
+
+def track_noise_floor(stack: np.ndarray, params: SppParams = SppParams(), n_init: int = 5) -> None:
+    """Replace each row of an (N, T, B) periodogram stack with the tracked floor.
+
+    Runs in place, one step per frame over all N recordings at once. Each step
+    applies the elementwise operations of `update()` in the same order, so
+    every recording's output equals the `update()` loop bit for bit. The
+    first n_init rows of each recording emit its initialization estimate.
+    """
+    n_recordings, n_frames, n_bins = stack.shape
+    check_tracker_length(n_frames, n_init)
+    psd = np.empty((n_recordings, n_bins))
+    for i in range(n_recordings):
+        psd[i] = init_state(stack[i, :n_init], n_init, params).noise_psd
+    stack[:, :n_init] = psd[:, None, :]
+    smoothed = np.full_like(psd, 0.5)
+    p = np.empty_like(psd)
+    tmp = np.empty_like(psd)
+    stuck = np.empty(psd.shape, dtype=bool)
+
+    xi = params.xi_h1
+    q = params.prior_h1
+    odds = (1.0 - q) / q * (1.0 + xi)
+    slope = xi / (1.0 + xi)
+    for t in range(n_init, n_frames):
+        per = stack[:, t]
+        # speech_presence_prob
+        np.divide(per, psd, out=p)
+        np.negative(p, out=p)
+        np.multiply(p, slope, out=p)
+        np.exp(p, out=p)
+        np.multiply(odds, p, out=p)
+        np.add(1.0, p, out=p)
+        np.divide(1.0, p, out=p)
+        # stuck detector
+        np.multiply(params.spp_smooth, smoothed, out=smoothed)
+        np.multiply(1.0 - params.spp_smooth, p, out=tmp)
+        np.add(smoothed, tmp, out=smoothed)
+        np.greater(smoothed, _STUCK_THRESHOLD, out=stuck)
+        np.minimum(p, params.spp_clamp, out=p, where=stuck)
+        # noise_periodogram_estimate, then the smoothed floor
+        np.subtract(1.0, p, out=tmp)
+        np.multiply(tmp, per, out=tmp)
+        np.multiply(p, psd, out=p)
+        np.add(tmp, p, out=tmp)
+        np.multiply(params.psd_smooth, psd, out=psd)
+        np.multiply(1.0 - params.psd_smooth, tmp, out=tmp)
+        np.add(psd, tmp, out=psd)
+        np.maximum(psd, params.psd_floor, out=psd)
+        per[...] = psd
+
+
 def noise_floor_spectrogram(
     spec: Spectrogram, params: SppParams = SppParams(), n_init: int = 5
 ) -> Spectrogram:
@@ -145,14 +204,6 @@ def noise_floor_spectrogram(
     The first n_init rows emit the initialization estimate unchanged, so the
     output has the same shape as the input.
     """
-    rows = spec.frames
-    if rows.shape[0] <= n_init:
-        raise NoiseFloorError(
-            f"spectrogram has {rows.shape[0]} frames; need more than n_init={n_init}"
-        )
-    state = init_state(rows[:n_init], n_init, params)
-    out = np.empty_like(rows)
-    out[:n_init] = state.noise_psd
-    for t in range(n_init, rows.shape[0]):
-        state, out[t] = update(state, rows[t], params)
-    return Spectrogram(out, spec.bin_hz, spec.frame_hop_s)
+    stack = spec.frames[None].copy()
+    track_noise_floor(stack, params, n_init)
+    return Spectrogram(stack[0], spec.bin_hz, spec.frame_hop_s)

@@ -8,6 +8,7 @@ artifact this module writes is byte-identical across reruns.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,9 +21,9 @@ from . import ivector as ivector_mod
 from .audio import AudioBuffer, downmix_mono, read_wav, resample
 from .config import PipelineConfig
 from .errors import SceneidError
-from .features import FeatureMatrix, extract_features
+from .features import FeatureMatrix, extract_features_many
 from .manifest import CorpusManifest, ManifestError
-from .mixer import SilentSignalError, condition_tag, mix_at_sbr
+from .mixer import condition_tag, draw_speech, mix_at_sbr
 from .noisefloor import NoiseFloorError
 
 _BUNDLE_FILES = ("config.txt", "ubm.gmm", "tv.tvm", "backend.gbe")
@@ -37,6 +38,10 @@ STAGE_GMM = "gmm-ubm"
 STAGE_IVECTOR = "ivector"
 STAGE_BACKEND = "backend"
 STAGE_EVALUATION = "evaluation"
+
+# Recordings featurized together: the noise tracker steps through a chunk's
+# spectra at once, and at most one chunk of audio is held by a lazy caller.
+FEATURE_CHUNK = 16
 
 
 class PipelineStageError(SceneidError):
@@ -192,27 +197,36 @@ def load_audio(path, config: PipelineConfig) -> AudioBuffer:
         raise PipelineStageError(STAGE_AUDIO, f"{path}: {exc}") from exc
 
 
-def features_for_buffer(buf: AudioBuffer, config: PipelineConfig, rec_id: str = "") -> FeatureMatrix:
-    try:
-        return extract_features(
-            buf,
-            config.to_feature_config(),
-            use_noise_floor=config.noise_floor,
-            spp_params=config.to_spp_params(),
-            n_init=config.nf_init_frames,
-            recording_id=rec_id,
-        )
-    except NoiseFloorError as exc:
-        raise PipelineStageError(STAGE_NOISE_FLOOR, f"{rec_id}: {exc}") from exc
-    except (SceneidError, ValueError) as exc:
-        raise PipelineStageError(STAGE_FEATURES, f"{rec_id}: {exc}") from exc
+def features_for_buffers(items, config: PipelineConfig):
+    """Featurize (recording id, mono buffer) pairs, FEATURE_CHUNK at a time.
+
+    Yields one FeatureMatrix per pair, in order. `items` is drawn one chunk
+    at a time, so a lazy iterable never has more than a chunk of audio alive.
+    """
+    feature_config = config.to_feature_config()
+    spp_params = config.to_spp_params()
+    items = iter(items)
+    while chunk := list(itertools.islice(items, FEATURE_CHUNK)):
+        try:
+            feats = extract_features_many(
+                [buf for _, buf in chunk],
+                feature_config,
+                use_noise_floor=config.noise_floor,
+                spp_params=spp_params,
+                n_init=config.nf_init_frames,
+                recording_ids=[rec_id for rec_id, _ in chunk],
+            )
+        except NoiseFloorError as exc:
+            raise PipelineStageError(STAGE_NOISE_FLOOR, str(exc)) from exc
+        except (SceneidError, ValueError) as exc:
+            raise PipelineStageError(STAGE_FEATURES, str(exc)) from exc
+        del chunk  # free this chunk's audio before the next one is drawn
+        yield from feats
 
 
 def manifest_features(manifest: CorpusManifest, config: PipelineConfig) -> list[FeatureMatrix]:
-    return [
-        features_for_buffer(load_audio(manifest.resolve(e), config), config, rec_id=e.path)
-        for e in manifest.entries
-    ]
+    items = ((e.path, load_audio(manifest.resolve(e), config)) for e in manifest.entries)
+    return list(features_for_buffers(items, config))
 
 
 def run_training(config: PipelineConfig, manifest: CorpusManifest) -> ModelBundle:
@@ -258,14 +272,13 @@ def run_training(config: PipelineConfig, manifest: CorpusManifest) -> ModelBundl
 
 
 def _classify_buffers(bundle: ModelBundle, samples) -> list[str]:
-    config = bundle.config
     stats = []
-    for s in samples:
-        feats = features_for_buffer(s.buf, config, rec_id=s.rec_id)
+    items = ((s.rec_id, s.buf) for s in samples)
+    for feats in features_for_buffers(items, bundle.config):
         try:
             stats.append(gmm_mod.accumulate_stats(bundle.ubm, feats))
         except gmm_mod.GmmError as exc:
-            raise PipelineStageError(STAGE_GMM, f"{s.rec_id}: {exc}") from exc
+            raise PipelineStageError(STAGE_GMM, f"{feats.recording_id}: {exc}") from exc
     try:
         w_matrix = ivector_mod.extract_ivectors(bundle.tv, bundle.ubm, stats)
     except ivector_mod.IVectorError as exc:
@@ -276,30 +289,45 @@ def _classify_buffers(bundle: ModelBundle, samples) -> list[str]:
         raise PipelineStageError(STAGE_BACKEND, str(exc)) from exc
 
 
-def evaluate_samples(bundle: ModelBundle, samples) -> EvalReport:
-    samples = list(samples)
-    known = set(bundle.backend.class_labels)
-    unknown = {s.label for s in samples} - known
+def _check_labels(bundle: ModelBundle, labels) -> None:
+    unknown = set(labels) - set(bundle.backend.class_labels)
     if unknown:
         raise PipelineStageError(
             STAGE_EVALUATION, f"labels {sorted(unknown)} not in the trained label set"
         )
-    predictions = _classify_buffers(bundle, samples)
+
+
+def evaluate_samples(bundle: ModelBundle, samples) -> EvalReport:
+    """Classify EvalSamples drawn lazily from any iterable and score them."""
+    truth: list[str] = []
+    conditions: list[str] = []
+
+    def checked():
+        for s in samples:
+            _check_labels(bundle, [s.label])
+            truth.append(s.label)
+            conditions.append(s.condition)
+            yield s
+
+    predictions = _classify_buffers(bundle, checked())
     return EvalReport.from_predictions(
-        bundle.backend.class_labels,
-        [s.label for s in samples],
-        predictions,
-        [s.condition for s in samples],
+        bundle.backend.class_labels, truth, predictions, conditions
     )
 
 
-def run_evaluation(bundle: ModelBundle, manifest: CorpusManifest) -> EvalReport:
-    """Evaluate manifest entries with the bundle's exact feature configuration."""
+def _check_manifest(bundle: ModelBundle, manifest: CorpusManifest) -> None:
+    """Manifest and label checks, made before any audio is read."""
     try:
         manifest.validate()
     except ManifestError as exc:
         raise PipelineStageError(STAGE_MANIFEST, str(exc)) from exc
-    samples = [
+    _check_labels(bundle, (e.label for e in manifest.entries))
+
+
+def run_evaluation(bundle: ModelBundle, manifest: CorpusManifest) -> EvalReport:
+    """Evaluate manifest entries with the bundle's exact feature configuration."""
+    _check_manifest(bundle, manifest)
+    samples = (
         EvalSample(
             buf=load_audio(manifest.resolve(e), bundle.config),
             label=e.label,
@@ -307,7 +335,7 @@ def run_evaluation(bundle: ModelBundle, manifest: CorpusManifest) -> EvalReport:
             rec_id=e.path,
         )
         for e in manifest.entries
-    ]
+    )
     return evaluate_samples(bundle, samples)
 
 
@@ -322,14 +350,13 @@ def run_sbr_sweep(
     """Evaluate clean data plus seeded in-memory mixes at each SBR.
 
     An empty sbr_list reduces to plain evaluation of the clean manifest.
+    Mixes are made as the classifier draws them, so at most one chunk of
+    mixed audio exists at a time.
     """
     sbr_list = list(sbr_list)
     if not sbr_list:
         return run_evaluation(bundle, clean_manifest)
-    try:
-        clean_manifest.validate()
-    except ManifestError as exc:
-        raise PipelineStageError(STAGE_MANIFEST, str(exc)) from exc
+    _check_manifest(bundle, clean_manifest)
 
     pool = []
     if speech_pool is not None:
@@ -339,22 +366,25 @@ def run_sbr_sweep(
         raise PipelineStageError(
             STAGE_MIXER, "numeric SBR conditions requested but the speech pool is empty"
         )
+    return evaluate_samples(
+        bundle, _sweep_samples(bundle.config, clean_manifest, speech_pool, pool, sbr_list, seed)
+    )
 
-    buffers = [load_audio(clean_manifest.resolve(e), bundle.config) for e in clean_manifest]
+
+def _sweep_samples(config, clean_manifest, speech_pool, pool, sbr_list, seed):
+    """Yield the clean clips and their seeded mixes, condition by condition."""
+    buffers = [load_audio(clean_manifest.resolve(e), config) for e in clean_manifest]
     speech_cache: dict = {}
-    samples: list[EvalSample] = []
     for ci, cond in enumerate(sbr_list):
         tag = condition_tag(cond)
         for ei, entry in enumerate(clean_manifest.entries):
             if cond is None:
-                samples.append(EvalSample(buffers[ei], entry.label, tag, entry.path))
+                yield EvalSample(buffers[ei], entry.label, tag, entry.path)
                 continue
-            mix_seed = _sweep_seed(seed, ci, ei)
-            rng = np.random.default_rng(mix_seed)
-            speech_entry = pool[int(rng.integers(0, len(pool)))]
+            mix_seed, speech_entry = draw_speech(pool, seed, ci, ei)
             if speech_entry.path not in speech_cache:
                 speech_cache[speech_entry.path] = load_audio(
-                    speech_pool.resolve(speech_entry), bundle.config
+                    speech_pool.resolve(speech_entry), config
                 )
             try:
                 mixed, _ = mix_at_sbr(
@@ -365,12 +395,6 @@ def run_sbr_sweep(
                     background_id=entry.path,
                     speech_id=speech_entry.path,
                 )
-            except (SilentSignalError, SceneidError) as exc:
+            except SceneidError as exc:
                 raise PipelineStageError(STAGE_MIXER, f"{entry.path}: {exc}") from exc
-            samples.append(EvalSample(mixed, entry.label, tag, f"{entry.path}@{tag}"))
-    return evaluate_samples(bundle, samples)
-
-
-def _sweep_seed(root_seed: int, condition_index: int, entry_index: int) -> int:
-    ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(condition_index, entry_index))
-    return int(ss.generate_state(1)[0])
+            yield EvalSample(mixed, entry.label, tag, f"{entry.path}@{tag}")

@@ -32,6 +32,17 @@ def workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def bundle(workspace):
+    """The bundle test_train_and_evaluate writes, trained here if it has not run."""
+    path = workspace / "bundle"
+    if not (path / "bundle.json").exists():
+        rc = main(["train", "--manifest", str(workspace / "corpus" / "train.jsonl"),
+                   "--out", str(path)] + TINY_SET)
+        assert rc == 0
+    return path
+
+
 def test_synth_outputs(workspace, capsys):
     corpus = workspace / "corpus"
     assert (corpus / "train.jsonl").exists()
@@ -189,3 +200,30 @@ class TestExitCodes:
         rc = main(["mix", "--background", str(bad), "--speech", str(bad),
                    "--sbr", "0", "--out", str(tmp_path / "m.wav")])
         assert rc == 4
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_unknown_label_is_evaluation_code_before_audio(
+        self, bundle, tmp_path, capsys, command
+    ):
+        # The label check comes first, so the missing file is never opened.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"path": "ghost.wav", "label": "unseen-label"}\n')
+        rc = main([command, "--bundle", str(bundle), "--manifest", str(bad)])
+        assert rc == 11
+        assert "unseen-label" in capsys.readouterr().err
+
+    def test_short_clip_is_noise_floor_code_naming_it(self, workspace, tmp_path, capsys):
+        corpus = workspace / "corpus"
+        short = tmp_path / "short.wav"
+        write_wav(short, AudioBuffer(0.1 * np.ones(2000), 16000))  # 5 frames, n_init is 5
+        lines = (corpus / "train.jsonl").read_text().splitlines()[:3]
+        entries = [json.loads(line) for line in lines]
+        for e in entries:
+            e["path"] = str(corpus / e["path"])
+        entries.insert(1, {"path": str(short), "label": entries[0]["label"]})
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "b"),
+                   "--set", "noise_floor=true"] + TINY_SET)
+        assert rc == 6
+        assert str(short) in capsys.readouterr().err

@@ -13,6 +13,7 @@ from sceneid.features import (
     append_sdc,
     export_csv,
     extract_features,
+    extract_features_many,
     load_features,
     make_mel_bank,
     mfcc,
@@ -235,6 +236,38 @@ class TestExtractFeatures:
         buf = AudioBuffer(np.zeros(8000), 8000)
         with pytest.raises(ValueError, match="rate"):
             extract_features(buf, FeatureConfig(sample_rate=16000))
+
+
+class TestExtractFeaturesMany:
+    # Three frame counts: 149, 99 and 49 frames at 16 kHz.
+    LENGTHS = (48000, 32000, 48000, 16000, 32000)
+
+    @pytest.mark.parametrize("noise_floor", [False, True])
+    def test_ragged_batch_matches_reference(self, rng, noise_floor):
+        from test_noisefloor import update_loop
+
+        cfg = FeatureConfig()
+        bufs = [AudioBuffer(0.1 * rng.standard_normal(n), 16000) for n in self.LENGTHS]
+        ids = [f"clip{i}" for i in range(len(bufs))]
+        got = extract_features_many(bufs, cfg, use_noise_floor=noise_floor, recording_ids=ids)
+        bank = make_mel_bank(40, 1024, 16000)
+        for buf, rid, feats in zip(bufs, ids, got):
+            spec = power_spectrogram(frame_signal(buf, cfg.frame))
+            if noise_floor:
+                spec = Spectrogram(update_loop(spec.frames), spec.bin_hz, spec.frame_hop_s)
+            manual = append_sdc(mfcc(spec, bank, 21), cfg.sdc)
+            assert np.array_equal(feats.rows, manual.rows)
+            assert feats.recording_id == rid and feats.noise_floor == noise_floor
+
+    def test_error_names_the_failing_recording(self):
+        bufs = [AudioBuffer(np.zeros(16000), 16000), AudioBuffer(np.zeros(100), 16000)]
+        with pytest.raises(ValueError, match="^short: .*shorter than one"):
+            extract_features_many(bufs, FeatureConfig(), recording_ids=["ok", "short"])
+
+    def test_empty_and_mismatched_ids(self):
+        assert extract_features_many([], FeatureConfig()) == []
+        with pytest.raises(ValueError, match="recording ids"):
+            extract_features_many([AudioBuffer(np.zeros(16000), 16000)], recording_ids=[])
 
 
 class TestContainer:

@@ -12,6 +12,7 @@ from sceneid.noisefloor import (
     noise_floor_spectrogram,
     noise_periodogram_estimate,
     speech_presence_prob,
+    track_noise_floor,
     update,
 )
 
@@ -186,6 +187,56 @@ class TestNoiseFloorSpectrogram:
         spec = Spectrogram(np.ones((4, 8)), 15.625, 0.02)
         with pytest.raises(NoiseFloorError):
             noise_floor_spectrogram(spec, SppParams(), 5)
+
+
+def update_loop(rows, params=SppParams(), n_init=5):
+    """Reference floor of one recording: init_state, then update() per frame."""
+    state = init_state(rows[:n_init], n_init, params)
+    out = np.empty_like(rows)
+    out[:n_init] = state.noise_psd
+    for t in range(n_init, rows.shape[0]):
+        state, out[t] = update(state, rows[t], params)
+    return out
+
+
+class TestTrackNoiseFloor:
+    """The batched in-place tracker equals the update() loop bit for bit."""
+
+    def test_batch_matches_update_loop(self, rng):
+        # A 50-frame burst saturates the speech posterior, so the stuck
+        # detector clamps it in those bins.
+        stack = rng.exponential(1.0, (4, 60, 33)) * rng.uniform(0.01, 100.0, (4, 1, 33))
+        stack[1, 8:58, 5:15] *= 1e4
+        expected = [update_loop(rows, CITED) for rows in stack]
+        track_noise_floor(stack, CITED)
+        for got, want in zip(stack, expected):
+            assert np.array_equal(got, want)
+
+    def test_single_recording(self, rng):
+        rows = rng.exponential(1.0, (50, 17))
+        stack = rows[None].copy()
+        track_noise_floor(stack)
+        assert np.array_equal(stack[0], update_loop(rows))
+        spec = noise_floor_spectrogram(Spectrogram(rows, 15.625, 0.02), SppParams(), 5)
+        assert np.array_equal(spec.frames, update_loop(rows))
+
+    @pytest.mark.parametrize("n_init", [1, 5, 12])
+    def test_exactly_one_tracked_frame(self, rng, n_init):
+        stack = rng.exponential(1.0, (3, n_init + 1, 9))
+        expected = [update_loop(rows, n_init=n_init) for rows in stack]
+        track_noise_floor(stack, n_init=n_init)
+        for got, want in zip(stack, expected):
+            assert np.array_equal(got, want)
+
+    def test_all_zero(self):
+        stack = np.zeros((2, 20, 8))
+        track_noise_floor(stack)
+        assert np.array_equal(stack[0], update_loop(np.zeros((20, 8))))
+        np.testing.assert_array_equal(stack, 1e-12)
+
+    def test_too_few_frames(self):
+        with pytest.raises(NoiseFloorError):
+            track_noise_floor(np.ones((2, 5, 8)), n_init=5)
 
 
 class TestInvariants:

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from sceneid import pipeline
+from sceneid.audio import AudioBuffer
 from sceneid.config import PipelineConfig
+from sceneid.features import extract_features
 from sceneid.manifest import CorpusManifest, ManifestEntry
 from sceneid.pipeline import (
+    FEATURE_CHUNK,
     EvalReport,
     ModelBundle,
     PipelineStageError,
+    features_for_buffers,
     run_evaluation,
     run_sbr_sweep,
     run_training,
@@ -42,6 +47,41 @@ def tiny_config(**overrides) -> PipelineConfig:
 @pytest.fixture(scope="module")
 def tiny_bundle(tiny_corpus):
     return run_training(tiny_config(), tiny_corpus["train"])
+
+
+class TestFeaturesForBuffers:
+    @pytest.mark.parametrize("noise_floor", [False, True])
+    def test_matches_per_buffer_extract_features(self, rng, noise_floor):
+        # More than one chunk, with several frame counts in each.
+        config = tiny_config(noise_floor=noise_floor)
+        lengths = [16000, 24000, 32000] * ((FEATURE_CHUNK + 5) // 3 + 1)
+        items = [
+            (f"rec{i}", AudioBuffer(0.1 * rng.standard_normal(n), 16000))
+            for i, n in enumerate(lengths)
+        ]
+        got = list(features_for_buffers(iter(items), config))
+        assert len(got) == len(items)
+        for (rid, buf), feats in zip(items, got):
+            want = extract_features(
+                buf,
+                config.to_feature_config(),
+                use_noise_floor=noise_floor,
+                spp_params=config.to_spp_params(),
+                n_init=config.nf_init_frames,
+                recording_id=rid,
+            )
+            assert np.array_equal(feats.rows, want.rows)
+            assert feats.recording_id == rid and feats.noise_floor == noise_floor
+
+    def test_short_clip_in_chunk_is_noise_floor_error_naming_it(self, rng):
+        # 2000 samples give 5 frames, one short of what n_init=5 needs.
+        items = [(f"rec{i}", AudioBuffer(0.1 * rng.standard_normal(16000), 16000))
+                 for i in range(FEATURE_CHUNK)]
+        items[FEATURE_CHUNK // 2] = ("too-short", AudioBuffer(np.ones(2000), 16000))
+        with pytest.raises(PipelineStageError) as err:
+            list(features_for_buffers(items, tiny_config(noise_floor=True)))
+        assert err.value.stage == "noise-floor"
+        assert "too-short" in str(err.value)
 
 
 class TestRunTraining:
@@ -103,6 +143,16 @@ class TestRunEvaluation:
         with pytest.raises(PipelineStageError) as err:
             run_evaluation(tiny_bundle, bad)
         assert err.value.stage == "evaluation"
+
+    def test_unknown_label_rejected_before_audio_is_read(self, tiny_bundle, tmp_path):
+        bad = CorpusManifest([ManifestEntry("ghost.wav", "unseen-label")], tmp_path)
+        for run in (
+            lambda: run_evaluation(tiny_bundle, bad),
+            lambda: run_sbr_sweep(tiny_bundle, bad, None, [None], seed=1),
+        ):
+            with pytest.raises(PipelineStageError) as err:
+                run()
+            assert err.value.stage == "evaluation"
 
     def test_deterministic_report(self, tiny_bundle, tiny_corpus):
         r1 = run_evaluation(tiny_bundle, tiny_corpus["test"])
@@ -183,6 +233,28 @@ class TestSbrSweep:
         with pytest.raises(PipelineStageError) as err:
             run_sbr_sweep(tiny_bundle, tiny_corpus["test"], None, [0.0], seed=1)
         assert err.value.stage == "mixer"
+
+    def test_mixes_are_made_as_they_are_classified(self, tiny_bundle, tiny_corpus, monkeypatch):
+        # Each chunk is featurized before the mixes of the next are made.
+        made, mixed_before_chunk = [], []
+        real_mix, real_many = pipeline.mix_at_sbr, pipeline.extract_features_many
+
+        def counting_mix(*args, **kwargs):
+            made.append(1)
+            return real_mix(*args, **kwargs)
+
+        def recording_many(bufs, *args, **kwargs):
+            mixed_before_chunk.append(len(made))
+            return real_many(bufs, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "mix_at_sbr", counting_mix)
+        monkeypatch.setattr(pipeline, "extract_features_many", recording_many)
+        monkeypatch.setattr(pipeline, "FEATURE_CHUNK", 4)
+        report = run_sbr_sweep(
+            tiny_bundle, tiny_corpus["test"], tiny_corpus["speech_eval"], [0.0, 10.0], seed=3
+        )
+        assert report.total == 18
+        assert mixed_before_chunk == [4, 8, 12, 16, 18]
 
     def test_excluded_speakers_not_used(self, tiny_bundle, tiny_corpus):
         pool = tiny_corpus["speech_eval"]
