@@ -16,7 +16,7 @@ from .audio import (
     resample,
     write_wav,
 )
-from .backend import BackendModel, classify, score, train_backend
+from .backend import BackendModel, score, train_backend
 from .config import PipelineConfig
 from .errors import SceneidError
 from .features import (

@@ -123,7 +123,8 @@ def read_wav(path) -> AudioBuffer:
 
     Integer samples are normalized by 2^(bits-1). Raises FileNotFoundError,
     WavCodecError (compressed/unsupported format) or WavCorruptError
-    (malformed or truncated file) so callers can tell the cases apart.
+    (malformed or truncated file, or non-finite float samples) so callers
+    can tell the cases apart.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -178,6 +179,8 @@ def read_wav(path) -> AudioBuffer:
         if bits != 32:
             raise WavCodecError(f"{path}: unsupported float width {bits} bits")
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise WavCorruptError(f"{path}: non-finite (NaN or infinite) float samples")
     else:
         raise WavCodecError(f"{path}: non-PCM codec (format tag {format_tag:#06x})")
 

@@ -169,12 +169,8 @@ def score_many(model: BackendModel, w_matrix: np.ndarray, mode: str = MODE_CLASS
     return out
 
 
-def classify(model: BackendModel, w, mode: str = MODE_CLASS):
-    """Label of the maximal score; ties go to the earlier class label."""
-    return model.class_labels[int(np.argmax(score(model, w, mode)))]
-
-
 def classify_many(model: BackendModel, w_matrix: np.ndarray, mode: str = MODE_CLASS) -> list:
+    """Label of the maximal score per row; ties go to the earlier class label."""
     scores = score_many(model, w_matrix, mode)
     return [model.class_labels[i] for i in scores.argmax(axis=1)]
 

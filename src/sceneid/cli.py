@@ -42,36 +42,25 @@ EXIT_CODES = {
 }
 
 
-class _CliFailure(Exception):
-    def __init__(self, stage, message):
-        super().__init__(message)
-        self.stage = stage
-
-
-def _fail(stage, message):
-    raise _CliFailure(stage, message)
-
-
 def _load_config(args) -> PipelineConfig:
-    try:
+    with pipe.stage(pipe.STAGE_CONFIG, ConfigError):
         cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
-        if args.set:
-            cfg = cfg.apply_overrides(args.set)
-        return cfg
-    except ConfigError as exc:
-        raise _CliFailure(pipe.STAGE_CONFIG, str(exc)) from exc
+        return cfg.apply_overrides(args.set)
 
 
 def _load_manifest(path, fold=None, exclude_fold=None) -> CorpusManifest:
-    try:
+    with pipe.stage(pipe.STAGE_MANIFEST, ManifestError):
         manifest = CorpusManifest.load(path)
-        if fold is not None:
-            manifest = manifest.filter(lambda e: e.fold == fold)
-        if exclude_fold is not None:
-            manifest = manifest.filter(lambda e: e.fold != exclude_fold)
-        return manifest
-    except ManifestError as exc:
-        raise _CliFailure(pipe.STAGE_MANIFEST, str(exc)) from exc
+    if fold is not None:
+        manifest = manifest.filter(lambda e: e.fold == fold)
+    if exclude_fold is not None:
+        manifest = manifest.filter(lambda e: e.fold != exclude_fold)
+    return manifest
+
+
+def _parse_sbrs(text) -> list:
+    with pipe.stage(pipe.STAGE_CONFIG, ConfigError):
+        return [parse_sbr_token(t) for t in text.split(",")]
 
 
 def _add_config_args(parser):
@@ -102,19 +91,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    try:
+    with pipe.stage(pipe.STAGE_AUDIO, OSError, SceneidError):
         background = read_wav(args.background)
         speech = read_wav(args.speech)
-    except (OSError, SceneidError) as exc:
-        raise _CliFailure(pipe.STAGE_AUDIO, str(exc)) from exc
-    try:
+    with pipe.stage(pipe.STAGE_MIXER, SilentSignalError, NoActivityError, RateMismatchError,
+                    ValueError):
         mixed, spec = mixer_mod.mix_at_sbr(
             background, speech, args.sbr, args.seed,
             background_id=args.background, speech_id=args.speech,
         )
         write_wav(args.out, mixed)
-    except (SilentSignalError, NoActivityError, RateMismatchError, ValueError) as exc:
-        raise _CliFailure(pipe.STAGE_MIXER, str(exc)) from exc
     print(json.dumps(asdict(spec), sort_keys=True))
     return 0
 
@@ -122,17 +108,12 @@ def cmd_mix(args) -> int:
 def cmd_build_corpus(args) -> int:
     manifest = _load_manifest(args.manifest)
     pool = _load_manifest(args.speech_pool)
-    try:
-        sbrs = [parse_sbr_token(t) for t in args.sbrs.split(",")]
-    except ConfigError as exc:
-        raise _CliFailure(pipe.STAGE_CONFIG, str(exc)) from exc
-    try:
+    sbrs = _parse_sbrs(args.sbrs)
+    with pipe.stage(pipe.STAGE_MIXER, SceneidError, ValueError, OSError):
         out = mixer_mod.build_multicondition_corpus(
             manifest, sbrs, pool, args.seed, args.out,
             exclude_speakers=args.exclude_speaker,
         )
-    except (SceneidError, ValueError, OSError) as exc:
-        raise _CliFailure(pipe.STAGE_MIXER, str(exc)) from exc
     out_path = Path(args.out) / "manifest.jsonl"
     out.save(out_path)
     print(out_path)
@@ -149,10 +130,8 @@ def cmd_extract_features(args) -> int:
         if args.dump_spectrogram:
             save_features(FeatureMatrix(spec.frames, args.audio, False), args.dump_spectrogram)
         if args.dump_noise_floor:
-            try:
+            with pipe.stage(pipe.STAGE_NOISE_FLOOR, NoiseFloorError):
                 floor = noise_floor_spectrogram(spec, cfg.to_spp_params(), cfg.nf_init_frames)
-            except NoiseFloorError as exc:
-                raise _CliFailure(pipe.STAGE_NOISE_FLOOR, str(exc)) from exc
             save_features(FeatureMatrix(floor.frames, args.audio, True), args.dump_noise_floor)
     (feats,) = pipe.features_for_buffers([(args.audio, buf)], cfg)
     save_features(feats, args.out)
@@ -165,15 +144,7 @@ def cmd_extract_features(args) -> int:
 def cmd_train_ubm(args) -> int:
     cfg = _load_config(args)
     manifest = _load_manifest(args.manifest, args.fold, args.exclude_fold)
-    feats = pipe.manifest_features(manifest, cfg)
-    try:
-        ubm = gmm_mod.train_ubm(
-            np.vstack([f.rows for f in feats]),
-            cfg.ubm_components, n_iters=cfg.ubm_iters,
-            seed=cfg.seed, kmeans_iters=cfg.kmeans_iters,
-        )
-    except gmm_mod.GmmError as exc:
-        raise _CliFailure(pipe.STAGE_GMM, str(exc)) from exc
+    ubm = pipe.train_ubm(cfg, pipe.manifest_features(manifest, cfg))
     gmm_mod.save_gmm(ubm, args.out)
     print(f"{args.out}: {ubm.n_components} components, final LL {ubm.ll_history[-1]:.6f}")
     return 0
@@ -182,17 +153,9 @@ def cmd_train_ubm(args) -> int:
 def cmd_train_tv(args) -> int:
     cfg = _load_config(args)
     manifest = _load_manifest(args.manifest, args.fold, args.exclude_fold)
-    ubm = gmm_mod.load_gmm(args.ubm)
-    feats = pipe.manifest_features(manifest, cfg)
-    try:
-        stats = [gmm_mod.accumulate_stats(ubm, f) for f in feats]
-    except gmm_mod.GmmError as exc:
-        raise _CliFailure(pipe.STAGE_GMM, str(exc)) from exc
-    try:
-        tv = ivector_mod.train_tv(stats, ubm, cfg.tv_rank, n_iters=cfg.tv_iters,
-                                  seed=cfg.seed + 1)
-    except ivector_mod.IVectorError as exc:
-        raise _CliFailure(pipe.STAGE_IVECTOR, str(exc)) from exc
+    ubm = pipe.load_model_file(gmm_mod.load_gmm, args.ubm)
+    stats = pipe.collect_stats(ubm, pipe.manifest_features(manifest, cfg))
+    tv = pipe.train_tv(cfg, ubm, stats)
     ivector_mod.save_tv(tv, args.out)
     print(f"{args.out}: rank {tv.rank}")
     return 0
@@ -201,32 +164,26 @@ def cmd_train_tv(args) -> int:
 def cmd_extract_ivectors(args) -> int:
     cfg = _load_config(args)
     manifest = _load_manifest(args.manifest, args.fold, args.exclude_fold)
-    ubm = gmm_mod.load_gmm(args.ubm)
-    tv = ivector_mod.load_tv(args.tv)
-    feats = pipe.manifest_features(manifest, cfg)
-    try:
-        stats = [gmm_mod.accumulate_stats(ubm, f) for f in feats]
-        w = ivector_mod.extract_ivectors(tv, ubm, stats)
-    except gmm_mod.GmmError as exc:
-        raise _CliFailure(pipe.STAGE_GMM, str(exc)) from exc
-    except ivector_mod.IVectorError as exc:
-        raise _CliFailure(pipe.STAGE_IVECTOR, str(exc)) from exc
+    ubm = pipe.load_model_file(gmm_mod.load_gmm, args.ubm)
+    tv = pipe.load_model_file(ivector_mod.load_tv, args.tv)
+    stats = pipe.collect_stats(ubm, pipe.manifest_features(manifest, cfg))
+    w = pipe.extract_ivectors(tv, ubm, stats)
     ivector_mod.save_ivectors([e.path for e in manifest.entries], w, args.out)
     print(f"{args.out}: {w.shape[0]} iVectors of rank {w.shape[1]}")
     return 0
 
 
 def cmd_train_backend(args) -> int:
+    cfg = _load_config(args)
     manifest = _load_manifest(args.manifest)
-    ids, w = ivector_mod.load_ivectors(args.ivectors)
+    ids, w = pipe.load_model_file(ivector_mod.load_ivectors, args.ivectors)
     by_path = {e.path: e.label for e in manifest.entries}
     missing = [rid for rid in ids if rid not in by_path]
     if missing:
-        _fail(pipe.STAGE_MANIFEST, f"no manifest labels for {len(missing)} iVector ids")
-    try:
-        model = backend_mod.train_backend(w, [by_path[rid] for rid in ids], args.alpha)
-    except backend_mod.BackendError as exc:
-        raise _CliFailure(pipe.STAGE_BACKEND, str(exc)) from exc
+        raise pipe.PipelineStageError(
+            pipe.STAGE_MANIFEST, f"no manifest labels for {len(missing)} iVector ids"
+        )
+    model = pipe.train_backend(cfg, w, [by_path[rid] for rid in ids])
     backend_mod.save_backend(model, args.out)
     print(f"{args.out}: {len(model.class_labels)} classes, alpha {model.alpha}")
     return 0
@@ -245,22 +202,21 @@ def cmd_classify(args) -> int:
     bundle = pipe.ModelBundle.load(args.bundle)
     if args.manifest:
         manifest = _load_manifest(args.manifest)
+        pipe.check_manifest(manifest)
         items = [(e.path, manifest.resolve(e)) for e in manifest.entries]
     else:
         items = [(a, a) for a in args.audio]
-    lines = []
-    for rec_id, path in items:
-        buf = pipe.load_audio(path, bundle.config)
-        (feats,) = pipe.features_for_buffers([(str(rec_id), buf)], bundle.config)
-        stats = gmm_mod.accumulate_stats(bundle.ubm, feats)
-        w = ivector_mod.extract_ivector(bundle.tv, bundle.ubm, stats)
-        scores = backend_mod.score(bundle.backend, w.w)
-        label = bundle.backend.class_labels[int(np.argmax(scores))]
-        lines.append(json.dumps({
-            "id": str(rec_id),
-            "label": label,
-            "scores": dict(zip(bundle.backend.class_labels, scores.tolist())),
-        }, sort_keys=True))
+    buffers = ((rec_id, pipe.load_audio(path, bundle.config)) for rec_id, path in items)
+    scores = pipe.score_ivectors(bundle, pipe.ivectors_for_buffers(bundle, buffers))
+    labels = bundle.backend.class_labels
+    lines = [
+        json.dumps({
+            "id": rec_id,
+            "label": labels[int(np.argmax(row))],
+            "scores": dict(zip(labels, row.tolist())),
+        }, sort_keys=True)
+        for (rec_id, _), row in zip(items, scores)
+    ]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -283,10 +239,7 @@ def cmd_sweep(args) -> int:
     bundle = pipe.ModelBundle.load(args.bundle)
     manifest = _load_manifest(args.manifest)
     pool = _load_manifest(args.speech_pool) if args.speech_pool else None
-    try:
-        sbrs = [parse_sbr_token(t) for t in args.sbrs.split(",")] if args.sbrs else []
-    except ConfigError as exc:
-        raise _CliFailure(pipe.STAGE_CONFIG, str(exc)) from exc
+    sbrs = _parse_sbrs(args.sbrs) if args.sbrs else []
     report = pipe.run_sbr_sweep(
         bundle, manifest, pool, sbrs, args.seed, exclude_speakers=args.exclude_speaker
     )
@@ -364,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract_ivectors)
 
     p = sub.add_parser("train-backend", help="train the Gaussian backend")
+    _add_config_args(p)
     p.add_argument("--ivectors", required=True)
     p.add_argument("--manifest", required=True, help="supplies labels per recording id")
-    p.add_argument("--alpha", type=float, default=0.7)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_backend)
 
@@ -379,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify recordings with a trained bundle")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--manifest")
-    p.add_argument("--audio", nargs="*", default=[])
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--manifest")
+    source.add_argument("--audio", nargs="+")
     p.add_argument("--out")
     p.set_defaults(func=cmd_classify)
 
@@ -408,9 +362,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliFailure as exc:
-        print(f"error [{exc.stage}]: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(exc.stage, 1)
     except pipe.PipelineStageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.stage, 1)

@@ -8,7 +8,7 @@ declaration order, so identical configs serialize to identical bytes.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .audio import FrameConfig
@@ -50,7 +50,6 @@ class PipelineConfig:
     tv_rank: int = 150
     tv_iters: int = 5
     alpha: float = 0.7
-    mct_sbrs: list = field(default_factory=list)  # floats; None entries mean "no speech"
     seed: int = 12345
 
     def to_feature_config(self) -> FeatureConfig:
@@ -122,8 +121,6 @@ def _format_value(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, list):
-        return ",".join("clean" if v is None else f"{v:g}" for v in value) if value else "none"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -146,12 +143,6 @@ def _set_field(cfg: PipelineConfig, key: str, raw: str) -> None:
     try:
         if key == "fmax_hz":
             value = None if raw.lower() in ("none", "nyquist") else float(raw)
-        elif key == "mct_sbrs":
-            value = (
-                []
-                if raw.lower() in ("none", "")
-                else [parse_sbr_token(t) for t in raw.split(",")]
-            )
         elif isinstance(default, bool):
             if raw.lower() not in ("true", "false", "1", "0", "yes", "no"):
                 raise ValueError(raw)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .features import FeatureMatrix, extract_features_many
 from .manifest import CorpusManifest, ManifestError
 from .mixer import condition_tag, draw_speech, mix_at_sbr
 from .noisefloor import NoiseFloorError
+from .serialize import sha256_hex
 
 _BUNDLE_FILES = ("config.txt", "ubm.gmm", "tv.tvm", "backend.gbe")
 
@@ -50,6 +52,22 @@ class PipelineStageError(SceneidError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+@contextmanager
+def stage(name: str, *errors, item=None):
+    """Re-raise the listed exception types as PipelineStageError(name, ...).
+
+    `item` names what failed (a file, a recording) at the head of the
+    message. A PipelineStageError raised inside passes through unchanged, so
+    nested stages keep the stage that raised first.
+    """
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except errors as exc:
+        raise PipelineStageError(name, str(exc) if item is None else f"{item}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -154,8 +172,6 @@ class ModelBundle:
         gmm_mod.save_gmm(self.ubm, bundle_dir / "ubm.gmm")
         ivector_mod.save_tv(self.tv, bundle_dir / "tv.tvm")
         backend_mod.save_backend(self.backend, bundle_dir / "backend.gbe")
-        from .serialize import sha256_hex
-
         index = {
             "version": 1,
             "root_seed": self.config.seed,
@@ -169,32 +185,43 @@ class ModelBundle:
 
     @classmethod
     def load(cls, bundle_dir) -> "ModelBundle":
+        """Load a bundle whose index lists, and checksums, exactly its files.
+
+        Every failure to read a bundle file is a config-stage error naming it.
+        """
         bundle_dir = Path(bundle_dir)
         for name in _BUNDLE_FILES + ("bundle.json",):
             if not (bundle_dir / name).exists():
                 raise PipelineStageError(STAGE_CONFIG, f"bundle file missing: {name}")
-        from .serialize import sha256_hex
-
-        index = json.loads((bundle_dir / "bundle.json").read_text(encoding="utf-8"))
-        for name, expect in index["files"].items():
+        with stage(STAGE_CONFIG, OSError, ValueError, item=bundle_dir / "bundle.json"):
+            index = json.loads((bundle_dir / "bundle.json").read_text(encoding="utf-8"))
+        files = index.get("files") if isinstance(index, dict) else None
+        if not isinstance(files, dict) or sorted(files) != sorted(_BUNDLE_FILES):
+            raise PipelineStageError(
+                STAGE_CONFIG, f"bundle.json must list exactly the files {list(_BUNDLE_FILES)}"
+            )
+        for name, expect in files.items():
             found = sha256_hex((bundle_dir / name).read_bytes())
             if found != expect:
                 raise PipelineStageError(STAGE_CONFIG, f"bundle file corrupted: {name}")
         return cls(
-            config=PipelineConfig.load(bundle_dir / "config.txt"),
-            ubm=gmm_mod.load_gmm(bundle_dir / "ubm.gmm"),
-            tv=ivector_mod.load_tv(bundle_dir / "tv.tvm"),
-            backend=backend_mod.load_backend(bundle_dir / "backend.gbe"),
+            config=load_model_file(PipelineConfig.load, bundle_dir / "config.txt"),
+            ubm=load_model_file(gmm_mod.load_gmm, bundle_dir / "ubm.gmm"),
+            tv=load_model_file(ivector_mod.load_tv, bundle_dir / "tv.tvm"),
+            backend=load_model_file(backend_mod.load_backend, bundle_dir / "backend.gbe"),
         )
+
+
+def load_model_file(loader, path):
+    """Read one model or config file with `loader`; any failure is a config error."""
+    with stage(STAGE_CONFIG, OSError, SceneidError, ValueError, item=path):
+        return loader(path)
 
 
 def load_audio(path, config: PipelineConfig) -> AudioBuffer:
     """Read, downmix and resample one recording to the pipeline rate."""
-    try:
-        buf = downmix_mono(read_wav(path))
-        return resample(buf, config.sample_rate)
-    except (OSError, SceneidError, ValueError) as exc:
-        raise PipelineStageError(STAGE_AUDIO, f"{path}: {exc}") from exc
+    with stage(STAGE_AUDIO, OSError, SceneidError, ValueError, item=path):
+        return resample(downmix_mono(read_wav(path)), config.sample_rate)
 
 
 def features_for_buffers(items, config: PipelineConfig):
@@ -207,7 +234,10 @@ def features_for_buffers(items, config: PipelineConfig):
     spp_params = config.to_spp_params()
     items = iter(items)
     while chunk := list(itertools.islice(items, FEATURE_CHUNK)):
-        try:
+        with (
+            stage(STAGE_FEATURES, SceneidError, ValueError),
+            stage(STAGE_NOISE_FLOOR, NoiseFloorError),
+        ):
             feats = extract_features_many(
                 [buf for _, buf in chunk],
                 feature_config,
@@ -216,77 +246,90 @@ def features_for_buffers(items, config: PipelineConfig):
                 n_init=config.nf_init_frames,
                 recording_ids=[rec_id for rec_id, _ in chunk],
             )
-        except NoiseFloorError as exc:
-            raise PipelineStageError(STAGE_NOISE_FLOOR, str(exc)) from exc
-        except (SceneidError, ValueError) as exc:
-            raise PipelineStageError(STAGE_FEATURES, str(exc)) from exc
         del chunk  # free this chunk's audio before the next one is drawn
         yield from feats
 
 
+def check_manifest(manifest: CorpusManifest) -> None:
+    """Reject an invalid or empty manifest before any audio is read."""
+    with stage(STAGE_MANIFEST, ManifestError):
+        manifest.validate()
+    if not manifest.entries:
+        raise PipelineStageError(STAGE_MANIFEST, "manifest is empty")
+
+
 def manifest_features(manifest: CorpusManifest, config: PipelineConfig) -> list[FeatureMatrix]:
+    """Check the manifest, then read and featurize every entry."""
+    check_manifest(manifest)
     items = ((e.path, load_audio(manifest.resolve(e), config)) for e in manifest.entries)
     return list(features_for_buffers(items, config))
 
 
-def run_training(config: PipelineConfig, manifest: CorpusManifest) -> ModelBundle:
-    """features -> UBM -> statistics -> T -> iVectors -> backend."""
-    try:
-        manifest.validate()
-        if not manifest.entries:
-            raise ManifestError("training manifest is empty")
-    except ManifestError as exc:
-        raise PipelineStageError(STAGE_MANIFEST, str(exc)) from exc
-
-    feats = manifest_features(manifest, config)
-
-    try:
-        pooled = np.vstack([f.rows for f in feats])
-        ubm = gmm_mod.train_ubm(
-            pooled,
+def train_ubm(config: PipelineConfig, feats) -> gmm_mod.GmmModel:
+    """UBM stage: k-means++ and EM over the pooled frames of every recording."""
+    with stage(STAGE_GMM, gmm_mod.GmmError):
+        return gmm_mod.train_ubm(
+            np.vstack([f.rows for f in feats]),
             config.ubm_components,
             n_iters=config.ubm_iters,
             seed=config.seed,
             kmeans_iters=config.kmeans_iters,
         )
-        stats = [gmm_mod.accumulate_stats(ubm, f) for f in feats]
-    except gmm_mod.GmmError as exc:
-        raise PipelineStageError(STAGE_GMM, str(exc)) from exc
 
-    try:
-        tv = ivector_mod.train_tv(
+
+def collect_stats(ubm: gmm_mod.GmmModel, feats) -> list[gmm_mod.SufficientStats]:
+    """Statistics stage: Baum-Welch statistics per recording, drawn lazily."""
+    stats = []
+    for f in feats:
+        with stage(STAGE_GMM, gmm_mod.GmmError, item=f.recording_id):
+            stats.append(gmm_mod.accumulate_stats(ubm, f))
+    return stats
+
+
+def train_tv(config: PipelineConfig, ubm: gmm_mod.GmmModel, stats) -> ivector_mod.TvMatrix:
+    """T-matrix stage: PCA init and EM refinement."""
+    with stage(STAGE_IVECTOR, ivector_mod.IVectorError):
+        return ivector_mod.train_tv(
             stats, ubm, config.tv_rank, n_iters=config.tv_iters, seed=config.seed + 1
         )
-        w_matrix = ivector_mod.extract_ivectors(tv, ubm, stats)
-    except ivector_mod.IVectorError as exc:
-        raise PipelineStageError(STAGE_IVECTOR, str(exc)) from exc
 
-    try:
-        gb = backend_mod.train_backend(
-            w_matrix, [e.label for e in manifest.entries], config.alpha
-        )
-    except backend_mod.BackendError as exc:
-        raise PipelineStageError(STAGE_BACKEND, str(exc)) from exc
 
+def extract_ivectors(tv: ivector_mod.TvMatrix, ubm: gmm_mod.GmmModel, stats) -> np.ndarray:
+    """iVector stage: one posterior-mean row per recording's statistics."""
+    with stage(STAGE_IVECTOR, ivector_mod.IVectorError):
+        return ivector_mod.extract_ivectors(tv, ubm, stats)
+
+
+def train_backend(config: PipelineConfig, w_matrix, labels) -> backend_mod.BackendModel:
+    """Backend stage: regularized Gaussian per class."""
+    with stage(STAGE_BACKEND, backend_mod.BackendError):
+        return backend_mod.train_backend(w_matrix, labels, config.alpha)
+
+
+def run_training(config: PipelineConfig, manifest: CorpusManifest) -> ModelBundle:
+    """features -> UBM -> statistics -> T -> iVectors -> backend."""
+    feats = manifest_features(manifest, config)
+    ubm = train_ubm(config, feats)
+    stats = collect_stats(ubm, feats)
+    tv = train_tv(config, ubm, stats)
+    w_matrix = extract_ivectors(tv, ubm, stats)
+    gb = train_backend(config, w_matrix, [e.label for e in manifest.entries])
     return ModelBundle(config=config, ubm=ubm, tv=tv, backend=gb)
 
 
-def _classify_buffers(bundle: ModelBundle, samples) -> list[str]:
-    stats = []
-    items = ((s.rec_id, s.buf) for s in samples)
-    for feats in features_for_buffers(items, bundle.config):
-        try:
-            stats.append(gmm_mod.accumulate_stats(bundle.ubm, feats))
-        except gmm_mod.GmmError as exc:
-            raise PipelineStageError(STAGE_GMM, f"{feats.recording_id}: {exc}") from exc
-    try:
-        w_matrix = ivector_mod.extract_ivectors(bundle.tv, bundle.ubm, stats)
-    except ivector_mod.IVectorError as exc:
-        raise PipelineStageError(STAGE_IVECTOR, str(exc)) from exc
-    try:
-        return backend_mod.classify_many(bundle.backend, w_matrix)
-    except backend_mod.BackendError as exc:
-        raise PipelineStageError(STAGE_BACKEND, str(exc)) from exc
+def ivectors_for_buffers(bundle: ModelBundle, items) -> np.ndarray:
+    """(recording id, mono buffer) pairs -> (n, R) iVector matrix.
+
+    `items` is drawn lazily, one feature chunk at a time.
+    """
+    stats = collect_stats(bundle.ubm, features_for_buffers(items, bundle.config))
+    return extract_ivectors(bundle.tv, bundle.ubm, stats)
+
+
+def score_ivectors(bundle: ModelBundle, w_matrix) -> np.ndarray:
+    """(n, L) backend scores, columns in `bundle.backend.class_labels` order."""
+    with stage(STAGE_BACKEND, backend_mod.BackendError):
+        return backend_mod.score_many(bundle.backend, w_matrix)
 
 
 def _check_labels(bundle: ModelBundle, labels) -> None:
@@ -309,24 +352,23 @@ def evaluate_samples(bundle: ModelBundle, samples) -> EvalReport:
             conditions.append(s.condition)
             yield s
 
-    predictions = _classify_buffers(bundle, checked())
+    w_matrix = ivectors_for_buffers(bundle, ((s.rec_id, s.buf) for s in checked()))
+    with stage(STAGE_BACKEND, backend_mod.BackendError):
+        predictions = backend_mod.classify_many(bundle.backend, w_matrix)
     return EvalReport.from_predictions(
         bundle.backend.class_labels, truth, predictions, conditions
     )
 
 
-def _check_manifest(bundle: ModelBundle, manifest: CorpusManifest) -> None:
+def _check_test_manifest(bundle: ModelBundle, manifest: CorpusManifest) -> None:
     """Manifest and label checks, made before any audio is read."""
-    try:
-        manifest.validate()
-    except ManifestError as exc:
-        raise PipelineStageError(STAGE_MANIFEST, str(exc)) from exc
+    check_manifest(manifest)
     _check_labels(bundle, (e.label for e in manifest.entries))
 
 
 def run_evaluation(bundle: ModelBundle, manifest: CorpusManifest) -> EvalReport:
     """Evaluate manifest entries with the bundle's exact feature configuration."""
-    _check_manifest(bundle, manifest)
+    _check_test_manifest(bundle, manifest)
     samples = (
         EvalSample(
             buf=load_audio(manifest.resolve(e), bundle.config),
@@ -356,7 +398,7 @@ def run_sbr_sweep(
     sbr_list = list(sbr_list)
     if not sbr_list:
         return run_evaluation(bundle, clean_manifest)
-    _check_manifest(bundle, clean_manifest)
+    _check_test_manifest(bundle, clean_manifest)
 
     pool = []
     if speech_pool is not None:
@@ -386,7 +428,7 @@ def _sweep_samples(config, clean_manifest, speech_pool, pool, sbr_list, seed):
                 speech_cache[speech_entry.path] = load_audio(
                     speech_pool.resolve(speech_entry), config
                 )
-            try:
+            with stage(STAGE_MIXER, SceneidError, item=entry.path):
                 mixed, _ = mix_at_sbr(
                     buffers[ei],
                     speech_cache[speech_entry.path],
@@ -395,6 +437,4 @@ def _sweep_samples(config, clean_manifest, speech_pool, pool, sbr_list, seed):
                     background_id=entry.path,
                     speech_id=speech_entry.path,
                 )
-            except SceneidError as exc:
-                raise PipelineStageError(STAGE_MIXER, f"{entry.path}: {exc}") from exc
             yield EvalSample(mixed, entry.label, tag, f"{entry.path}@{tag}")

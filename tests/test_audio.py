@@ -59,6 +59,14 @@ class TestReadWav:
         buf = read_wav(path)
         np.testing.assert_allclose(buf.samples, [0.25, -0.75])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_float32_non_finite_rejected_naming_file(self, tmp_path, bad):
+        payload = np.array([0.25, bad, -0.75], dtype="<f4").tobytes()
+        path = tmp_path / "nonfinite.wav"
+        path.write_bytes(make_wav_bytes(payload, format_tag=3, bits=32))
+        with pytest.raises(WavCorruptError, match="nonfinite.wav"):
+            read_wav(path)
+
     def test_stereo_interleaved(self, tmp_path):
         path = tmp_path / "st.wav"
         path.write_bytes(pcm16_wav_bytes([100, -100, 200, -200], channels=2))

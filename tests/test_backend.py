@@ -5,7 +5,6 @@ from sceneid.backend import (
     MODE_CLASS,
     MODE_SHARED,
     BackendError,
-    classify,
     classify_many,
     load_backend,
     save_backend,
@@ -136,7 +135,7 @@ class TestClassify:
         labels = ["zeta"] * 20 + ["alpha"] * 20
         model = train_backend(x, labels, alpha=0.5)
         assert model.class_labels == ["alpha", "zeta"]
-        assert classify(model, rng.normal(0, 1, 2)) == "alpha"
+        assert classify_many(model, rng.normal(0, 1, (1, 2))) == ["alpha"]
 
     def test_monte_carlo_separated_clouds(self, rng):
         x, labels = gaussian_classes(rng, n_classes=4, rank=4, per_class=200)
@@ -149,7 +148,7 @@ class TestClassify:
     def test_far_vector_still_labeled(self, rng):
         x, labels = gaussian_classes(rng)
         model = train_backend(x, labels, alpha=0.7)
-        assert classify(model, np.full(4, 1e4)) in model.class_labels
+        assert classify_many(model, np.full((1, 4), 1e4))[0] in model.class_labels
 
     def test_affine_equivariance_of_decisions(self, rng):
         x, labels = gaussian_classes(rng, n_classes=3, rank=3, per_class=60)

@@ -1,11 +1,23 @@
+import importlib
+import importlib.util
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sceneid import backend as backend_mod
 from sceneid.audio import AudioBuffer, read_wav, write_wav
+from sceneid.backend import score
 from sceneid.cli import main
 from sceneid.features import load_features
+from sceneid.gmm import accumulate_stats
+from sceneid.ivector import extract_ivector
+from sceneid.pipeline import ModelBundle, features_for_buffers, load_audio
+from sceneid.serialize import sha256_hex
+
+from conftest import make_wav_bytes
 
 TINY_ARGS = [
     "--classes", "3",
@@ -82,6 +94,58 @@ def test_classify_jsonl(workspace, capsys):
     assert record["label"] in record["scores"]
 
 
+def test_classify_manifest_labels_match_evaluate(bundle, workspace, monkeypatch, capsys):
+    manifest = workspace / "corpus" / "test.jsonl"
+    assert main(["classify", "--bundle", str(bundle), "--manifest", str(manifest)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+    counted = []  # the predictions evaluate's report counts, in manifest order
+    real = backend_mod.classify_many
+
+    def recording(*args, **kwargs):
+        labels = real(*args, **kwargs)
+        counted.extend(labels)
+        return labels
+
+    monkeypatch.setattr(backend_mod, "classify_many", recording)
+    assert main(["evaluate", "--bundle", str(bundle), "--manifest", str(manifest)]) == 0
+    ids = [json.loads(line)["path"] for line in manifest.read_text().splitlines()]
+    assert [r["id"] for r in records] == ids
+    assert [r["label"] for r in records] == counted
+
+
+def test_classify_audio_scores_equal_single_item_path(bundle, workspace, capsys):
+    # Batch scoring of several files must equal scoring each file alone, bit for bit.
+    wavs = sorted(str(p) for p in (workspace / "corpus").glob("scenes/test_*.wav"))
+    assert len(wavs) > 1
+    assert main(["classify", "--bundle", str(bundle), "--audio", *wavs]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    model = ModelBundle.load(bundle)
+    labels = model.backend.class_labels
+    assert [r["id"] for r in records] == wavs
+    for wav, record in zip(wavs, records):
+        (feats,) = features_for_buffers([(wav, load_audio(wav, model.config))], model.config)
+        w = extract_ivector(model.tv, model.ubm, accumulate_stats(model.ubm, feats))
+        want = score(model.backend, w.w)
+        assert [record["scores"][lab] for lab in labels] == want.tolist()
+        assert record["label"] == labels[int(np.argmax(want))]
+
+
+def test_benchmark_layer_names_resolve():
+    """Every layer the benchmark's tracer wraps still names a callable in sceneid."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYERS
+    for name in spans.LAYERS:
+        module_name, *attrs = name.split(".")
+        obj = importlib.import_module(f"sceneid.{module_name}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        assert callable(obj), name
+
+
 def test_stagewise_training_matches_composite(workspace, capsys):
     corpus = workspace / "corpus"
     stage = workspace / "stagewise"
@@ -95,11 +159,11 @@ def test_stagewise_training_matches_composite(workspace, capsys):
                  "--ubm", str(stage / "ubm.gmm"), "--tv", str(stage / "tv.tvm"),
                  "--out", str(stage / "train.ivec")] + TINY_SET) == 0
     assert main(["train-backend", "--ivectors", str(stage / "train.ivec"),
-                 "--manifest", manifest, "--alpha", "0.7",
+                 "--manifest", manifest, "--set", "alpha=0.7",
                  "--out", str(stage / "backend.gbe")]) == 0
     # stagewise artifacts must equal the composite bundle's files
     bundle = workspace / "bundle"
-    for made, ref in [("ubm.gmm", "ubm.gmm"), ("tv.tvm", "tv.tvm")]:
+    for made, ref in [("ubm.gmm", "ubm.gmm"), ("tv.tvm", "tv.tvm"), ("backend.gbe", "backend.gbe")]:
         assert (stage / made).read_bytes() == (bundle / ref).read_bytes()
 
 
@@ -227,3 +291,97 @@ class TestExitCodes:
                    "--set", "noise_floor=true"] + TINY_SET)
         assert rc == 6
         assert str(short) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_empty_manifest_is_manifest_code(self, bundle, tmp_path, capsys, command):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        rc = main([command, "--bundle", str(bundle), "--manifest", str(empty)])
+        assert rc == 3
+        assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sources", [[], ["--manifest", "m.jsonl", "--audio", "a.wav"]])
+    def test_classify_needs_exactly_one_source(self, bundle, capsys, sources):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--bundle", str(bundle)] + sources)
+        assert exc.value.code == 2
+        assert "--manifest" in capsys.readouterr().err
+
+    def test_nan_float_wav_is_audio_code(self, bundle, tmp_path, capsys):
+        samples = np.full(16000, 0.1, dtype="<f4")
+        samples[100] = np.nan
+        wav = tmp_path / "nan.wav"
+        wav.write_bytes(make_wav_bytes(samples.tobytes(), format_tag=3, bits=32))
+        rc = main(["classify", "--bundle", str(bundle), "--audio", str(wav)])
+        assert rc == 4
+        assert "nan.wav" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train-tv", "--ubm", "BAD"],
+        ["extract-ivectors", "--ubm", "UBM", "--tv", "BAD"],
+        ["train-backend", "--ivectors", "BAD"],
+    ])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_bad_model_input_is_config_code(
+        self, workspace, bundle, tmp_path, capsys, argv, corrupt
+    ):
+        bad = tmp_path / "model.bin"
+        if corrupt:
+            bad.write_bytes(b"SCN")
+        subst = {"BAD": str(bad), "UBM": str(bundle / "ubm.gmm")}
+        rc = main([subst.get(a, a) for a in argv] + [
+            "--manifest", str(workspace / "corpus" / "train.jsonl"),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: [config] ") and str(bad) in err
+        assert "Traceback" not in err
+
+
+def _damage_malformed_index(d):
+    (d / "bundle.json").write_text("{not json")
+
+
+def _damage_index_omits_ubm(d):
+    index = json.loads((d / "bundle.json").read_text())
+    del index["files"]["ubm.gmm"]
+    (d / "bundle.json").write_text(json.dumps(index))
+    data = (d / "ubm.gmm").read_bytes()
+    (d / "ubm.gmm").write_bytes(data[: len(data) // 2])
+
+
+def _rehash(d, name):
+    index = json.loads((d / "bundle.json").read_text())
+    index["files"][name] = sha256_hex((d / name).read_bytes())
+    (d / "bundle.json").write_text(json.dumps(index))
+
+
+def _damage_truncated_ubm_rehashed(d):
+    data = (d / "ubm.gmm").read_bytes()
+    (d / "ubm.gmm").write_bytes(data[: len(data) // 2])
+    _rehash(d, "ubm.gmm")
+
+
+def _damage_config_from_before_mct_removal(d):
+    # Bundles written while the config had an `mct_sbrs` key carry this line.
+    text = (d / "config.txt").read_text()
+    (d / "config.txt").write_text(text.replace("seed =", "mct_sbrs = none\nseed ="))
+    _rehash(d, "config.txt")
+
+
+@pytest.mark.parametrize("damage, named", [
+    (_damage_malformed_index, "bundle.json"),
+    (_damage_index_omits_ubm, "bundle.json"),
+    (_damage_truncated_ubm_rehashed, "ubm.gmm"),
+    (_damage_config_from_before_mct_removal, "mct_sbrs"),
+])
+def test_bad_bundle_is_config_code(workspace, bundle, tmp_path, capsys, damage, named):
+    damaged = tmp_path / "bundle"
+    shutil.copytree(bundle, damaged)
+    damage(damaged)
+    wav = next((workspace / "corpus").glob("scenes/test_*.wav"))
+    rc = main(["classify", "--bundle", str(damaged), "--audio", str(wav)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: [config] ") and named in err

@@ -83,7 +83,7 @@ class TestConfig:
         assert cfg.sample_rate == 16000
 
     def test_snapshot_roundtrip_byte_identical(self, tmp_path):
-        cfg = PipelineConfig(noise_floor=True, mct_sbrs=[None, -5.0], seed=99)
+        cfg = PipelineConfig(noise_floor=True, seed=99)
         p1 = tmp_path / "c1.txt"
         cfg.save(p1)
         loaded = PipelineConfig.load(p1)
@@ -94,12 +94,11 @@ class TestConfig:
 
     def test_overrides(self):
         cfg = PipelineConfig().apply_overrides(
-            ["ubm_components=32", "alpha=0.5", "noise_floor=true", "mct_sbrs=clean,-5"]
+            ["ubm_components=32", "alpha=0.5", "noise_floor=true"]
         )
         assert cfg.ubm_components == 32
         assert cfg.alpha == 0.5
         assert cfg.noise_floor is True
-        assert cfg.mct_sbrs == [None, -5.0]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
