@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin, get_window, upfirdn
+from scipy.signal import firwin, get_window, resample_poly
 
 from .errors import SceneidError
 
@@ -257,18 +257,10 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     half_len = 10 * max(up, down)
     hi_rate = buf.sample_rate * up
     cutoff_hz = 0.45 * min(buf.sample_rate, target_rate)
-    h = firwin(2 * half_len + 1, cutoff_hz, fs=hi_rate, window=("kaiser", 8.0)) * up
-
-    # Zero-pad so output samples sit on the zero-phase grid, as in polyphase
-    # resampling: sample k of the output corresponds to input time k*down/up.
-    n_pre_pad = (down - half_len % down) % down
-    n_pre_remove = (half_len + n_pre_pad) // down
-    h_padded = np.concatenate([np.zeros(n_pre_pad), h, np.zeros(down)])
-    y = upfirdn(h_padded, x, up, down)
-    while y.size < n_pre_remove + out_len:
-        h_padded = np.concatenate([h_padded, np.zeros(down)])
-        y = upfirdn(h_padded, x, up, down)
-    return AudioBuffer(y[n_pre_remove : n_pre_remove + out_len], target_rate, 1)
+    h = firwin(2 * half_len + 1, cutoff_hz, fs=hi_rate, window=("kaiser", 8.0))
+    # resample_poly scales h by `up` and rounds the output length up.
+    y = resample_poly(x, up, down, window=h)[:out_len]
+    return AudioBuffer(y, target_rate, 1)
 
 
 def window_values(name: str, n: int) -> np.ndarray:

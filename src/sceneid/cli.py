@@ -19,7 +19,7 @@ from . import gmm as gmm_mod
 from . import ivector as ivector_mod
 from . import mixer as mixer_mod
 from . import pipeline as pipe
-from .audio import read_wav, write_wav
+from .audio import frame_signal, read_wav, write_wav
 from .config import ConfigError, PipelineConfig, parse_sbr_token
 from .errors import SceneidError
 from .features import FeatureMatrix, export_csv, power_spectrogram, save_features
@@ -124,9 +124,8 @@ def cmd_extract_features(args) -> int:
     cfg = _load_config(args)
     buf = pipe.load_audio(args.audio, cfg)
     if args.dump_spectrogram or args.dump_noise_floor:
-        from .audio import frame_signal
-
-        spec = power_spectrogram(frame_signal(buf, cfg.to_feature_config().frame))
+        with pipe.stage(pipe.STAGE_FEATURES, SceneidError, ValueError, item=args.audio):
+            spec = power_spectrogram(frame_signal(buf, cfg.to_feature_config().frame))
         if args.dump_spectrogram:
             save_features(FeatureMatrix(spec.frames, args.audio, False), args.dump_spectrogram)
         if args.dump_noise_floor:

@@ -91,7 +91,7 @@ class PipelineConfig:
                 raise ConfigError(f"override {pair!r} is not of the form key=value")
             key, value = pair.split("=", 1)
             _set_field(cfg, key.strip(), value.strip())
-        return cfg
+        return cfg._validated()
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
@@ -110,7 +110,17 @@ class PipelineConfig:
                 _set_field(cfg, key.strip(), value.strip())
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        return cfg
+        return cfg._validated(f"{path}: ")
+
+    def _validated(self, source: str = "") -> "PipelineConfig":
+        """Build the feature and tracker configs once, so a value they reject
+        fails here as a ConfigError, before any audio is read."""
+        try:
+            self.to_feature_config().fft_size()
+            self.to_spp_params()
+        except ValueError as exc:
+            raise ConfigError(f"{source}{exc}") from exc
+        return self
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}

@@ -23,6 +23,9 @@ _GMM_VERSION = 1
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Variances never drop below this times the pooled per-dimension variance.
+_VAR_FLOOR_SCALE = 1e-3
+
 
 class GmmError(SceneidError):
     pass
@@ -95,17 +98,16 @@ def log_likelihood(model: GmmModel, frame) -> float:
     return float(logsumexp(_weighted_log_densities(model, x), axis=1)[0])
 
 
-def frame_log_likelihoods(model: GmmModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != model.n_features:
-        raise GmmError(f"frames have {x.shape[1]} dims, model expects {model.n_features}")
-    return logsumexp(_weighted_log_densities(model, x), axis=1)
+def _e_step(model: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior gamma_t(c), shape (T, C), and the per-frame log-likelihood, (T,)."""
+    log_joint = _weighted_log_densities(model, x)
+    per_frame = logsumexp(log_joint, axis=1)
+    return np.exp(log_joint - per_frame[:, None]), per_frame
 
 
 def responsibilities(model: GmmModel, x: np.ndarray) -> np.ndarray:
     """Posterior gamma_t(c), rows summing to one."""
-    log_joint = _weighted_log_densities(model, np.asarray(x, dtype=np.float64))
-    return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
+    return _e_step(model, np.asarray(x, dtype=np.float64))[0]
 
 
 def _kmeans_plus_plus(x: np.ndarray, k: int, rng: np.random.Generator, n_iters: int):
@@ -144,11 +146,10 @@ def train_ubm(
     n_iters: int = 25,
     seed: int = 0,
     kmeans_iters: int = 10,
-    var_floor_scale: float = 1e-3,
 ) -> GmmModel:
     """Fit the diagonal GMM by EM; per-iteration mean log-likelihood is kept
-    in model.ll_history. Variances never drop below var_floor_scale times the
-    pooled per-dimension variance."""
+    in model.ll_history. Variances never drop below _VAR_FLOOR_SCALE times
+    the pooled per-dimension variance."""
     x = features.rows if isinstance(features, FeatureMatrix) else np.asarray(features, float)
     if x.ndim != 2:
         raise GmmError("training features must be a 2-D frame matrix")
@@ -158,7 +159,7 @@ def train_ubm(
     if n_frames < n_components:
         raise GmmError(f"{n_frames} frames cannot support {n_components} components")
 
-    floor = var_floor_scale * np.maximum(x.var(axis=0), 1e-30)
+    floor = _VAR_FLOOR_SCALE * np.maximum(x.var(axis=0), 1e-30)
     rng = np.random.default_rng(seed)
     centers, assign = _kmeans_plus_plus(x, n_components, rng, kmeans_iters)
 
@@ -167,17 +168,15 @@ def train_ubm(
     for c in range(n_components):
         mask = assign == c
         weights[c] = max(mask.sum(), 1) / n_frames
-        variances[c] = x[mask].var(axis=0) if mask.sum() > 1 else floor / var_floor_scale
+        variances[c] = x[mask].var(axis=0) if mask.sum() > 1 else floor / _VAR_FLOOR_SCALE
     weights /= weights.sum()
     variances = np.maximum(variances, floor)
 
     model = GmmModel(weights, centers, variances, floor, seed=seed)
     history = []
     for _ in range(n_iters):
-        log_joint = _weighted_log_densities(model, x)
-        per_frame = logsumexp(log_joint, axis=1)
+        gamma, per_frame = _e_step(model, x)
         history.append(float(per_frame.mean()))
-        gamma = np.exp(log_joint - per_frame[:, None])
 
         nk = gamma.sum(axis=0)
         safe_nk = np.maximum(nk, 1e-12)

@@ -26,6 +26,9 @@ _IVEC_VERSION = 1
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Soft counts below this are raised to it in the PCA residual f_c / n_c.
+_PCA_N_FLOOR = 1e-2
+
 
 class IVectorError(SceneidError):
     pass
@@ -75,9 +78,11 @@ def _stats_arrays(stats_list) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _TvOperator:
-    """Caches Sigma^-1 T blocks and per-component Gram matrices."""
+    """The iVector E-step: caches Sigma^-1 T blocks and per-component Gram
+    matrices of a T bound to its UBM."""
 
     def __init__(self, tv: TvMatrix, ubm: GmmModel):
+        _check_binding(tv, ubm)
         self.t_over_var = tv.t / ubm.variances[:, :, None]  # Sigma_c^{-1} T_c
         self.gram = np.einsum("cfr,cfs->crs", tv.t, self.t_over_var)
         self.rank = tv.rank
@@ -85,6 +90,8 @@ class _TvOperator:
 
     def posterior(self, n: np.ndarray, f: np.ndarray):
         """Posterior precision L, mean w and Cholesky factor for one recording."""
+        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(f))):
+            raise IVectorError("sufficient statistics contain non-finite values")
         precision = self._eye + np.einsum("c,crs->rs", n, self.gram)
         b = np.einsum("cfr,cf->r", self.t_over_var, f)
         chol = cho_factor(precision, lower=True)
@@ -94,9 +101,6 @@ class _TvOperator:
 
 def extract_ivector(tv: TvMatrix, ubm: GmmModel, stats: SufficientStats) -> IVector:
     """MAP estimate of w: solve (I + sum_c n_c T_c' S_c^-1 T_c) w = sum_c T_c' S_c^-1 f_c."""
-    _check_binding(tv, ubm)
-    if not (np.all(np.isfinite(stats.n)) and np.all(np.isfinite(stats.f))):
-        raise IVectorError("sufficient statistics contain non-finite values")
     _, w, chol = _TvOperator(tv, ubm).posterior(stats.n, stats.f)
     logdet = 2.0 * float(np.log(np.diag(chol[0])).sum())
     return IVector(w, logdet)
@@ -104,68 +108,41 @@ def extract_ivector(tv: TvMatrix, ubm: GmmModel, stats: SufficientStats) -> IVec
 
 def extract_ivectors(tv: TvMatrix, ubm: GmmModel, stats_list) -> np.ndarray:
     """Batch extraction; returns an (n_recordings, R) matrix."""
-    _check_binding(tv, ubm)
     op = _TvOperator(tv, ubm)
-    rows = []
-    for s in stats_list:
-        if not (np.all(np.isfinite(s.n)) and np.all(np.isfinite(s.f))):
-            raise IVectorError("sufficient statistics contain non-finite values")
-        rows.append(op.posterior(s.n, s.f)[1])
-    return np.stack(rows)
+    return np.stack([op.posterior(s.n, s.f)[1] for s in stats_list])
 
 
-def init_tv_pca(
-    stats_list,
-    ubm: GmmModel,
-    rank: int,
-    seed: int = 0,
-    n_floor: float = 1e-2,
-    on_degenerate: str = "error",
-) -> TvMatrix:
+def init_tv_pca(stats_list, ubm: GmmModel, rank: int) -> TvMatrix:
     """PCA initialization of T from normalized supervector residuals.
 
-    Each recording contributes the whitened residual f_c / max(n_c, n_floor)
-    / sigma_c; the top-`rank` principal directions of the centered residuals,
-    scaled by singular value / sqrt(n_recordings) and mapped back to raw
-    supervector units, become the columns of T. Degenerate residual spread
-    either raises or falls back to seeded random orthonormal columns.
+    Each recording contributes the whitened residual f_c / max(n_c,
+    _PCA_N_FLOOR) / sigma_c; the top-`rank` principal directions of the
+    centered residuals, scaled by singular value / sqrt(n_recordings) and
+    mapped back to raw supervector units, become the columns of T. Residual
+    spread of rank below `rank` raises IVectorError.
     """
     stats_list = list(stats_list)
     if len(stats_list) < rank:
         raise IVectorError(f"PCA init needs at least {rank} recordings, got {len(stats_list)}")
-    if on_degenerate not in ("error", "random"):
-        raise ValueError("on_degenerate must be 'error' or 'random'")
     n, f = _stats_arrays(stats_list)
     c, fdim = ubm.means.shape
     sigma = np.sqrt(ubm.variances)  # (C, F)
-    resid = f / np.maximum(n, n_floor)[:, :, None] / sigma  # (n_rec, C, F)
+    resid = f / np.maximum(n, _PCA_N_FLOOR)[:, :, None] / sigma  # (n_rec, C, F)
     resid = resid.reshape(len(stats_list), c * fdim)
     resid = resid - resid.mean(axis=0)
 
     _, svals, vt = np.linalg.svd(resid, full_matrices=False)
     tol = max(svals[0] * 1e-10, 1e-12) if svals.size else 1e-12
     if int((svals > tol).sum()) < rank:
-        if on_degenerate == "error":
-            raise IVectorError(
-                f"residual spread has rank {int((svals > tol).sum())} < requested {rank}"
-            )
-        rng = np.random.default_rng(seed)
-        q, _ = np.linalg.qr(rng.standard_normal((c * fdim, rank)))
-        t_white = q
-    else:
-        t_white = vt[:rank].T * (svals[:rank] / np.sqrt(len(stats_list)))
+        raise IVectorError(
+            f"residual spread has rank {int((svals > tol).sum())} < requested {rank}"
+        )
+    t_white = vt[:rank].T * (svals[:rank] / np.sqrt(len(stats_list)))
     t_raw = t_white * sigma.reshape(-1)[:, None]
     return TvMatrix(t_raw.reshape(c, fdim, rank), gmm_checksum(ubm))
 
 
-def train_tv(
-    stats_list,
-    ubm: GmmModel,
-    rank: int,
-    n_iters: int = 5,
-    seed: int = 0,
-    on_degenerate: str = "error",
-) -> TvMatrix:
+def train_tv(stats_list, ubm: GmmModel, rank: int, n_iters: int = 5) -> TvMatrix:
     """PCA init followed by EM refinement of T.
 
     E-step: posterior mean and correlation E[ww'] per recording. M-step:
@@ -173,7 +150,7 @@ def train_tv(
     component with no occupancy anywhere keeps its current block.
     """
     stats_list = list(stats_list)
-    tv = init_tv_pca(stats_list, ubm, rank, seed=seed, on_degenerate=on_degenerate)
+    tv = init_tv_pca(stats_list, ubm, rank)
     n, f = _stats_arrays(stats_list)
     c, fdim = ubm.means.shape
     eye = np.eye(rank)
@@ -209,7 +186,6 @@ def tv_evidence(tv: TvMatrix, ubm: GmmModel, stats_list) -> float:
     with D = diag(n_c I) and Lambda = diag(n_c Sigma_c). Components with zero
     occupancy contribute nothing. Non-decreasing across train_tv iterations.
     """
-    _check_binding(tv, ubm)
     op = _TvOperator(tv, ubm)
     total = 0.0
     for s in stats_list:

@@ -150,6 +150,21 @@ def condition_tag(sbr_db) -> str:
     return "clean" if sbr_db is None else f"sbr{sbr_db:+g}dB"
 
 
+def usable_speech_pool(
+    speech_pool: CorpusManifest | None, sbr_list, exclude_speakers=()
+) -> list[ManifestEntry]:
+    """Speech pool entries not spoken by an excluded speaker.
+
+    Raises ValueError when a numeric SBR in `sbr_list` is left with no speech.
+    """
+    excluded = set(exclude_speakers)
+    entries = speech_pool.entries if speech_pool is not None else []
+    pool = [e for e in entries if e.speaker_id not in excluded]
+    if not pool and any(c is not None for c in sbr_list):
+        raise ValueError("speech pool is empty (or fully excluded) but numeric SBRs requested")
+    return pool
+
+
 def draw_speech(
     pool, root_seed: int, condition_index: int, entry_index: int
 ) -> tuple[int, ManifestEntry]:
@@ -179,11 +194,7 @@ def build_multicondition_corpus(
     16-bit WAV; labels are inherited from the background recording.
     """
     conditions = list(sbr_list_db)
-    numeric = [c for c in conditions if c is not None]
-    excluded = set(exclude_speakers)
-    pool = [e for e in speech_pool.entries if e.speaker_id not in excluded]
-    if numeric and not pool:
-        raise ValueError("speech pool is empty (or fully excluded) but numeric SBRs requested")
+    pool = usable_speech_pool(speech_pool, conditions, exclude_speakers)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

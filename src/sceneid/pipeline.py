@@ -24,7 +24,7 @@ from .config import PipelineConfig
 from .errors import SceneidError
 from .features import FeatureMatrix, extract_features_many
 from .manifest import CorpusManifest, ManifestError
-from .mixer import condition_tag, draw_speech, mix_at_sbr
+from .mixer import condition_tag, draw_speech, mix_at_sbr, usable_speech_pool
 from .noisefloor import NoiseFloorError
 from .serialize import sha256_hex
 
@@ -289,9 +289,7 @@ def collect_stats(ubm: gmm_mod.GmmModel, feats) -> list[gmm_mod.SufficientStats]
 def train_tv(config: PipelineConfig, ubm: gmm_mod.GmmModel, stats) -> ivector_mod.TvMatrix:
     """T-matrix stage: PCA init and EM refinement."""
     with stage(STAGE_IVECTOR, ivector_mod.IVectorError):
-        return ivector_mod.train_tv(
-            stats, ubm, config.tv_rank, n_iters=config.tv_iters, seed=config.seed + 1
-        )
+        return ivector_mod.train_tv(stats, ubm, config.tv_rank, n_iters=config.tv_iters)
 
 
 def extract_ivectors(tv: ivector_mod.TvMatrix, ubm: gmm_mod.GmmModel, stats) -> np.ndarray:
@@ -400,14 +398,8 @@ def run_sbr_sweep(
         return run_evaluation(bundle, clean_manifest)
     _check_test_manifest(bundle, clean_manifest)
 
-    pool = []
-    if speech_pool is not None:
-        excluded = set(exclude_speakers)
-        pool = [e for e in speech_pool.entries if e.speaker_id not in excluded]
-    if any(c is not None for c in sbr_list) and not pool:
-        raise PipelineStageError(
-            STAGE_MIXER, "numeric SBR conditions requested but the speech pool is empty"
-        )
+    with stage(STAGE_MIXER, ValueError):
+        pool = usable_speech_pool(speech_pool, sbr_list, exclude_speakers)
     return evaluate_samples(
         bundle, _sweep_samples(bundle.config, clean_manifest, speech_pool, pool, sbr_list, seed)
     )

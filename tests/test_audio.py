@@ -148,10 +148,11 @@ class TestDownmix:
 
 class TestResample:
     def test_length_arithmetic(self):
-        buf = AudioBuffer(np.zeros(44100), 44100)
-        out = resample(buf, 16000)
-        assert out.sample_rate == 16000
-        assert out.samples.size == 16000
+        # 48001 samples at 48 kHz: 16000.33 output samples round down to 16000.
+        for n, rate in ((44100, 44100), (48001, 48000)):
+            out = resample(AudioBuffer(np.zeros(n), rate), 16000)
+            assert out.sample_rate == 16000
+            assert out.samples.size == 16000
 
     def test_dc_preserved(self):
         buf = AudioBuffer(np.full(44100, 0.3), 44100)

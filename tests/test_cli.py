@@ -244,6 +244,28 @@ class TestExitCodes:
                    "--out", str(tmp_path / "b"), "--set", "nonsense=1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("override", ["overlap=1.0", "window=bogus"])
+    def test_invalid_frame_setting_is_config_code_before_audio(
+        self, tmp_path, capsys, override
+    ):
+        # The missing file is never opened: the config is rejected first.
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"path": "ghost.wav", "label": "x"}\n')
+        rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "b"),
+                   "--set", override])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: [config] ")
+
+    def test_spectrogram_dump_of_short_clip_is_features_code(self, tmp_path, capsys):
+        short = tmp_path / "short.wav"
+        write_wav(short, AudioBuffer(0.1 * np.ones(300), 16000))  # under one 640-sample frame
+        rc = main(["extract-features", "--audio", str(short), "--out", str(tmp_path / "f.bin"),
+                   "--dump-spectrogram", str(tmp_path / "s.bin")])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.startswith("error: [features] ") and str(short) in err
+
     def test_bad_sbr_token_is_config_code(self, workspace, tmp_path, capsys):
         corpus = workspace / "corpus"
         rc = main(["build-corpus", "--manifest", str(corpus / "train.jsonl"),

@@ -64,6 +64,14 @@ def synthetic_stats(rng, ubm, tv_true, n_recordings, count_range=(50.0, 200.0)):
     return stats, np.array(w_true)
 
 
+# Each public entry point into the iVector E-step, called on one recording.
+E_STEP_CALLS = {
+    "extract_ivector": extract_ivector,
+    "extract_ivectors": lambda tv, ubm, stats: extract_ivectors(tv, ubm, [stats]),
+    "tv_evidence": lambda tv, ubm, stats: tv_evidence(tv, ubm, [stats]),
+}
+
+
 class TestExtractIvector:
     def test_zero_stats_gives_prior_mean(self, rng):
         ubm = make_ubm(rng)
@@ -95,20 +103,22 @@ class TestExtractIvector:
             want = oracle_posterior_mean(tv, ubm, stats)
             np.testing.assert_allclose(got, want, atol=1e-8)
 
-    def test_checksum_mismatch(self, rng):
+    @pytest.mark.parametrize("call", E_STEP_CALLS.values(), ids=E_STEP_CALLS.keys())
+    def test_checksum_mismatch(self, rng, call):
         ubm = make_ubm(rng)
         other = make_ubm(rng)
         tv = make_tv(rng, ubm, rank=2)
         stats = SufficientStats(np.ones(3), np.zeros((3, 2)))
         with pytest.raises(IVectorError, match="checksum"):
-            extract_ivector(tv, other, stats)
+            call(tv, other, stats)
 
-    def test_nonfinite_stats_rejected(self, rng):
+    @pytest.mark.parametrize("call", E_STEP_CALLS.values(), ids=E_STEP_CALLS.keys())
+    def test_nonfinite_stats_rejected(self, rng, call):
         ubm = make_ubm(rng)
         tv = make_tv(rng, ubm, rank=2)
         stats = SufficientStats(np.ones(3), np.full((3, 2), np.nan))
         with pytest.raises(IVectorError):
-            extract_ivector(tv, ubm, stats)
+            call(tv, ubm, stats)
 
     def test_component_order_invariance(self, rng):
         ubm = make_ubm(rng, 4, 3)
@@ -156,7 +166,7 @@ class TestPcaInit:
             resid = (coef * direction).reshape(2, 2)
             n = np.full(2, 10.0)
             stats.append(SufficientStats(n, resid * n[:, None]))
-        tv = init_tv_pca(stats, ubm, rank=1, seed=0)
+        tv = init_tv_pca(stats, ubm, rank=1)
         col = tv.t.reshape(-1)
         cosine = abs(col @ direction) / np.linalg.norm(col)
         assert cosine > 0.999
@@ -167,7 +177,7 @@ class TestPcaInit:
             SufficientStats(rng.uniform(1, 5, 256), rng.normal(0, 1, (256, 76)))
             for _ in range(160)
         ]
-        tv = init_tv_pca(stats, ubm, rank=150, seed=0)
+        tv = init_tv_pca(stats, ubm, rank=150)
         assert tv.rank == 150
         assert tv.t.shape == (256, 76, 150)
 
@@ -176,21 +186,13 @@ class TestPcaInit:
         one = SufficientStats(np.full(2, 5.0), rng.normal(0, 1, (2, 2)))
         stats = [SufficientStats(one.n.copy(), one.f.copy()) for _ in range(10)]
         with pytest.raises(IVectorError, match="rank"):
-            init_tv_pca(stats, ubm, rank=2, seed=0, on_degenerate="error")
-
-    def test_degenerate_random_fallback(self, rng):
-        ubm = make_ubm(rng, 2, 2)
-        one = SufficientStats(np.full(2, 5.0), rng.normal(0, 1, (2, 2)))
-        stats = [SufficientStats(one.n.copy(), one.f.copy()) for _ in range(10)]
-        tv = init_tv_pca(stats, ubm, rank=2, seed=0, on_degenerate="random")
-        assert tv.t.shape == (2, 2, 2)
-        assert np.all(np.isfinite(tv.t))
+            init_tv_pca(stats, ubm, rank=2)
 
     def test_too_few_recordings(self, rng):
         ubm = make_ubm(rng, 2, 2)
         stats = [SufficientStats(np.ones(2), rng.normal(0, 1, (2, 2))) for _ in range(3)]
         with pytest.raises(IVectorError, match="recordings"):
-            init_tv_pca(stats, ubm, rank=4, seed=0)
+            init_tv_pca(stats, ubm, rank=4)
 
 
 class TestTrainTv:
@@ -198,8 +200,8 @@ class TestTrainTv:
         ubm = make_ubm(rng, 3, 2)
         tv_true = make_tv(rng, ubm, rank=2)
         stats, _ = synthetic_stats(rng, ubm, tv_true, 20)
-        pca = init_tv_pca(stats, ubm, rank=2, seed=5)
-        trained = train_tv(stats, ubm, rank=2, n_iters=0, seed=5)
+        pca = init_tv_pca(stats, ubm, rank=2)
+        trained = train_tv(stats, ubm, rank=2, n_iters=0)
         assert np.array_equal(pca.t, trained.t)
 
     def test_evidence_nondecreasing(self, rng):
@@ -207,7 +209,7 @@ class TestTrainTv:
         tv_true = make_tv(rng, ubm, rank=2, scale=0.8)
         stats, _ = synthetic_stats(rng, ubm, tv_true, 30)
         evidences = [
-            tv_evidence(train_tv(stats, ubm, rank=2, n_iters=k, seed=1), ubm, stats)
+            tv_evidence(train_tv(stats, ubm, rank=2, n_iters=k), ubm, stats)
             for k in range(6)
         ]
         diffs = np.diff(evidences)
@@ -218,7 +220,7 @@ class TestTrainTv:
         t_true = rng.normal(0, 1, (2, 2, 1))
         tv_true = TvMatrix(t_true, gmm_checksum(ubm))
         stats, w_true = synthetic_stats(rng, ubm, tv_true, 100)
-        learned = train_tv(stats, ubm, rank=1, n_iters=10, seed=2)
+        learned = train_tv(stats, ubm, rank=1, n_iters=10)
 
         a = learned.t.reshape(-1)
         b = t_true.reshape(-1)
@@ -239,8 +241,8 @@ class TestTrainTv:
             s.n[2] = 0.0
             s.f[2] = 0.0
         with pytest.warns(RuntimeWarning, match="occupancy"):
-            trained = train_tv(stats, ubm, rank=2, n_iters=2, seed=0)
-        pca = init_tv_pca(stats, ubm, rank=2, seed=0)
+            trained = train_tv(stats, ubm, rank=2, n_iters=2)
+        pca = init_tv_pca(stats, ubm, rank=2)
         assert np.array_equal(trained.t[2], pca.t[2])
 
 

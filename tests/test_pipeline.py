@@ -230,9 +230,13 @@ class TestSbrSweep:
         assert run_sbr_sweep(*args, seed=4).to_json() == run_sbr_sweep(*args, seed=4).to_json()
 
     def test_numeric_sweep_needs_pool(self, tiny_bundle, tiny_corpus):
-        with pytest.raises(PipelineStageError) as err:
-            run_sbr_sweep(tiny_bundle, tiny_corpus["test"], None, [0.0], seed=1)
-        assert err.value.stage == "mixer"
+        pool = tiny_corpus["speech_eval"]
+        all_speakers = {e.speaker_id for e in pool.entries}
+        for speech_pool, excluded in ((None, ()), (pool, all_speakers)):
+            with pytest.raises(PipelineStageError) as err:
+                run_sbr_sweep(tiny_bundle, tiny_corpus["test"], speech_pool, [0.0], seed=1,
+                              exclude_speakers=excluded)
+            assert err.value.stage == "mixer"
 
     def test_mixes_are_made_as_they_are_classified(self, tiny_bundle, tiny_corpus, monkeypatch):
         # Each chunk is featurized before the mixes of the next are made.
