@@ -7,6 +7,7 @@ operations are pure functions over immutable buffers.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -263,11 +264,15 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     return AudioBuffer(y, target_rate, 1)
 
 
+@functools.lru_cache(maxsize=16)
 def window_values(name: str, n: int) -> np.ndarray:
-    """Periodic analysis window ('rect' means all ones)."""
-    if name == "rect":
-        return np.ones(n)
-    return get_window(name, n, fftbins=True)
+    """Periodic analysis window ('rect' means all ones), cached per (name, n).
+
+    The array is shared by every caller, so it is read-only.
+    """
+    win = np.ones(n) if name == "rect" else get_window(name, n, fftbins=True)
+    win.setflags(write=False)
+    return win
 
 
 def frame_signal(buf: AudioBuffer, cfg: FrameConfig) -> Frames:

@@ -191,8 +191,8 @@ def save_backend(model: BackendModel, path) -> None:
     serialize.write_container(path, _BACKEND_MAGIC, _BACKEND_VERSION, buf.getvalue())
 
 
-def load_backend(path) -> BackendModel:
-    fh = serialize.read_container(path, _BACKEND_MAGIC, _BACKEND_VERSION)
+def load_backend(path, raw: bytes | None = None) -> BackendModel:
+    fh = serialize.read_container(path, _BACKEND_MAGIC, _BACKEND_VERSION, raw)
     n_classes = serialize.unpack_u32(fh)
     labels = [serialize.unpack_str(fh) for _ in range(n_classes)]
     alpha = serialize.unpack_f64(fh)

@@ -145,7 +145,8 @@ def cmd_train_ubm(args) -> int:
     manifest = _load_manifest(args.manifest, args.fold, args.exclude_fold)
     ubm = pipe.train_ubm(cfg, pipe.manifest_features(manifest, cfg))
     gmm_mod.save_gmm(ubm, args.out)
-    print(f"{args.out}: {ubm.n_components} components, final LL {ubm.ll_history[-1]:.6f}")
+    fit = f"final LL {ubm.ll_history[-1]:.6f}" if ubm.ll_history else "k-means only, no EM"
+    print(f"{args.out}: {ubm.n_components} components, {fit}")
     return 0
 
 

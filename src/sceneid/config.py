@@ -94,12 +94,15 @@ class PipelineConfig:
         return cfg._validated()
 
     @classmethod
-    def load(cls, path) -> "PipelineConfig":
+    def load(cls, path, raw: bytes | None = None) -> "PipelineConfig":
+        """Parse a config file; `raw` is its content when already read."""
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
+        if raw is None:
+            if not path.exists():
+                raise ConfigError(f"config file not found: {path}")
+            raw = path.read_bytes()
         cfg = cls()
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(raw.decode("utf-8").splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -113,8 +116,17 @@ class PipelineConfig:
         return cfg._validated(f"{path}: ")
 
     def _validated(self, source: str = "") -> "PipelineConfig":
-        """Build the feature and tracker configs once, so a value they reject
-        fails here as a ConfigError, before any audio is read."""
+        """Check model sizes and build the feature and tracker configs once, so
+        a value they reject fails here as a ConfigError, before any audio is
+        read."""
+        for key in ("ubm_components", "tv_rank"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{source}{key} must be at least 1, got {getattr(self, key)}")
+        for key in ("ubm_iters", "kmeans_iters", "tv_iters"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{source}{key} must not be negative, got {getattr(self, key)}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"{source}alpha must lie in [0, 1], got {self.alpha}")
         try:
             self.to_feature_config().fft_size()
             self.to_spp_params()

@@ -225,8 +225,8 @@ def save_gmm(model: GmmModel, path) -> None:
     serialize.write_container(path, _GMM_MAGIC, _GMM_VERSION, _gmm_payload(model))
 
 
-def load_gmm(path) -> GmmModel:
-    fh = serialize.read_container(path, _GMM_MAGIC, _GMM_VERSION)
+def load_gmm(path, raw: bytes | None = None) -> GmmModel:
+    fh = serialize.read_container(path, _GMM_MAGIC, _GMM_VERSION, raw)
     n_components = serialize.unpack_u32(fh)
     n_features = serialize.unpack_u32(fh)
     weights = serialize.unpack_array(fh)

@@ -29,6 +29,13 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # Soft counts below this are raised to it in the PCA residual f_c / n_c.
 _PCA_N_FLOOR = 1e-2
 
+# Recordings whose posteriors are stacked at once: keeps the (chunk, R, R)
+# precision and factor stacks small. Results do not depend on it.
+IVECTOR_CHUNK = 16
+
+# Column width of the Gram blocks: 1 MB per block at C=256.
+_GRAM_BLOCK = 512
+
 
 class IVectorError(SceneidError):
     pass
@@ -77,39 +84,80 @@ def _stats_arrays(stats_list) -> tuple[np.ndarray, np.ndarray]:
     return n, f
 
 
+def _chunks(count: int):
+    """Row slices of at most IVECTOR_CHUNK recordings covering range(count)."""
+    for start in range(0, count, IVECTOR_CHUNK):
+        yield slice(start, min(start + IVECTOR_CHUNK, count))
+
+
+def _chol_logdet(chol: np.ndarray) -> float:
+    """log det of L L' from its Cholesky factor L."""
+    return 2.0 * float(np.log(np.diag(chol)).sum())
+
+
 class _TvOperator:
-    """The iVector E-step: caches Sigma^-1 T blocks and per-component Gram
-    matrices of a T bound to its UBM."""
+    """The iVector E-step of a T bound to its UBM.
+
+    Caches Sigma^-1 T as a (C*F, R) matrix and the per-component Gram
+    matrices T_c' Sigma_c^-1 T_c as a (C, R*R) matrix, both built with BLAS.
+    Each recording's precision and linear term are per-row matvecs whose
+    shapes depend only on (C, F, R), so a row of the output never depends on
+    how many recordings share the call or which ones: a stacked GEMM over
+    the rows would round differently for different batch sizes.
+    """
 
     def __init__(self, tv: TvMatrix, ubm: GmmModel):
         _check_binding(tv, ubm)
-        self.t_over_var = tv.t / ubm.variances[:, :, None]  # Sigma_c^{-1} T_c
-        self.gram = np.einsum("cfr,cfs->crs", tv.t, self.t_over_var)
-        self.rank = tv.rank
-        self._eye = np.eye(tv.rank)
+        c, f, r = tv.t.shape
+        t_over_var = tv.t / ubm.variances[:, :, None]  # Sigma_c^{-1} T_c
+        self.tov2d = t_over_var.reshape(c * f, r)
+        self.gram2d = np.matmul(tv.t.transpose(0, 2, 1), t_over_var).reshape(c, r * r)
+        self.rank = r
+        self._eye = np.eye(r)
+        # Fixed column blocks of the Gram, so one block stays in cache across
+        # a chunk's rows; the partition depends on R only.
+        self._blocks = [
+            slice(j, min(j + _GRAM_BLOCK, r * r)) for j in range(0, r * r, _GRAM_BLOCK)
+        ]
 
     def posterior(self, n: np.ndarray, f: np.ndarray):
-        """Posterior precision L, mean w and Cholesky factor for one recording."""
+        """Posterior means w (N, R) and lower Cholesky factors (N, R, R) of the
+        precisions I + sum_c n_c T_c' S_c^-1 T_c, for stacked statistics n
+        (N, C) and f (N, C, F)."""
         if not (np.all(np.isfinite(n)) and np.all(np.isfinite(f))):
             raise IVectorError("sufficient statistics contain non-finite values")
-        precision = self._eye + np.einsum("c,crs->rs", n, self.gram)
-        b = np.einsum("cfr,cf->r", self.t_over_var, f)
-        chol = cho_factor(precision, lower=True)
-        w = cho_solve(chol, b)
-        return precision, w, chol
+        rows, r = n.shape[0], self.rank
+        precision = np.empty((rows, r * r))
+        for block in self._blocks:
+            gram = self.gram2d[:, block]
+            for i in range(rows):
+                np.matmul(n[i], gram, out=precision[i, block])
+        precision = precision.reshape(rows, r, r)
+        precision += self._eye
+        f_flat = f.reshape(rows, -1)
+        b = np.empty((rows, r))
+        for i in range(rows):
+            np.matmul(f_flat[i], self.tov2d, out=b[i])
+        chol = np.linalg.cholesky(precision)
+        w = np.stack([cho_solve((low, True), b_i) for low, b_i in zip(chol, b)])
+        return w, chol
 
 
 def extract_ivector(tv: TvMatrix, ubm: GmmModel, stats: SufficientStats) -> IVector:
     """MAP estimate of w: solve (I + sum_c n_c T_c' S_c^-1 T_c) w = sum_c T_c' S_c^-1 f_c."""
-    _, w, chol = _TvOperator(tv, ubm).posterior(stats.n, stats.f)
-    logdet = 2.0 * float(np.log(np.diag(chol[0])).sum())
-    return IVector(w, logdet)
+    w, chol = _TvOperator(tv, ubm).posterior(stats.n[None], stats.f[None])
+    return IVector(w[0], _chol_logdet(chol[0]))
 
 
 def extract_ivectors(tv: TvMatrix, ubm: GmmModel, stats_list) -> np.ndarray:
-    """Batch extraction; returns an (n_recordings, R) matrix."""
+    """Batch extraction, IVECTOR_CHUNK recordings at a time; returns an
+    (n_recordings, R) matrix whose rows equal single-recording extractions."""
+    stats_list = list(stats_list)
     op = _TvOperator(tv, ubm)
-    return np.stack([op.posterior(s.n, s.f)[1] for s in stats_list])
+    w = np.empty((len(stats_list), tv.rank))
+    for rows in _chunks(len(stats_list)):
+        w[rows] = op.posterior(*_stats_arrays(stats_list[rows]))[0]
+    return w
 
 
 def init_tv_pca(stats_list, ubm: GmmModel, rank: int) -> TvMatrix:
@@ -157,15 +205,17 @@ def train_tv(stats_list, ubm: GmmModel, rank: int, n_iters: int = 5) -> TvMatrix
 
     for _ in range(n_iters):
         op = _TvOperator(tv, ubm)
-        w_all = np.empty((len(stats_list), rank))
-        eww_all = np.empty((len(stats_list), rank, rank))
-        for i in range(len(stats_list)):
-            _, w, chol = op.posterior(n[i], f[i])
-            w_all[i] = w
-            eww_all[i] = cho_solve(chol, eye) + np.outer(w, w)
-
-        acc_a = np.einsum("ic,irs->crs", n, eww_all)  # (C, R, R)
-        acc_c = np.einsum("icf,ir->cfr", f, w_all)  # (C, F, R)
+        w = np.empty((len(stats_list), rank))
+        eww = np.empty((len(stats_list), rank, rank))
+        for rows in _chunks(len(stats_list)):
+            w[rows], chol = op.posterior(n[rows], f[rows])
+            eww[rows] = [
+                cho_solve((low, True), eye) + np.outer(w_i, w_i) for low, w_i in zip(chol, w[rows])
+            ]
+        del op  # frees the Gram stack before the M-step allocates its sums
+        # Sums over recordings, so one GEMM each: sum_i n_ic E[ww']_i and sum_i f_i w_i'.
+        acc_a = (n.T @ eww.reshape(len(w), rank * rank)).reshape(c, rank, rank)
+        acc_c = (f.reshape(len(w), c * fdim).T @ w).reshape(c, fdim, rank)
         t_new = tv.t.copy()
         for comp in range(c):
             if n[:, comp].sum() <= 1e-12:
@@ -186,20 +236,23 @@ def tv_evidence(tv: TvMatrix, ubm: GmmModel, stats_list) -> float:
     with D = diag(n_c I) and Lambda = diag(n_c Sigma_c). Components with zero
     occupancy contribute nothing. Non-decreasing across train_tv iterations.
     """
+    stats_list = list(stats_list)
     op = _TvOperator(tv, ubm)
+    t_over_var = op.tov2d.reshape(tv.t.shape)
     total = 0.0
-    for s in stats_list:
-        active = s.n > 1e-12
-        n_act = s.n[active]
-        f_act = s.f[active]
-        var_act = ubm.variances[active]
-        lam = n_act[:, None] * var_act
-        _, w, chol = op.posterior(s.n, s.f)
-        logdet_l = 2.0 * float(np.log(np.diag(chol[0])).sum())
-        b = np.einsum("cfr,cf->r", tv.t[active] / var_act[:, :, None], f_act)
-        quad = float((f_act**2 / lam).sum() - b @ w)
-        dim = f_act.size
-        total += -0.5 * (dim * _LOG_2PI + float(np.log(lam).sum()) + logdet_l + quad)
+    for rows in _chunks(len(stats_list)):
+        chunk = stats_list[rows]
+        w, chol = op.posterior(*_stats_arrays(chunk))
+        for s, w_i, chol_i in zip(chunk, w, chol):
+            active = s.n > 1e-12
+            f_act = s.f[active]
+            lam = s.n[active, None] * ubm.variances[active]
+            b = f_act.reshape(-1) @ t_over_var[active].reshape(-1, tv.rank)
+            quad = float((f_act**2 / lam).sum() - b @ w_i)
+            dim = f_act.size
+            total += -0.5 * (
+                dim * _LOG_2PI + float(np.log(lam).sum()) + _chol_logdet(chol_i) + quad
+            )
     return total
 
 
@@ -213,8 +266,8 @@ def save_tv(tv: TvMatrix, path) -> None:
     serialize.write_container(path, _TV_MAGIC, _TV_VERSION, buf.getvalue())
 
 
-def load_tv(path) -> TvMatrix:
-    fh = serialize.read_container(path, _TV_MAGIC, _TV_VERSION)
+def load_tv(path, raw: bytes | None = None) -> TvMatrix:
+    fh = serialize.read_container(path, _TV_MAGIC, _TV_VERSION, raw)
     c = serialize.unpack_u32(fh)
     f = serialize.unpack_u32(fh)
     r = serialize.unpack_u32(fh)

@@ -200,22 +200,29 @@ class ModelBundle:
             raise PipelineStageError(
                 STAGE_CONFIG, f"bundle.json must list exactly the files {list(_BUNDLE_FILES)}"
             )
+        raw = {}  # each file is read once: hashed, then parsed from the same bytes
         for name, expect in files.items():
-            found = sha256_hex((bundle_dir / name).read_bytes())
-            if found != expect:
+            with stage(STAGE_CONFIG, OSError, item=bundle_dir / name):
+                raw[name] = (bundle_dir / name).read_bytes()
+            if sha256_hex(raw[name]) != expect:
                 raise PipelineStageError(STAGE_CONFIG, f"bundle file corrupted: {name}")
         return cls(
-            config=load_model_file(PipelineConfig.load, bundle_dir / "config.txt"),
-            ubm=load_model_file(gmm_mod.load_gmm, bundle_dir / "ubm.gmm"),
-            tv=load_model_file(ivector_mod.load_tv, bundle_dir / "tv.tvm"),
-            backend=load_model_file(backend_mod.load_backend, bundle_dir / "backend.gbe"),
+            config=load_model_file(
+                PipelineConfig.load, bundle_dir / "config.txt", raw.pop("config.txt")
+            ),
+            ubm=load_model_file(gmm_mod.load_gmm, bundle_dir / "ubm.gmm", raw.pop("ubm.gmm")),
+            tv=load_model_file(ivector_mod.load_tv, bundle_dir / "tv.tvm", raw.pop("tv.tvm")),
+            backend=load_model_file(
+                backend_mod.load_backend, bundle_dir / "backend.gbe", raw.pop("backend.gbe")
+            ),
         )
 
 
-def load_model_file(loader, path):
-    """Read one model or config file with `loader`; any failure is a config error."""
+def load_model_file(loader, path, raw: bytes | None = None):
+    """Read one model or config file with `loader`, from `raw` when its bytes
+    are already in hand; any failure is a config error."""
     with stage(STAGE_CONFIG, OSError, SceneidError, ValueError, item=path):
-        return loader(path)
+        return loader(path) if raw is None else loader(path, raw)
 
 
 def load_audio(path, config: PipelineConfig) -> AudioBuffer:

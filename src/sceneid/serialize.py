@@ -85,15 +85,20 @@ def write_container(path, magic: bytes, version: int, payload: bytes) -> None:
         out.write(payload)
 
 
-def read_container(path, magic: bytes, version: int) -> BytesIO:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def read_container(path, magic: bytes, version: int, raw: bytes | None = None) -> BytesIO:
+    """Check magic and version and return the payload; `raw` is the file's
+    content when the caller has already read it, else the file is read."""
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
     if len(raw) < 6 or raw[:4] != magic:
         raise ContainerError(f"{path}: wrong or missing magic (expected {magic!r})")
     (found,) = struct.unpack("<H", raw[4:6])
     if found != version:
         raise ContainerError(f"{path}: container version {found}, expected {version}")
-    return BytesIO(raw[6:])
+    fh = BytesIO(raw)  # shares raw's buffer; slicing would copy the payload
+    fh.seek(6)
+    return fh
 
 
 def sha256_hex(payload: bytes) -> str:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import get_window
 
 from sceneid.audio import (
     AudioBuffer,
@@ -12,6 +13,7 @@ from sceneid.audio import (
     frame_signal,
     read_wav,
     resample,
+    window_values,
     write_wav,
 )
 
@@ -215,6 +217,16 @@ class TestFrameSignal:
         assert frames.data.shape == (1, 640)
         assert frames.data[0, 0] == pytest.approx(0.0)
         assert frames.data[0].max() == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["hann", "hamming", "blackman"])
+    @pytest.mark.parametrize("n", [441, 640, 1024])
+    def test_cached_window_is_read_only_and_exact(self, name, n):
+        win = window_values(name, n)
+        assert np.array_equal(win, get_window(name, n, fftbins=True))
+        assert window_values(name, n) is win  # built once per (name, length)
+        assert not win.flags.writeable
+        with pytest.raises(ValueError):
+            win[0] = 1.0
 
     def test_non_integer_frame_length_rejected(self):
         assert FrameConfig(40.0, 0.5).frame_len(11025) == 441  # exact

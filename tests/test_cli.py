@@ -1,5 +1,7 @@
+import builtins
 import importlib
 import importlib.util
+import io
 import json
 import shutil
 from pathlib import Path
@@ -257,6 +259,29 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("error: [config] ")
 
+    @pytest.mark.parametrize("override", [
+        "ubm_components=0", "tv_rank=0", "ubm_iters=-1", "kmeans_iters=-1", "tv_iters=-1",
+        "alpha=3", "alpha=-0.5", "alpha=nan",
+    ])
+    def test_invalid_model_size_is_config_code_before_audio(self, tmp_path, capsys, override):
+        # The missing file is never opened: the config is rejected first.
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"path": "ghost.wav", "label": "x"}\n')
+        rc = main(["train-ubm", "--manifest", str(manifest), "--out", str(tmp_path / "u.gmm"),
+                   "--set", override])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: [config] ") and override.split("=")[0] in err
+
+    def test_kmeans_only_ubm_is_valid(self, workspace, tmp_path, capsys):
+        # ubm_iters=0 keeps the k-means++ UBM; the summary has no EM likelihood.
+        out = tmp_path / "u.gmm"
+        rc = main(["train-ubm", "--manifest", str(workspace / "corpus" / "train.jsonl"),
+                   "--out", str(out)] + TINY_SET + ["--set", "ubm_iters=0"])
+        assert rc == 0
+        assert out.exists()
+        assert "k-means only" in capsys.readouterr().out
+
     def test_spectrogram_dump_of_short_clip_is_features_code(self, tmp_path, capsys):
         short = tmp_path / "short.wav"
         write_wav(short, AudioBuffer(0.1 * np.ones(300), 16000))  # under one 640-sample frame
@@ -392,11 +417,31 @@ def _damage_config_from_before_mct_removal(d):
     _rehash(d, "config.txt")
 
 
+def _damage_tv_byte_flipped(d):
+    data = bytearray((d / "tv.tvm").read_bytes())
+    data[-1] ^= 0xFF
+    (d / "tv.tvm").write_bytes(bytes(data))
+
+
+def _damage_backend_magic_rehashed(d):
+    data = (d / "backend.gbe").read_bytes()
+    (d / "backend.gbe").write_bytes(b"XXXX" + data[4:])
+    _rehash(d, "backend.gbe")
+
+
+def _damage_ubm_replaced_by_directory(d):
+    (d / "ubm.gmm").unlink()
+    (d / "ubm.gmm").mkdir()
+
+
 @pytest.mark.parametrize("damage, named", [
     (_damage_malformed_index, "bundle.json"),
     (_damage_index_omits_ubm, "bundle.json"),
     (_damage_truncated_ubm_rehashed, "ubm.gmm"),
     (_damage_config_from_before_mct_removal, "mct_sbrs"),
+    (_damage_tv_byte_flipped, "tv.tvm"),
+    (_damage_backend_magic_rehashed, "backend.gbe"),
+    (_damage_ubm_replaced_by_directory, "ubm.gmm"),
 ])
 def test_bad_bundle_is_config_code(workspace, bundle, tmp_path, capsys, damage, named):
     damaged = tmp_path / "bundle"
@@ -407,3 +452,20 @@ def test_bad_bundle_is_config_code(workspace, bundle, tmp_path, capsys, damage, 
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: [config] ") and named in err
+
+
+def test_bundle_files_are_read_once(bundle, monkeypatch):
+    # Each file is hashed and parsed from one read.
+    opened = []
+
+    def counting(real):
+        def wrapper(file, *args, **kwargs):
+            opened.append(Path(file).name)
+            return real(file, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(io, "open", counting(io.open))
+    monkeypatch.setattr(builtins, "open", counting(builtins.open))
+    ModelBundle.load(bundle)
+    assert sorted(opened) == sorted(["bundle.json", "config.txt", "ubm.gmm", "tv.tvm",
+                                     "backend.gbe"])

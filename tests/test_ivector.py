@@ -1,8 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sceneid.gmm import GmmModel, SufficientStats, gmm_checksum
 from sceneid.ivector import (
+    IVECTOR_CHUNK,
     IVectorError,
     TvMatrix,
     extract_ivector,
@@ -62,6 +67,48 @@ def synthetic_stats(rng, ubm, tv_true, n_recordings, count_range=(50.0, 200.0)):
         stats.append(SufficientStats(n, mean + noise))
         w_true.append(w)
     return stats, np.array(w_true)
+
+
+def oracle_on_occupied(tv, ubm, stats):
+    """The dense oracle over the components a recording occupies: a component
+    with no frames carries no evidence, so with none the answer is the prior
+    mean."""
+    active = stats.n > 0
+    if not active.any():
+        return np.zeros(tv.rank)
+    return oracle_posterior_mean(
+        SimpleNamespace(t=tv.t[active]),
+        SimpleNamespace(variances=ubm.variances[active]),
+        SufficientStats(stats.n[active], stats.f[active]),
+    )
+
+
+def reference_train_tv(stats_list, ubm, rank, n_iters):
+    """train_tv as a per-recording loop: dense E-step, then per-component sums
+    sum_i n_ic E[ww']_i and sum_i f_ic w_i' for the M-step."""
+    tv = init_tv_pca(stats_list, ubm, rank)
+    c, f_dim = ubm.means.shape
+    for _ in range(n_iters):
+        t_over_var = tv.t / ubm.variances[:, :, None]
+        acc_a = np.zeros((c, rank, rank))
+        acc_c = np.zeros((c, f_dim, rank))
+        for s in stats_list:
+            precision = np.eye(rank)
+            b = np.zeros(rank)
+            for k in range(c):
+                precision += s.n[k] * tv.t[k].T @ t_over_var[k]
+                b += t_over_var[k].T @ s.f[k]
+            cov = np.linalg.inv(precision)
+            w = cov @ b
+            for k in range(c):
+                acc_a[k] += s.n[k] * (cov + np.outer(w, w))
+                acc_c[k] += np.outer(s.f[k], w)
+        t_new = tv.t.copy()
+        for k in range(c):
+            if sum(s.n[k] for s in stats_list) > 1e-12:
+                t_new[k] = np.linalg.solve(acc_a[k], acc_c[k].T).T
+        tv = TvMatrix(t_new, tv.ubm_checksum)
+    return tv
 
 
 # Each public entry point into the iVector E-step, called on one recording.
@@ -153,6 +200,51 @@ class TestExtractIvector:
             stats = SufficientStats(n, rng.normal(0, 10, (4, 3)) * (n[:, None] > 0))
             ivec = extract_ivector(tv, ubm, stats)
             assert np.all(np.isfinite(ivec.w))
+
+
+class TestBatchInvariance:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        c=st.integers(min_value=1, max_value=8),
+        f_dim=st.integers(min_value=1, max_value=5),
+        rank_draw=st.integers(min_value=0, max_value=29),
+        n_rec=st.integers(min_value=IVECTOR_CHUNK + 1, max_value=3 * IVECTOR_CHUNK),
+        cuts=st.lists(st.integers(min_value=1, max_value=3 * IVECTOR_CHUNK), max_size=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(c=8, f_dim=5, rank_draw=29, n_rec=2 * IVECTOR_CHUNK + 3, cuts=[5, 20], seed=1)
+    def test_rows_independent_of_batch(self, c, f_dim, rank_draw, n_rec, cuts, seed):
+        # R = 30 splits the Gram into more than one column block.
+        rng = np.random.default_rng(seed)
+        rank = 1 + rank_draw % min(c * f_dim, 30)
+        ubm = make_ubm(rng, c, f_dim)
+        tv = make_tv(rng, ubm, rank, scale=0.5)
+        stats = []
+        for i in range(n_rec):
+            n = rng.uniform(0.1, 10.0, c) * (rng.random(c) < 0.8)
+            if i % 7 == 3:
+                n[:] = 0.0  # a recording with no frames at all
+            stats.append(SufficientStats(n, rng.normal(0, 3.0, (c, f_dim)) * (n[:, None] > 0)))
+
+        whole = extract_ivectors(tv, ubm, stats)
+        for i, s in enumerate(stats):
+            assert np.array_equal(whole[i], extract_ivectors(tv, ubm, [s])[0])
+            np.testing.assert_allclose(whole[i], oracle_on_occupied(tv, ubm, s), atol=1e-8)
+        bounds = [0, *sorted({cut for cut in cuts if cut < n_rec}), n_rec]
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert np.array_equal(whole[lo:hi], extract_ivectors(tv, ubm, stats[lo:hi]))
+
+    @pytest.mark.parametrize("c, f_dim, rank", [(3, 2, 2), (6, 4, 5), (4, 8, 24)])
+    def test_train_tv_matches_per_recording_loop(self, rng, c, f_dim, rank):
+        ubm = make_ubm(rng, c, f_dim)
+        tv_true = make_tv(rng, ubm, rank, scale=0.8)
+        stats, _ = synthetic_stats(rng, ubm, tv_true, 2 * IVECTOR_CHUNK + 5)
+        for s in stats[::4]:  # component 0 unoccupied in some recordings
+            s.n[0] = 0.0
+            s.f[0] = 0.0
+        got = train_tv(stats, ubm, rank, n_iters=2)
+        want = reference_train_tv(stats, ubm, rank, n_iters=2)
+        np.testing.assert_allclose(got.t, want.t, rtol=0, atol=1e-10)
 
 
 class TestPcaInit:
