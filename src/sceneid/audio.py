@@ -161,29 +161,30 @@ def read_wav(path) -> AudioBuffer:
         raise WavCorruptError(f"{path}: nonsensical fmt fields")
 
     if format_tag == _WAVE_FORMAT_PCM:
-        if bits == 16:
-            ints = np.frombuffer(payload, dtype="<i2").astype(np.float64)
-        elif bits == 24:
-            b = np.frombuffer(payload, dtype=np.uint8)
-            if b.size % 3 != 0:
-                raise WavCorruptError(f"{path}: 24-bit payload not a multiple of 3 bytes")
-            b = b.reshape(-1, 3).astype(np.int32)
-            vals = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-            vals -= (vals >> 23 & 1) << 24  # sign extend
-            ints = vals.astype(np.float64)
-        elif bits == 32:
-            ints = np.frombuffer(payload, dtype="<i4").astype(np.float64)
-        else:
+        if bits not in (16, 24, 32):
             raise WavCodecError(f"{path}: unsupported PCM width {bits} bits")
-        samples = ints / float(2 ** (bits - 1))
     elif format_tag == _WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
             raise WavCodecError(f"{path}: unsupported float width {bits} bits")
+    else:
+        raise WavCodecError(f"{path}: non-PCM codec (format tag {format_tag:#06x})")
+    width = bits // 8
+    if len(payload) % width != 0:
+        raise WavCorruptError(f"{path}: {bits}-bit payload not a multiple of {width} bytes")
+
+    if format_tag == _WAVE_FORMAT_IEEE_FLOAT:
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(samples)):
             raise WavCorruptError(f"{path}: non-finite (NaN or infinite) float samples")
     else:
-        raise WavCodecError(f"{path}: non-PCM codec (format tag {format_tag:#06x})")
+        if bits == 24:
+            b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+            vals = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+            vals -= (vals >> 23 & 1) << 24  # sign extend
+            ints = vals.astype(np.float64)
+        else:
+            ints = np.frombuffer(payload, dtype=f"<i{width}").astype(np.float64)
+        samples = ints / float(2 ** (bits - 1))
 
     if samples.size % channels != 0:
         raise WavCorruptError(f"{path}: payload length inconsistent with channel count")

@@ -123,6 +123,7 @@ def cmd_build_corpus(args) -> int:
 def cmd_extract_features(args) -> int:
     cfg = _load_config(args)
     buf = pipe.load_audio(args.audio, cfg)
+    (feats,) = pipe.features_for_buffers([(args.audio, buf)], cfg)
     if args.dump_spectrogram or args.dump_noise_floor:
         with pipe.stage(pipe.STAGE_FEATURES, SceneidError, ValueError, item=args.audio):
             spec = power_spectrogram(frame_signal(buf, cfg.to_feature_config().frame))
@@ -132,7 +133,6 @@ def cmd_extract_features(args) -> int:
             with pipe.stage(pipe.STAGE_NOISE_FLOOR, NoiseFloorError):
                 floor = noise_floor_spectrogram(spec, cfg.to_spp_params(), cfg.nf_init_frames)
             save_features(FeatureMatrix(floor.frames, args.audio, True), args.dump_noise_floor)
-    (feats,) = pipe.features_for_buffers([(args.audio, buf)], cfg)
     save_features(feats, args.out)
     if args.csv:
         export_csv(feats, args.csv)

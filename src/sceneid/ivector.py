@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from io import BytesIO
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, qr
+from scipy.linalg.lapack import dormqr
 
 from . import serialize
 from .errors import SceneidError
@@ -33,8 +34,17 @@ _PCA_N_FLOOR = 1e-2
 # precision and factor stacks small. Results do not depend on it.
 IVECTOR_CHUNK = 16
 
-# Column width of the Gram blocks: 1 MB per block at C=256.
+# Rows per block of the stored Gram: each block keeps columns from its first
+# row to R, so the upper block-triangle is stored (15,000 of 22,500 entries at
+# R=150).
+_GRAM_ROW_BLOCK = 50
+
+# Column width of the stored-Gram blocks the precision matvecs visit: 1 MB per
+# block at C=256.
 _GRAM_BLOCK = 512
+
+# Rows of Sigma^-1 T per block of the linear term: 1.2 MB per block at R=150.
+_LINEAR_BLOCK = 1024
 
 
 class IVectorError(SceneidError):
@@ -98,12 +108,15 @@ def _chol_logdet(chol: np.ndarray) -> float:
 class _TvOperator:
     """The iVector E-step of a T bound to its UBM.
 
-    Caches Sigma^-1 T as a (C*F, R) matrix and the per-component Gram
-    matrices T_c' Sigma_c^-1 T_c as a (C, R*R) matrix, both built with BLAS.
-    Each recording's precision and linear term are per-row matvecs whose
-    shapes depend only on (C, F, R), so a row of the output never depends on
-    how many recordings share the call or which ones: a stacked GEMM over
-    the rows would round differently for different batch sizes.
+    Caches Sigma^-1 T as a (C*F, R) matrix and the upper block-triangle of
+    the per-component Gram matrices T_c' Sigma_c^-1 T_c as a (C, S) matrix,
+    both built with BLAS: row block [lo, hi) of every Gram keeps its columns
+    lo..R-1, so S = sum over blocks of (hi - lo) * (R - lo). Each recording's
+    precision and linear term are per-row matvecs over fixed blocks of these
+    matrices, so one block stays in cache across a chunk's rows. Every block
+    partition depends only on (C, F, R), so a row of the output never
+    depends on how many recordings share the call or which ones: a stacked
+    GEMM over the rows would round differently for different batch sizes.
     """
 
     def __init__(self, tv: TvMatrix, ubm: GmmModel):
@@ -111,13 +124,23 @@ class _TvOperator:
         c, f, r = tv.t.shape
         t_over_var = tv.t / ubm.variances[:, :, None]  # Sigma_c^{-1} T_c
         self.tov2d = t_over_var.reshape(c * f, r)
-        self.gram2d = np.matmul(tv.t.transpose(0, 2, 1), t_over_var).reshape(c, r * r)
         self.rank = r
         self._eye = np.eye(r)
-        # Fixed column blocks of the Gram, so one block stays in cache across
-        # a chunk's rows; the partition depends on R only.
-        self._blocks = [
-            slice(j, min(j + _GRAM_BLOCK, r * r)) for j in range(0, r * r, _GRAM_BLOCK)
+        # (lo, hi, columns of the stored upper part) per Gram row block.
+        self._row_blocks = []
+        size = 0
+        for lo in range(0, r, _GRAM_ROW_BLOCK):
+            hi = min(lo + _GRAM_ROW_BLOCK, r)
+            self._row_blocks.append((lo, hi, slice(size, size + (hi - lo) * (r - lo))))
+            size += (hi - lo) * (r - lo)
+        self.gram_upper = np.empty((c, size))
+        t_trans = tv.t.transpose(0, 2, 1)
+        for lo, hi, cols in self._row_blocks:
+            out = self.gram_upper[:, cols].reshape(c, hi - lo, r - lo)  # a view
+            np.matmul(t_trans[:, lo:hi], t_over_var[:, :, lo:], out=out)
+        self._gram_cols = [slice(j, min(j + _GRAM_BLOCK, size)) for j in range(0, size, _GRAM_BLOCK)]
+        self._linear_rows = [
+            slice(j, min(j + _LINEAR_BLOCK, c * f)) for j in range(0, c * f, _LINEAR_BLOCK)
         ]
 
     def posterior(self, n: np.ndarray, f: np.ndarray):
@@ -127,17 +150,27 @@ class _TvOperator:
         if not (np.all(np.isfinite(n)) and np.all(np.isfinite(f))):
             raise IVectorError("sufficient statistics contain non-finite values")
         rows, r = n.shape[0], self.rank
-        precision = np.empty((rows, r * r))
-        for block in self._blocks:
-            gram = self.gram2d[:, block]
+        upper = np.empty((rows, self.gram_upper.shape[1]))
+        for cols in self._gram_cols:
+            gram = self.gram_upper[:, cols]
             for i in range(rows):
-                np.matmul(n[i], gram, out=precision[i, block])
-        precision = precision.reshape(rows, r, r)
+                np.matmul(n[i], gram, out=upper[i, cols])
+        precision = np.empty((rows, r, r))
+        for lo, hi, cols in self._row_blocks:
+            block = upper[:, cols].reshape(rows, hi - lo, r - lo)
+            precision[:, lo:hi, lo:] = block
+            precision[:, hi:, lo:hi] = block[:, :, hi - lo :].transpose(0, 2, 1)
         precision += self._eye
+        # Linear terms: partial products per block of Sigma^-1 T, added in
+        # block order.
         f_flat = f.reshape(rows, -1)
-        b = np.empty((rows, r))
-        for i in range(rows):
-            np.matmul(f_flat[i], self.tov2d, out=b[i])
+        b = np.zeros((rows, r))
+        part = np.empty((rows, r))
+        for block in self._linear_rows:
+            tov = self.tov2d[block]
+            for i in range(rows):
+                np.matmul(f_flat[i, block], tov, out=part[i])
+            b += part
         chol = np.linalg.cholesky(precision)
         w = np.stack([cho_solve((low, True), b_i) for low, b_i in zip(chol, b)])
         return w, chol
@@ -168,25 +201,41 @@ def init_tv_pca(stats_list, ubm: GmmModel, rank: int) -> TvMatrix:
     centered residuals, scaled by singular value / sqrt(n_recordings) and
     mapped back to raw supervector units, become the columns of T. Residual
     spread of rank below `rank` raises IVectorError.
+
+    The (n_recordings, C*F) residual matrix is factored in place as resid' =
+    Q R. The SVD of the small R gives the singular values and the directions
+    in R's space, which Q maps back to supervector space.
     """
     stats_list = list(stats_list)
-    if len(stats_list) < rank:
-        raise IVectorError(f"PCA init needs at least {rank} recordings, got {len(stats_list)}")
-    n, f = _stats_arrays(stats_list)
+    count = len(stats_list)
+    if count < rank:
+        raise IVectorError(f"PCA init needs at least {rank} recordings, got {count}")
+    n, resid = _stats_arrays(stats_list)  # resid is a fresh stack of f, built in place
     c, fdim = ubm.means.shape
     sigma = np.sqrt(ubm.variances)  # (C, F)
-    resid = f / np.maximum(n, _PCA_N_FLOOR)[:, :, None] / sigma  # (n_rec, C, F)
-    resid = resid.reshape(len(stats_list), c * fdim)
-    resid = resid - resid.mean(axis=0)
+    resid /= np.maximum(n, _PCA_N_FLOOR)[:, :, None]
+    resid /= sigma
+    resid = resid.reshape(count, c * fdim)
+    resid -= resid.mean(axis=0)
 
-    _, svals, vt = np.linalg.svd(resid, full_matrices=False)
+    # resid' is Fortran-ordered, so the QR overwrites resid with Q's
+    # Householder vectors instead of copying it.
+    (householder, tau), r_fact = qr(resid.T, mode="raw", overwrite_a=True)
+    k = tau.size  # min(count, C*F)
+    _, svals, vt = np.linalg.svd(r_fact.T, full_matrices=False)
     tol = max(svals[0] * 1e-10, 1e-12) if svals.size else 1e-12
     if int((svals > tol).sum()) < rank:
         raise IVectorError(
             f"residual spread has rank {int((svals > tol).sum())} < requested {rank}"
         )
-    t_white = vt[:rank].T * (svals[:rank] / np.sqrt(len(stats_list)))
-    t_raw = t_white * sigma.reshape(-1)[:, None]
+    # T' = (Q V S / sqrt(count))' = (V S / sqrt(count))' Q', applied to the
+    # (rank, C*F) Fortran-ordered transpose, so T comes out C-ordered.
+    t_white_t = np.zeros((rank, c * fdim), order="F")
+    t_white_t[:, :k] = vt[:rank] * (svals[:rank, None] / np.sqrt(count))
+    reflectors = householder[:, :k]
+    lwork = int(dormqr(b"R", b"T", reflectors, tau, t_white_t, -1)[1][0])
+    t_raw = dormqr(b"R", b"T", reflectors, tau, t_white_t, lwork, overwrite_c=1)[0].T
+    t_raw *= sigma.reshape(-1)[:, None]
     return TvMatrix(t_raw.reshape(c, fdim, rank), gmm_checksum(ubm))
 
 
@@ -216,12 +265,13 @@ def train_tv(stats_list, ubm: GmmModel, rank: int, n_iters: int = 5) -> TvMatrix
         # Sums over recordings, so one GEMM each: sum_i n_ic E[ww']_i and sum_i f_i w_i'.
         acc_a = (n.T @ eww.reshape(len(w), rank * rank)).reshape(c, rank, rank)
         acc_c = (f.reshape(len(w), c * fdim).T @ w).reshape(c, fdim, rank)
-        t_new = tv.t.copy()
+        t_new = acc_c  # each block is solved in place
         for comp in range(c):
             if n[:, comp].sum() <= 1e-12:
                 warnings.warn(
                     f"component {comp} has no occupancy; keeping its T block", RuntimeWarning
                 )
+                t_new[comp] = tv.t[comp]
                 continue
             chol = cho_factor(acc_a[comp], lower=True)
             t_new[comp] = cho_solve(chol, acc_c[comp].T).T

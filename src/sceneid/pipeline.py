@@ -231,16 +231,26 @@ def load_audio(path, config: PipelineConfig) -> AudioBuffer:
         return resample(downmix_mono(read_wav(path)), config.sample_rate)
 
 
+def _reject_silent(rec_id, buf: AudioBuffer) -> None:
+    """A digitally silent recording (every sample exactly zero) has no scene
+    to classify."""
+    if not np.any(buf.samples):
+        raise PipelineStageError(STAGE_FEATURES, f"{rec_id}: recording is digitally silent")
+
+
 def features_for_buffers(items, config: PipelineConfig):
     """Featurize (recording id, mono buffer) pairs, FEATURE_CHUNK at a time.
 
     Yields one FeatureMatrix per pair, in order. `items` is drawn one chunk
     at a time, so a lazy iterable never has more than a chunk of audio alive.
+    A digitally silent recording is rejected (`_reject_silent`).
     """
     feature_config = config.to_feature_config()
     spp_params = config.to_spp_params()
     items = iter(items)
     while chunk := list(itertools.islice(items, FEATURE_CHUNK)):
+        for rec_id, buf in chunk:
+            _reject_silent(rec_id, buf)
         with (
             stage(STAGE_FEATURES, SceneidError, ValueError),
             stage(STAGE_NOISE_FLOOR, NoiseFloorError),
@@ -415,6 +425,8 @@ def run_sbr_sweep(
 def _sweep_samples(config, clean_manifest, speech_pool, pool, sbr_list, seed):
     """Yield the clean clips and their seeded mixes, condition by condition."""
     buffers = [load_audio(clean_manifest.resolve(e), config) for e in clean_manifest]
+    for entry, buf in zip(clean_manifest.entries, buffers):
+        _reject_silent(entry.path, buf)  # before any mix of it is drawn
     speech_cache: dict = {}
     for ci, cond in enumerate(sbr_list):
         tag = condition_tag(cond)

@@ -63,12 +63,21 @@ def unpack_str(fh) -> str:
     return _take(fh, n).decode("utf-8")
 
 
-def unpack_array(fh) -> np.ndarray:
+def unpack_array(fh: BytesIO) -> np.ndarray:
+    """Read an array written by pack_array, copying its payload once out of
+    the container's buffer."""
     ndim = struct.unpack("<B", _take(fh, 1))[0]
     shape = tuple(unpack_u32(fh) for _ in range(ndim))
     count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_take(fh, 8 * count), dtype="<f8")
-    return data.astype(np.float64).reshape(shape)
+    start = fh.tell()
+    with fh.getbuffer() as buffer:
+        if len(buffer) - start < 8 * count:
+            raise ContainerError("container truncated")
+        view = np.frombuffer(buffer, dtype="<f8", count=count, offset=start)
+        data = view.reshape(shape).astype(np.float64)
+        del view  # the buffer cannot be released while a view exports it
+    fh.seek(start + 8 * count)
+    return data
 
 
 def _take(fh, n: int) -> bytes:

@@ -9,6 +9,7 @@ from sceneid.audio import (
     FrameConfig,
     WavCodecError,
     WavCorruptError,
+    WavError,
     downmix_mono,
     frame_signal,
     read_wav,
@@ -18,6 +19,17 @@ from sceneid.audio import (
 )
 
 from conftest import make_wav_bytes, pcm16_wav_bytes, tone
+
+
+# Payloads of every supported sample format, as (payload, format tag, bits,
+# channels), cut and mutated by the fuzz test.
+FUZZ_BASES = {
+    "pcm16": (np.arange(-20, 20, dtype="<i2").tobytes(), 1, 16, 1),
+    "pcm16-stereo": (np.arange(-20, 20, dtype="<i2").tobytes(), 1, 16, 2),
+    "pcm24": (bytes(range(60)), 1, 24, 1),
+    "pcm32": (np.arange(-10, 10, dtype="<i4").tobytes(), 1, 32, 1),
+    "float32": (np.linspace(-1, 1, 20).astype("<f4").tobytes(), 3, 32, 1),
+}
 
 
 class TestReadWav:
@@ -106,6 +118,50 @@ class TestReadWav:
         path.write_bytes(make_wav_bytes(b"\x00" * 32, format_tag=1, bits=8))
         with pytest.raises(WavCodecError):
             read_wav(path)
+
+    @pytest.mark.parametrize(
+        "payload, format_tag, bits",
+        [(b"\x01\x00\x02", 1, 16), (b"\x00" * 6, 1, 32), (b"\x00" * 7, 3, 32)],
+        ids=["16-bit-odd", "32-bit-int", "float32"],
+    )
+    def test_payload_not_whole_samples_rejected_naming_file(
+        self, tmp_path, payload, format_tag, bits
+    ):
+        path = tmp_path / "ragged.wav"
+        path.write_bytes(make_wav_bytes(payload, format_tag=format_tag, bits=bits))
+        with pytest.raises(WavCorruptError, match="ragged.wav"):
+            read_wav(path)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        base=st.sampled_from(sorted(FUZZ_BASES)),
+        payload_len=st.integers(min_value=0, max_value=80),
+        edits=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=200), st.integers(0, 255)), max_size=4
+        ),
+        keep=st.one_of(st.none(), st.integers(min_value=0, max_value=200)),
+    )
+    def test_mutated_or_truncated_file_raises_only_wav_errors(
+        self, tmp_path_factory, base, payload_len, edits, keep
+    ):
+        # A well-formed header over a payload cut to any length, then byte
+        # edits anywhere and a cut of the file itself.
+        payload, format_tag, bits, channels = FUZZ_BASES[base]
+        data = bytearray(
+            make_wav_bytes(payload[:payload_len], format_tag=format_tag, channels=channels,
+                           bits=bits)
+        )
+        for pos, value in edits:
+            data[pos % len(data)] = value
+        if keep is not None:
+            data = data[:keep]
+        path = tmp_path_factory.mktemp("fuzz") / "mutated.wav"
+        path.write_bytes(bytes(data))
+        try:
+            buf = read_wav(path)
+        except WavError:
+            return
+        assert isinstance(buf, AudioBuffer)
 
     def test_roundtrip_16bit_exact(self, tmp_path, rng):
         values = rng.integers(-32768, 32768, size=4000).astype(np.int16)

@@ -305,6 +305,39 @@ class TestExitCodes:
                    "--sbr", "0", "--out", str(tmp_path / "m.wav")])
         assert rc == 7
 
+    @pytest.mark.parametrize("command", ["classify", "extract-features", "train", "sweep"])
+    def test_digitally_silent_recording_is_features_code(
+        self, workspace, bundle, tmp_path, capsys, command
+    ):
+        silent = tmp_path / "silent.wav"
+        write_wav(silent, AudioBuffer(np.zeros(48000), 48000))
+        corpus = workspace / "corpus"
+        listed = "test.jsonl" if command == "sweep" else "train.jsonl"
+        entries = [json.loads(line) for line in (corpus / listed).read_text().splitlines()[:3]]
+        for e in entries:
+            e["path"] = str(corpus / e["path"])
+        entries.insert(1, {"path": str(silent), "label": entries[0]["label"]})
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        if command == "train":
+            argv = ["train", "--manifest", str(manifest), "--out", str(tmp_path / "b")] + TINY_SET
+        elif command == "sweep":
+            # Mixes only: the silent clip is rejected before the mixer sees it.
+            argv = ["sweep", "--bundle", str(bundle), "--manifest", str(manifest),
+                    "--speech-pool", str(corpus / "speech_eval.jsonl"), "--sbrs", "5,20",
+                    "--seed", "2", "--out", str(tmp_path / "b")]
+        elif command == "classify":
+            argv = ["classify", "--bundle", str(bundle), "--audio", str(silent)]
+        else:
+            argv = ["extract-features", "--audio", str(silent), "--out", str(tmp_path / "f.bin"),
+                    "--dump-spectrogram", str(tmp_path / "s.bin")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 5
+        assert captured.err == f"error: [features] {silent}: recording is digitally silent\n"
+        assert captured.out == ""
+        assert not any((tmp_path / name).exists() for name in ("b", "f.bin", "s.bin"))
+
     def test_corrupt_wav_is_audio_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"not a wav file at all")

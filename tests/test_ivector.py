@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sceneid import ivector
 from sceneid.gmm import GmmModel, SufficientStats, gmm_checksum
 from sceneid.ivector import (
     IVECTOR_CHUNK,
@@ -20,6 +21,7 @@ from sceneid.ivector import (
     train_tv,
     tv_evidence,
 )
+from sceneid.serialize import ContainerError
 
 
 def make_ubm(rng, n_components=3, n_features=2, unit_var=False) -> GmmModel:
@@ -109,6 +111,22 @@ def reference_train_tv(stats_list, ubm, rank, n_iters):
                 t_new[k] = np.linalg.solve(acc_a[k], acc_c[k].T).T
         tv = TvMatrix(t_new, tv.ubm_checksum)
     return tv
+
+
+def reference_init_tv_pca(stats_list, ubm, rank):
+    """init_tv_pca through a thin SVD of the (n_recordings, C*F) residuals."""
+    n = np.stack([s.n for s in stats_list])
+    f = np.stack([s.f for s in stats_list])
+    c, f_dim = ubm.means.shape
+    sigma = np.sqrt(ubm.variances)
+    resid = (f / np.maximum(n, 1e-2)[:, :, None] / sigma).reshape(len(stats_list), c * f_dim)
+    resid = resid - resid.mean(axis=0)
+    _, svals, vt = np.linalg.svd(resid, full_matrices=False)
+    tol = max(svals[0] * 1e-10, 1e-12)
+    if int((svals > tol).sum()) < rank:
+        raise IVectorError(f"residual spread has rank {int((svals > tol).sum())} < requested {rank}")
+    t_white = vt[:rank].T * (svals[:rank] / np.sqrt(len(stats_list)))
+    return (t_white * sigma.reshape(-1)[:, None]).reshape(c, f_dim, rank)
 
 
 # Each public entry point into the iVector E-step, called on one recording.
@@ -202,7 +220,17 @@ class TestExtractIvector:
             assert np.all(np.isfinite(ivec.w))
 
 
+# C*F = 1200 and R = 60: more than one row block of the stored Gram and more
+# than one block of the linear term.
+PINNED_MULTI_BLOCK = dict(c=40, f_dim=30, rank_draw=59, n_rec=IVECTOR_CHUNK + 2, cuts=[7], seed=3)
+
+
 class TestBatchInvariance:
+    def test_pinned_example_spans_several_blocks(self):
+        p = PINNED_MULTI_BLOCK
+        assert 1 + p["rank_draw"] > ivector._GRAM_ROW_BLOCK
+        assert p["c"] * p["f_dim"] > ivector._LINEAR_BLOCK
+
     @settings(deadline=None, max_examples=30)
     @given(
         c=st.integers(min_value=1, max_value=8),
@@ -213,10 +241,13 @@ class TestBatchInvariance:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @example(c=8, f_dim=5, rank_draw=29, n_rec=2 * IVECTOR_CHUNK + 3, cuts=[5, 20], seed=1)
+    @example(**PINNED_MULTI_BLOCK)
     def test_rows_independent_of_batch(self, c, f_dim, rank_draw, n_rec, cuts, seed):
-        # R = 30 splits the Gram into more than one column block.
+        # R = 30 splits the stored Gram into more than one column block;
+        # PINNED_MULTI_BLOCK also spans several Gram row blocks and blocks of
+        # the linear term.
         rng = np.random.default_rng(seed)
-        rank = 1 + rank_draw % min(c * f_dim, 30)
+        rank = 1 + rank_draw % (c * f_dim)
         ubm = make_ubm(rng, c, f_dim)
         tv = make_tv(rng, ubm, rank, scale=0.5)
         stats = []
@@ -279,6 +310,40 @@ class TestPcaInit:
         stats = [SufficientStats(one.n.copy(), one.f.copy()) for _ in range(10)]
         with pytest.raises(IVectorError, match="rank"):
             init_tv_pca(stats, ubm, rank=2)
+
+    @pytest.mark.parametrize(
+        "c, f_dim, n_rec, rank",
+        [(6, 4, 12, 5), (16, 8, 40, 12), (3, 2, 20, 4), (2, 2, 9, 4)],
+        ids=["fewer-recordings", "wider", "more-recordings-than-CF", "rank-equals-CF"],
+    )
+    def test_matches_svd_reference_up_to_sign(self, rng, c, f_dim, n_rec, rank):
+        ubm = make_ubm(rng, c, f_dim)
+        stats = [
+            SufficientStats(rng.uniform(0.0, 5.0, c), rng.normal(0, 2.0, (c, f_dim)))
+            for _ in range(n_rec)
+        ]
+        got = init_tv_pca(stats, ubm, rank).t.reshape(-1, rank)
+        want = reference_init_tv_pca(stats, ubm, rank).reshape(-1, rank)
+        signs = np.sign(np.sum(got * want, axis=0))
+        assert np.all(signs != 0)
+        np.testing.assert_allclose(got * signs, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n_rec", [10, 30])
+    def test_rank_deficient_spread_same_error_as_svd_reference(self, rng, n_rec):
+        # Residuals spanning two directions of a 4-dimensional supervector.
+        ubm = make_ubm(rng, 2, 2, unit_var=True)
+        basis = rng.normal(0, 1, (2, 4))
+        stats = []
+        for _ in range(n_rec):
+            n = np.full(2, 10.0)
+            resid = (rng.normal(0, 1, 2) @ basis).reshape(2, 2)
+            stats.append(SufficientStats(n, resid * n[:, None]))
+        with pytest.raises(IVectorError) as want:
+            reference_init_tv_pca(stats, ubm, rank=3)
+        with pytest.raises(IVectorError) as got:
+            init_tv_pca(stats, ubm, rank=3)
+        assert str(got.value) == str(want.value) == "residual spread has rank 2 < requested 3"
+        init_tv_pca(stats, ubm, rank=2)  # the spread it has is accepted
 
     def test_too_few_recordings(self, rng):
         ubm = make_ubm(rng, 2, 2)
@@ -347,6 +412,23 @@ class TestSerialization:
         back = load_tv(path)
         assert np.array_equal(back.t, tv.t)
         assert back.ubm_checksum == tv.ubm_checksum
+
+    def test_loaded_t_is_an_owned_writeable_copy(self, tmp_path, rng):
+        ubm = make_ubm(rng, 4, 3)
+        tv = make_tv(rng, ubm, rank=5)
+        path = tmp_path / "t.tvm"
+        save_tv(tv, path)
+        back = load_tv(path, path.read_bytes())
+        assert back.t.flags.writeable and back.t.flags.owndata
+        assert np.array_equal(back.t, tv.t)
+
+    def test_truncated_tv_rejected(self, tmp_path, rng):
+        ubm = make_ubm(rng)
+        path = tmp_path / "t.tvm"
+        save_tv(make_tv(rng, ubm, rank=2), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ContainerError, match="truncated"):
+            load_tv(path)
 
     def test_ivector_batch_roundtrip(self, tmp_path, rng):
         ids = ["a.wav", "b.wav", "c.wav"]
