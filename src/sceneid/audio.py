@@ -92,7 +92,7 @@ class FrameConfig:
     def frame_len(self, sample_rate: int) -> int:
         """Frame length in samples; must come out integral for the rate."""
         exact = self.frame_len_ms * sample_rate / 1000.0
-        n = int(round(exact))
+        n = int(round(exact)) if math.isfinite(exact) else 0
         if abs(exact - n) > 1e-9 or n < 1:
             raise ValueError(
                 f"{self.frame_len_ms} ms at {sample_rate} Hz is not an integer sample count"

@@ -22,7 +22,7 @@ from . import pipeline as pipe
 from .audio import frame_signal, read_wav, write_wav
 from .config import ConfigError, PipelineConfig, parse_sbr_token
 from .errors import SceneidError
-from .features import FeatureMatrix, export_csv, power_spectrogram, save_features
+from .features import FeatureMatrix, export_csv, power_spectrogram
 from .manifest import CorpusManifest, ManifestError
 from .mixer import NoActivityError, RateMismatchError, SilentSignalError
 from .noisefloor import NoiseFloorError, noise_floor_spectrogram
@@ -69,6 +69,14 @@ def _add_config_args(parser):
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override one config key (repeatable)",
     )
+
+
+def non_negative_int(text) -> int:
+    """argparse type of every --seed option."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _add_fold_args(parser):
@@ -128,14 +136,12 @@ def cmd_extract_features(args) -> int:
         with pipe.stage(pipe.STAGE_FEATURES, SceneidError, ValueError, item=args.audio):
             spec = power_spectrogram(frame_signal(buf, cfg.to_feature_config().frame))
         if args.dump_spectrogram:
-            save_features(FeatureMatrix(spec.frames, args.audio, False), args.dump_spectrogram)
+            export_csv(FeatureMatrix(spec.frames), args.dump_spectrogram)
         if args.dump_noise_floor:
             with pipe.stage(pipe.STAGE_NOISE_FLOOR, NoiseFloorError):
                 floor = noise_floor_spectrogram(spec, cfg.to_spp_params(), cfg.nf_init_frames)
-            save_features(FeatureMatrix(floor.frames, args.audio, True), args.dump_noise_floor)
-    save_features(feats, args.out)
-    if args.csv:
-        export_csv(feats, args.csv)
+            export_csv(FeatureMatrix(floor.frames), args.dump_noise_floor)
+    export_csv(feats, args.out)
     print(f"{args.out}: {feats.n_frames} frames x {feats.dim} dims")
     return 0
 
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-per-class", type=int, default=20)
     p.add_argument("--clip-seconds", type=float, default=10.0)
     p.add_argument("--sample-rate", type=int, default=16000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("mix", help="mix speech into a background at an exact SBR")
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speech", required=True)
     p.add_argument("--sbr", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("build-corpus", help="build a multi-condition training corpus")
@@ -279,17 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speech-pool", required=True)
     p.add_argument("--sbrs", required=True, help="comma list, e.g. 'clean,-5'")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--exclude-speaker", action="append", default=[])
     p.set_defaults(func=cmd_build_corpus)
 
     p = sub.add_parser("extract-features", help="extract features for one recording")
     _add_config_args(p)
     p.add_argument("--audio", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--csv")
-    p.add_argument("--dump-spectrogram", help="debug dump of the power spectrogram")
-    p.add_argument("--dump-noise-floor", help="debug dump of the tracked noise floor")
+    p.add_argument("--out", required=True, help="feature CSV, one row per frame")
+    p.add_argument("--dump-spectrogram", help="CSV of the power spectrogram")
+    p.add_argument("--dump-noise-floor", help="CSV of the tracked noise floor")
     p.set_defaults(func=cmd_extract_features)
 
     p = sub.add_parser("train-ubm", help="train the universal background model")
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--speech-pool")
     p.add_argument("--sbrs", default="", help="comma list, e.g. 'clean,-5,0,5,10,15,20'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--exclude-speaker", action="append", default=[])
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

@@ -116,19 +116,19 @@ class PipelineConfig:
         return cfg._validated(f"{path}: ")
 
     def _validated(self, source: str = "") -> "PipelineConfig":
-        """Check model sizes and build the feature and tracker configs once, so
-        a value they reject fails here as a ConfigError, before any audio is
-        read."""
-        for key in ("ubm_components", "tv_rank"):
+        """Check model sizes, counts and the seed, and build the feature and
+        tracker configs once, so a value they reject fails here as a
+        ConfigError, before any audio is read."""
+        for key in ("ubm_components", "tv_rank", "nf_init_frames"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{source}{key} must be at least 1, got {getattr(self, key)}")
-        for key in ("ubm_iters", "kmeans_iters", "tv_iters"):
+        for key in ("ubm_iters", "kmeans_iters", "tv_iters", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{source}{key} must not be negative, got {getattr(self, key)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"{source}alpha must lie in [0, 1], got {self.alpha}")
         try:
-            self.to_feature_config().fft_size()
+            self.to_feature_config()
             self.to_spp_params()
         except ValueError as exc:
             raise ConfigError(f"{source}{exc}") from exc

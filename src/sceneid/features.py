@@ -8,7 +8,6 @@ can be substituted before the mel stage (see sceneid.noisefloor).
 
 from __future__ import annotations
 
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -19,9 +18,6 @@ from .audio import AudioBuffer, FrameConfig, Frames, frame_signal
 from .errors import SceneidError
 
 MEL_LOG_FLOOR = 1e-10  # added to band energies before log; keeps silence finite
-
-_FEATURE_MAGIC = b"SCNF"
-_FEATURE_VERSION = 1
 
 
 class FeatureDimError(SceneidError):
@@ -71,7 +67,6 @@ class FeatureMatrix:
 
     rows: np.ndarray  # (T, dim) float64
     recording_id: str = ""
-    noise_floor: bool = False
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -148,13 +143,7 @@ def make_mel_bank(
     peak; adjacent filters overlap so interior bins are covered with total
     weight at most one.
     """
-    if fmax_hz is None:
-        fmax_hz = sample_rate / 2.0
-    if not (0.0 <= fmin_hz < fmax_hz <= sample_rate / 2.0):
-        raise ValueError(f"need 0 <= fmin < fmax <= Nyquist, got [{fmin_hz}, {fmax_hz}]")
-    if n_filters < 1:
-        raise ValueError("n_filters must be >= 1")
-
+    fmax_hz = _check_mel_bank(n_filters, fft_size, sample_rate, fmin_hz, fmax_hz)
     mel_pts = np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_filters + 2)
     hz_pts = mel_to_hz(mel_pts)
     n_bins = fft_size // 2 + 1
@@ -163,10 +152,29 @@ def make_mel_bank(
     lower = hz_pts[:-2, None]
     center = hz_pts[1:-1, None]
     upper = hz_pts[2:, None]
-    rising = (bin_freqs - lower) / (center - lower)
-    falling = (upper - bin_freqs) / (upper - center)
+    with np.errstate(divide="ignore", invalid="ignore"):  # coinciding vertices fail below
+        rising = (bin_freqs - lower) / (center - lower)
+        falling = (upper - bin_freqs) / (upper - center)
     weights = np.maximum(0.0, np.minimum(rising, falling))
+    if not np.all(weights.sum(axis=1) > 0.0):
+        raise ValueError(f"{n_filters} mel filters over {n_bins} FFT bins leave a filter empty")
     return MelFilterBank(weights, hz_pts[1:-1].copy())
+
+
+def _check_mel_bank(n_filters, fft_size, sample_rate, fmin_hz, fmax_hz) -> float:
+    """`make_mel_bank`'s argument checks, made without building the bank.
+
+    Returns fmax_hz, with None read as Nyquist.
+    """
+    nyquist = sample_rate / 2.0
+    fmax_hz = nyquist if fmax_hz is None else fmax_hz
+    if not (0.0 <= fmin_hz < fmax_hz <= nyquist):
+        raise ValueError(f"need 0 <= fmin_hz < fmax_hz <= Nyquist, got [{fmin_hz}, {fmax_hz}]")
+    if not 1 <= n_filters <= fft_size // 2 + 1:
+        raise ValueError(
+            f"need 1 to {fft_size // 2 + 1} mel filters (the FFT bin count), got {n_filters}"
+        )
+    return fmax_hz
 
 
 def mfcc(spec: Spectrogram, bank: MelFilterBank, n_ceps: int) -> FeatureMatrix:
@@ -182,8 +190,12 @@ def mfcc(spec: Spectrogram, bank: MelFilterBank, n_ceps: int) -> FeatureMatrix:
         )
     if n_ceps > bank.n_filters:
         raise ValueError(f"n_ceps={n_ceps} exceeds n_filters={bank.n_filters}")
-    band_power = spec.frames @ bank.weights.T / bank.row_sums
-    ceps = scipy.fft.dct(np.log(band_power + MEL_LOG_FLOOR), type=2, norm="ortho", axis=1)
+    with np.errstate(over="ignore"):  # reported below as one error
+        band_power = spec.frames @ bank.weights.T / bank.row_sums
+    log_mel = np.log(band_power + MEL_LOG_FLOOR)
+    if not np.isfinite(log_mel).all():
+        raise ValueError("log mel band powers are not finite")
+    ceps = scipy.fft.dct(log_mel, type=2, norm="ortho", axis=1)
     return FeatureMatrix(np.ascontiguousarray(ceps[:, :n_ceps]))
 
 
@@ -224,6 +236,14 @@ class FeatureConfig:
     fmax_hz: float | None = None
     sdc: SdcConfig = SdcConfig()
     use_sdc: bool = True
+
+    def __post_init__(self) -> None:
+        self.frame.hop(self.sample_rate)
+        _check_mel_bank(self.n_mels, self.fft_size(), self.sample_rate, self.fmin_hz, self.fmax_hz)
+        if not 1 <= self.n_ceps <= self.n_mels:
+            raise ValueError(f"need 1 <= n_ceps <= n_mels={self.n_mels}, got {self.n_ceps}")
+        if self.use_sdc and self.sdc.n > self.n_ceps:
+            raise ValueError(f"sdc_n={self.sdc.n} exceeds n_ceps={self.n_ceps}")
 
     def fft_size(self) -> int:
         return 1 << (self.frame.frame_len(self.sample_rate) - 1).bit_length()
@@ -317,46 +337,13 @@ def extract_features_many(
                 feats = mfcc(Spectrogram(stack[j], bin_hz, hop_s), bank, config.n_ceps)
                 if config.use_sdc:
                     feats = append_sdc(feats, config.sdc)
-            out[i] = replace(feats, recording_id=ids[i], noise_floor=use_noise_floor)
+            out[i] = replace(feats, recording_id=ids[i])
     return out
 
 
-def save_features(feats: FeatureMatrix, path) -> None:
-    """Binary container: header (dim, rows, flag, id) + row-major float32."""
-    rid = feats.recording_id.encode("utf-8")
-    header = struct.pack(
-        "<4sHBIIH",
-        _FEATURE_MAGIC,
-        _FEATURE_VERSION,
-        1 if feats.noise_floor else 0,
-        feats.dim,
-        feats.n_frames,
-        len(rid),
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(rid)
-        fh.write(feats.rows.astype("<f4").tobytes())
-
-
-def load_features(path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 17 or raw[:4] != _FEATURE_MAGIC:
-        raise SceneidError(f"{path}: not a sceneid feature container")
-    version, flag, dim, rows, id_len = struct.unpack("<HBIIH", raw[4:17])
-    if version != _FEATURE_VERSION:
-        raise SceneidError(f"{path}: unsupported feature container version {version}")
-    rid = raw[17 : 17 + id_len].decode("utf-8")
-    data = np.frombuffer(raw[17 + id_len :], dtype="<f4", count=dim * rows)
-    if data.size != dim * rows:
-        raise SceneidError(f"{path}: feature payload truncated")
-    matrix = data.astype(np.float64).reshape(rows, dim)
-    return FeatureMatrix(matrix, recording_id=rid, noise_floor=bool(flag))
-
-
 def export_csv(feats: FeatureMatrix, path) -> None:
-    """Debug CSV: frame index column then one column per feature dimension."""
+    """Lossless CSV: a `frame,f0,...` header, then per row the frame index and
+    the `repr` of each float64 value, which reads back to the same bits."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("frame," + ",".join(f"f{i}" for i in range(feats.dim)) + "\n")
         for t, row in enumerate(feats.rows):

@@ -50,27 +50,16 @@ class CorpusManifest:
         p = Path(entry.path)
         return p if p.is_absolute() else self.base_dir / p
 
-    def labels(self) -> list[str]:
-        return sorted({e.label for e in self.entries})
-
-    def conditions(self) -> list[str]:
-        return sorted({e.condition for e in self.entries})
-
     def filter(self, predicate) -> "CorpusManifest":
         return CorpusManifest([e for e in self.entries if predicate(e)], self.base_dir)
 
-    def validate(self, label_set=None) -> None:
-        """Check path uniqueness, label membership and fold consistency."""
+    def validate(self) -> None:
+        """Check path uniqueness and fold consistency."""
         seen = set()
         for e in self.entries:
             if e.path in seen:
                 raise ManifestError(f"duplicate path in manifest: {e.path}")
             seen.add(e.path)
-        if label_set is not None:
-            declared = set(label_set)
-            for e in self.entries:
-                if e.label not in declared:
-                    raise ManifestError(f"label {e.label!r} not in declared set for {e.path}")
         folds = [e.fold for e in self.entries]
         with_fold = [f for f in folds if f is not None]
         if with_fold and len(with_fold) != len(folds):

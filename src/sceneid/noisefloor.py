@@ -10,6 +10,7 @@ latching onto a raised floor when the speech posterior saturates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,18 @@ class SppParams:
     psd_floor: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.xi_h1_db):
-            raise ValueError("xi_h1_db must be finite")
+        try:
+            finite = math.isfinite(self.xi_h1_db) and math.isfinite(self.xi_h1)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"xi_h1_db must give a finite prior SNR, got {self.xi_h1_db}")
         for name in ("prior_h1", "spp_smooth", "psd_smooth", "spp_clamp"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"SppParams.{name} must lie in (0, 1), got {v}")
-        if self.psd_floor <= 0.0:
-            raise ValueError("psd_floor must be positive")
+        if not 0.0 < self.psd_floor < math.inf:
+            raise ValueError(f"psd_floor must be finite and positive, got {self.psd_floor}")
 
     @property
     def xi_h1(self) -> float:

@@ -1,8 +1,10 @@
+import argparse
 import builtins
 import importlib
 import importlib.util
 import io
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -10,12 +12,14 @@ import numpy as np
 import pytest
 
 from sceneid import backend as backend_mod
-from sceneid.audio import AudioBuffer, read_wav, write_wav
+from sceneid.audio import AudioBuffer, frame_signal, read_wav, write_wav
 from sceneid.backend import score
-from sceneid.cli import main
-from sceneid.features import load_features
+from sceneid.cli import build_parser, main
+from sceneid.config import PipelineConfig
+from sceneid.features import power_spectrogram
 from sceneid.gmm import accumulate_stats
 from sceneid.ivector import extract_ivector
+from sceneid.noisefloor import noise_floor_spectrogram
 from sceneid.pipeline import ModelBundle, features_for_buffers, load_audio
 from sceneid.serialize import sha256_hex
 
@@ -169,22 +173,43 @@ def test_stagewise_training_matches_composite(workspace, capsys):
         assert (stage / made).read_bytes() == (bundle / ref).read_bytes()
 
 
-def test_extract_features_with_dumps(workspace, capsys):
-    corpus = workspace / "corpus"
-    wav = next(corpus.glob("scenes/train_*.wav"))
-    out = workspace / "feats.bin"
-    csv = workspace / "feats.csv"
-    nf = workspace / "nf.bin"
-    spec = workspace / "spec.bin"
-    rc = main(["extract-features", "--audio", str(wav), "--out", str(out),
-               "--csv", str(csv), "--dump-noise-floor", str(nf),
-               "--dump-spectrogram", str(spec)])
-    assert rc == 0
-    feats = load_features(out)
-    assert feats.dim == 76
-    assert load_features(nf).noise_floor is True
-    assert load_features(spec).rows.shape == load_features(nf).rows.shape
-    assert csv.read_text().startswith("frame,f0")
+def test_extract_features_with_dumps(workspace, tmp_path, capsys):
+    # Every output is a CSV that reads back bit for bit: the features equal
+    # the pipeline's, with the noise floor off and on.
+    wav = next((workspace / "corpus").glob("scenes/train_*.wav"))
+    for noise_floor in ("false", "true"):
+        out, nf, spec = (tmp_path / f"{name}-{noise_floor}.csv" for name in ("f", "nf", "spec"))
+        rc = main(["extract-features", "--audio", str(wav), "--out", str(out),
+                   "--dump-noise-floor", str(nf), "--dump-spectrogram", str(spec),
+                   "--set", f"noise_floor={noise_floor}"])
+        assert rc == 0
+        cfg = PipelineConfig().apply_overrides([f"noise_floor={noise_floor}"])
+        buf = load_audio(wav, cfg)
+        (want,) = features_for_buffers([(str(wav), buf)], cfg)
+        assert out.read_text().startswith("frame,f0,f1,")
+        got = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert want.dim == 76
+        assert np.array_equal(got[:, 0], np.arange(want.n_frames))
+        assert np.array_equal(got[:, 1:], want.rows)
+    power = power_spectrogram(frame_signal(buf, cfg.to_feature_config().frame))
+    floor = noise_floor_spectrogram(power, cfg.to_spp_params(), cfg.nf_init_frames)
+    for path, frames in ((spec, power.frames), (nf, floor.frames)):
+        assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:], frames)
+
+
+def test_readme_tables_match_parser_and_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def first_column_keys(heading):
+        section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+        return {key for line in section.splitlines() for key in re.findall(r"\| `([^`]+)`", line)}
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert first_column_keys("CLI") == set(sub.choices)
+    keys = first_column_keys("Configuration")
+    assert "sdc_m,k,n,p" in keys  # one row for the four shifted-delta keys
+    keys = (keys - {"sdc_m,k,n,p"}) | {"sdc_m", "sdc_k", "sdc_n", "sdc_p"}
+    assert keys == set(PipelineConfig.__dataclass_fields__)
 
 
 def test_mix_command(workspace, tmp_path, capsys):
@@ -246,7 +271,12 @@ class TestExitCodes:
                    "--out", str(tmp_path / "b"), "--set", "nonsense=1"])
         assert rc == 2
 
-    @pytest.mark.parametrize("override", ["overlap=1.0", "window=bogus"])
+    @pytest.mark.parametrize("override", [
+        "overlap=1.0", "window=bogus", "frame_ms=inf", "frame_ms=1e308",
+        "fmin_hz=9000", "fmax_hz=20000", "n_mels=0", "n_mels=100000000", "n_ceps=0",
+        "n_ceps=50", "sdc_n=30", "nf_init_frames=0", "psd_floor=nan", "psd_floor=inf",
+        "spp_xi_h1_db=1e308", "seed=-1",
+    ])
     def test_invalid_frame_setting_is_config_code_before_audio(
         self, tmp_path, capsys, override
     ):
@@ -254,10 +284,39 @@ class TestExitCodes:
         manifest = tmp_path / "m.jsonl"
         manifest.write_text('{"path": "ghost.wav", "label": "x"}\n')
         rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "b"),
-                   "--set", override])
+                   "--set", "noise_floor=true", "--set", override])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: [config] ")
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "synth", "mix", "build-corpus"])
+    def test_negative_seed_is_usage_or_config_code(
+        self, workspace, bundle, tmp_path, capsys, command
+    ):
+        corpus = workspace / "corpus"
+        wav = str(next(corpus.glob("scenes/train_*.wav")))
+        out = str(tmp_path / "out")
+        argv = {
+            "train": ["train", "--manifest", str(corpus / "train.jsonl"), "--out", out,
+                      "--set", "seed=-1"],
+            "sweep": ["sweep", "--bundle", str(bundle), "--manifest", str(corpus / "test.jsonl"),
+                      "--speech-pool", str(corpus / "speech_eval.jsonl"), "--sbrs", "5",
+                      "--seed", "-3"],
+            "synth": ["synth", "--out", out, "--seed", "-1"] + TINY_ARGS,
+            "mix": ["mix", "--background", wav, "--speech", wav, "--sbr", "0", "--out", out,
+                    "--seed", "-1"],
+            "build-corpus": ["build-corpus", "--manifest", str(corpus / "train.jsonl"),
+                             "--speech-pool", str(corpus / "speech_train.jsonl"),
+                             "--sbrs", "clean", "--out", out, "--seed", "-1"],
+        }[command]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "seed" in err and "must not be negative" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override", [
         "ubm_components=0", "tv_rank=0", "ubm_iters=-1", "kmeans_iters=-1", "tv_iters=-1",
@@ -285,8 +344,8 @@ class TestExitCodes:
     def test_spectrogram_dump_of_short_clip_is_features_code(self, tmp_path, capsys):
         short = tmp_path / "short.wav"
         write_wav(short, AudioBuffer(0.1 * np.ones(300), 16000))  # under one 640-sample frame
-        rc = main(["extract-features", "--audio", str(short), "--out", str(tmp_path / "f.bin"),
-                   "--dump-spectrogram", str(tmp_path / "s.bin")])
+        rc = main(["extract-features", "--audio", str(short), "--out", str(tmp_path / "f.csv"),
+                   "--dump-spectrogram", str(tmp_path / "s.csv")])
         err = capsys.readouterr().err
         assert rc == 5
         assert err.startswith("error: [features] ") and str(short) in err
@@ -329,14 +388,14 @@ class TestExitCodes:
         elif command == "classify":
             argv = ["classify", "--bundle", str(bundle), "--audio", str(silent)]
         else:
-            argv = ["extract-features", "--audio", str(silent), "--out", str(tmp_path / "f.bin"),
-                    "--dump-spectrogram", str(tmp_path / "s.bin")]
+            argv = ["extract-features", "--audio", str(silent), "--out", str(tmp_path / "f.csv"),
+                    "--dump-spectrogram", str(tmp_path / "s.csv")]
         rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 5
         assert captured.err == f"error: [features] {silent}: recording is digitally silent\n"
         assert captured.out == ""
-        assert not any((tmp_path / name).exists() for name in ("b", "f.bin", "s.bin"))
+        assert not any((tmp_path / name).exists() for name in ("b", "f.csv", "s.csv"))
 
     def test_corrupt_wav_is_audio_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.wav"

@@ -71,7 +71,7 @@ class TestFeaturesForBuffers:
                 recording_id=rid,
             )
             assert np.array_equal(feats.rows, want.rows)
-            assert feats.recording_id == rid and feats.noise_floor == noise_floor
+            assert feats.recording_id == rid
 
     def test_short_clip_in_chunk_is_noise_floor_error_naming_it(self, rng):
         # 2000 samples give 5 frames, one short of what n_init=5 needs.
