@@ -192,7 +192,12 @@ def read_wav(path) -> AudioBuffer:
 
 
 def write_wav(path, buf: AudioBuffer, bits: int = 16) -> None:
-    """Write PCM WAV (16-bit integer or 32-bit float).
+    with open(path, "wb") as fh:
+        fh.write(wav_bytes(buf, bits))
+
+
+def wav_bytes(buf: AudioBuffer, bits: int = 16) -> bytes:
+    """Encode PCM WAV (16-bit integer or 32-bit float).
 
     Amplitudes outside [-1, 1] are rejected rather than wrapped.
     """
@@ -224,9 +229,7 @@ def write_wav(path, buf: AudioBuffer, bits: int = 16) -> None:
         b"data",
         len(payload),
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    return header + payload
 
 
 def downmix_mono(buf: AudioBuffer) -> AudioBuffer:

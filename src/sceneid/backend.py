@@ -11,7 +11,6 @@ classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from io import BytesIO
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -20,7 +19,7 @@ from . import serialize
 from .errors import SceneidError
 
 _BACKEND_MAGIC = b"SCNB"
-_BACKEND_VERSION = 1
+_BACKEND_VERSION = 2  # 1 also stored the derived covariances and ridges
 
 _RIDGE_ATTEMPTS = 12
 
@@ -49,50 +48,48 @@ def _chol_with_ridge(matrix: np.ndarray) -> tuple[tuple, float]:
 
 @dataclass
 class BackendModel:
+    """What training fits: per-class means and covariances, and alpha.
+
+    The shared and blended covariances, their ridges and Cholesky factors
+    are derived from these once, in __post_init__.
+    """
+
     class_labels: list
     mu: np.ndarray  # (L, R)
     sigma_c: np.ndarray  # (L, R, R) per-class covariances
-    sigma_s: np.ndarray  # (R, R) unweighted average of sigma_c
     alpha: float
-    sigma_tilde: np.ndarray  # (L, R, R) blended covariances
-    ridge: np.ndarray  # (L,) ridge applied to each sigma_tilde
-    shared_ridge: float
     class_counts: np.ndarray  # (L,) training sample counts
-    _chol_tilde: list = field(default_factory=list, compare=False, repr=False)
-    _logdet_tilde: np.ndarray = field(default=None, compare=False, repr=False)
-    _chol_shared: tuple = field(default=None, compare=False, repr=False)
+    sigma_s: np.ndarray = field(init=False, repr=False)  # (R, R) mean of sigma_c
+    sigma_tilde: np.ndarray = field(init=False, repr=False)  # (L, R, R) blends
+    ridge: np.ndarray = field(init=False, repr=False)  # (L,) ridge of each blend
+    shared_ridge: float = field(init=False, repr=False)
+    _chol_tilde: list = field(init=False, compare=False, repr=False)
+    _logdet_tilde: np.ndarray = field(init=False, compare=False, repr=False)
+    _chol_shared: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.rebuild_cache()
+        """Blend the covariances and factor each once, adding a ridge only
+        where a factorization fails."""
+        self.sigma_s = self.sigma_c.mean(axis=0)
+        self.sigma_tilde = self.alpha * self.sigma_s + (1.0 - self.alpha) * self.sigma_c
+        factored = [_chol_with_ridge(mat) for mat in self.sigma_tilde]
+        self._chol_tilde = [chol for chol, _ in factored]
+        self.ridge = np.array([eps for _, eps in factored])
+        self._logdet_tilde = np.array(
+            [2.0 * float(np.log(np.diag(chol[0])).sum()) for chol in self._chol_tilde]
+        )
+        self._chol_shared, self.shared_ridge = _chol_with_ridge(self.sigma_s)
 
     @property
     def rank(self) -> int:
         return self.mu.shape[1]
 
-    def rebuild_cache(self) -> None:
-        """Refactorize the blended and shared covariances (after load/train)."""
-        self._chol_tilde = []
-        logdets = []
-        for c in range(len(self.class_labels)):
-            mat = self.sigma_tilde[c]
-            if self.ridge[c] > 0.0:
-                mat = mat + self.ridge[c] * np.eye(self.rank)
-            chol = cho_factor(mat, lower=True)
-            self._chol_tilde.append(chol)
-            logdets.append(2.0 * float(np.log(np.diag(chol[0])).sum()))
-        self._logdet_tilde = np.array(logdets)
-        mat = self.sigma_s
-        if self.shared_ridge > 0.0:
-            mat = mat + self.shared_ridge * np.eye(self.rank)
-        self._chol_shared = cho_factor(mat, lower=True)
-
 
 def train_backend(ivectors: np.ndarray, labels, alpha: float) -> BackendModel:
     """Fit per-class Gaussians with ML (N-denominator) covariances.
 
-    Classes are ordered lexicographically; ridge repair is applied per
-    covariance only when its factorization fails, and the applied epsilons
-    are kept in the model for audit.
+    Classes are ordered lexicographically; the model blends and factors the
+    covariances (BackendModel.__post_init__).
     """
     x = np.asarray(ivectors, dtype=np.float64)
     labels = list(labels)
@@ -118,23 +115,11 @@ def train_backend(ivectors: np.ndarray, labels, alpha: float) -> BackendModel:
         sigma_c[idx] = centered.T @ centered / rows.shape[0]
         counts[idx] = rows.shape[0]
 
-    sigma_s = sigma_c.mean(axis=0)
-    sigma_tilde = alpha * sigma_s + (1.0 - alpha) * sigma_c
-
-    ridge = np.zeros(len(class_labels))
-    for idx in range(len(class_labels)):
-        _, ridge[idx] = _chol_with_ridge(sigma_tilde[idx])
-    _, shared_ridge = _chol_with_ridge(sigma_s)
-
     return BackendModel(
         class_labels=class_labels,
         mu=mu,
         sigma_c=sigma_c,
-        sigma_s=sigma_s,
         alpha=float(alpha),
-        sigma_tilde=sigma_tilde,
-        ridge=ridge,
-        shared_ridge=float(shared_ridge),
         class_counts=counts,
     )
 
@@ -175,42 +160,29 @@ def classify_many(model: BackendModel, w_matrix: np.ndarray, mode: str = MODE_CL
     return [model.class_labels[i] for i in scores.argmax(axis=1)]
 
 
-def save_backend(model: BackendModel, path) -> None:
-    buf = BytesIO()
+def backend_to_bytes(model: BackendModel) -> bytes:
+    buf = serialize.new_container(_BACKEND_MAGIC, _BACKEND_VERSION)
     serialize.pack_u32(buf, len(model.class_labels))
     for lab in model.class_labels:
         serialize.pack_str(buf, lab)
     serialize.pack_f64(buf, model.alpha)
-    serialize.pack_f64(buf, model.shared_ridge)
     serialize.pack_array(buf, model.mu)
     serialize.pack_array(buf, model.sigma_c)
-    serialize.pack_array(buf, model.sigma_s)
-    serialize.pack_array(buf, model.sigma_tilde)
-    serialize.pack_array(buf, model.ridge)
     serialize.pack_array(buf, model.class_counts)
-    serialize.write_container(path, _BACKEND_MAGIC, _BACKEND_VERSION, buf.getvalue())
+    return buf.getvalue()
 
 
-def load_backend(path, raw: bytes | None = None) -> BackendModel:
-    fh = serialize.read_container(path, _BACKEND_MAGIC, _BACKEND_VERSION, raw)
+def backend_from_bytes(raw: bytes) -> BackendModel:
+    fh = serialize.open_container(raw, _BACKEND_MAGIC, _BACKEND_VERSION)
     n_classes = serialize.unpack_u32(fh)
     labels = [serialize.unpack_str(fh) for _ in range(n_classes)]
     alpha = serialize.unpack_f64(fh)
-    shared_ridge = serialize.unpack_f64(fh)
     mu = serialize.unpack_array(fh)
     sigma_c = serialize.unpack_array(fh)
-    sigma_s = serialize.unpack_array(fh)
-    sigma_tilde = serialize.unpack_array(fh)
-    ridge = serialize.unpack_array(fh)
     counts = serialize.unpack_array(fh)
-    return BackendModel(
-        class_labels=labels,
-        mu=mu,
-        sigma_c=sigma_c,
-        sigma_s=sigma_s,
-        alpha=alpha,
-        sigma_tilde=sigma_tilde,
-        ridge=ridge,
-        shared_ridge=shared_ridge,
-        class_counts=counts,
-    )
+    rank = mu.shape[-1] if mu.ndim == 2 else -1
+    if (mu.shape, sigma_c.shape, counts.shape) != (
+        (n_classes, rank), (n_classes, rank, rank), (n_classes,)
+    ):
+        raise serialize.ContainerError("inconsistent backend dimensions")
+    return BackendModel(labels, mu, sigma_c, alpha, counts)

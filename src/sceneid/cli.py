@@ -19,10 +19,10 @@ from . import gmm as gmm_mod
 from . import ivector as ivector_mod
 from . import mixer as mixer_mod
 from . import pipeline as pipe
-from .audio import frame_signal, read_wav, write_wav
+from .audio import frame_signal, read_wav, wav_bytes
 from .config import ConfigError, PipelineConfig, parse_sbr_token
 from .errors import SceneidError
-from .features import FeatureMatrix, export_csv, power_spectrogram
+from .features import FeatureMatrix, feature_csv, power_spectrogram
 from .manifest import CorpusManifest, ManifestError
 from .mixer import NoActivityError, RateMismatchError, SilentSignalError
 from .noisefloor import NoiseFloorError, noise_floor_spectrogram
@@ -43,8 +43,11 @@ EXIT_CODES = {
 
 
 def _load_config(args) -> PipelineConfig:
+    cfg = (
+        pipe.read_model_file(PipelineConfig.from_bytes, args.config)
+        if args.config else PipelineConfig()
+    )
     with pipe.stage(pipe.STAGE_CONFIG, ConfigError):
-        cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
         return cfg.apply_overrides(args.set)
 
 
@@ -85,15 +88,16 @@ def _add_fold_args(parser):
 
 
 def cmd_synth(args) -> int:
-    paths = generate_corpus(
-        args.out,
-        n_classes=args.classes,
-        train_per_class=args.train_per_class,
-        test_per_class=args.test_per_class,
-        clip_seconds=args.clip_seconds,
-        sample_rate=args.sample_rate,
-        seed=args.seed,
-    )
+    with pipe.stage(pipe.STAGE_CONFIG, OSError, item=args.out):
+        paths = generate_corpus(
+            args.out,
+            n_classes=args.classes,
+            train_per_class=args.train_per_class,
+            test_per_class=args.test_per_class,
+            clip_seconds=args.clip_seconds,
+            sample_rate=args.sample_rate,
+            seed=args.seed,
+        )
     print(json.dumps({k: str(v) for k, v in sorted(paths.items())}, indent=2))
     return 0
 
@@ -108,7 +112,8 @@ def cmd_mix(args) -> int:
             background, speech, args.sbr, args.seed,
             background_id=args.background, speech_id=args.speech,
         )
-        write_wav(args.out, mixed)
+        data = wav_bytes(mixed)
+    pipe.write_output(args.out, data)
     print(json.dumps(asdict(spec), sort_keys=True))
     return 0
 
@@ -128,6 +133,10 @@ def cmd_build_corpus(args) -> int:
     return 0
 
 
+def _write_csv(path, feats: FeatureMatrix) -> None:
+    pipe.write_output(path, feature_csv(feats).encode("utf-8"))
+
+
 def cmd_extract_features(args) -> int:
     cfg = _load_config(args)
     buf = pipe.load_audio(args.audio, cfg)
@@ -136,12 +145,12 @@ def cmd_extract_features(args) -> int:
         with pipe.stage(pipe.STAGE_FEATURES, SceneidError, ValueError, item=args.audio):
             spec = power_spectrogram(frame_signal(buf, cfg.to_feature_config().frame))
         if args.dump_spectrogram:
-            export_csv(FeatureMatrix(spec.frames), args.dump_spectrogram)
+            _write_csv(args.dump_spectrogram, FeatureMatrix(spec.frames))
         if args.dump_noise_floor:
             with pipe.stage(pipe.STAGE_NOISE_FLOOR, NoiseFloorError):
                 floor = noise_floor_spectrogram(spec, cfg.to_spp_params(), cfg.nf_init_frames)
-            export_csv(FeatureMatrix(floor.frames), args.dump_noise_floor)
-    export_csv(feats, args.out)
+            _write_csv(args.dump_noise_floor, FeatureMatrix(floor.frames))
+    _write_csv(args.out, feats)
     print(f"{args.out}: {feats.n_frames} frames x {feats.dim} dims")
     return 0
 
@@ -150,7 +159,7 @@ def cmd_train_ubm(args) -> int:
     cfg = _load_config(args)
     manifest = _load_manifest(args.manifest, args.fold, args.exclude_fold)
     ubm = pipe.train_ubm(cfg, pipe.manifest_features(manifest, cfg))
-    gmm_mod.save_gmm(ubm, args.out)
+    pipe.write_output(args.out, gmm_mod.gmm_to_bytes(ubm))
     fit = f"final LL {ubm.ll_history[-1]:.6f}" if ubm.ll_history else "k-means only, no EM"
     print(f"{args.out}: {ubm.n_components} components, {fit}")
     return 0
@@ -159,10 +168,10 @@ def cmd_train_ubm(args) -> int:
 def cmd_train_tv(args) -> int:
     cfg = _load_config(args)
     manifest = _load_manifest(args.manifest, args.fold, args.exclude_fold)
-    ubm = pipe.load_model_file(gmm_mod.load_gmm, args.ubm)
+    ubm = pipe.read_model_file(gmm_mod.gmm_from_bytes, args.ubm)
     stats = pipe.collect_stats(ubm, pipe.manifest_features(manifest, cfg))
     tv = pipe.train_tv(cfg, ubm, stats)
-    ivector_mod.save_tv(tv, args.out)
+    pipe.write_output(args.out, ivector_mod.tv_to_bytes(tv))
     print(f"{args.out}: rank {tv.rank}")
     return 0
 
@@ -170,11 +179,12 @@ def cmd_train_tv(args) -> int:
 def cmd_extract_ivectors(args) -> int:
     cfg = _load_config(args)
     manifest = _load_manifest(args.manifest, args.fold, args.exclude_fold)
-    ubm = pipe.load_model_file(gmm_mod.load_gmm, args.ubm)
-    tv = pipe.load_model_file(ivector_mod.load_tv, args.tv)
+    ubm = pipe.read_model_file(gmm_mod.gmm_from_bytes, args.ubm)
+    tv = pipe.read_model_file(ivector_mod.tv_from_bytes, args.tv)
     stats = pipe.collect_stats(ubm, pipe.manifest_features(manifest, cfg))
     w = pipe.extract_ivectors(tv, ubm, stats)
-    ivector_mod.save_ivectors([e.path for e in manifest.entries], w, args.out)
+    ids = [e.path for e in manifest.entries]
+    pipe.write_output(args.out, ivector_mod.ivectors_to_bytes(ids, w))
     print(f"{args.out}: {w.shape[0]} iVectors of rank {w.shape[1]}")
     return 0
 
@@ -182,7 +192,7 @@ def cmd_extract_ivectors(args) -> int:
 def cmd_train_backend(args) -> int:
     cfg = _load_config(args)
     manifest = _load_manifest(args.manifest)
-    ids, w = pipe.load_model_file(ivector_mod.load_ivectors, args.ivectors)
+    ids, w = pipe.read_model_file(ivector_mod.ivectors_from_bytes, args.ivectors)
     by_path = {e.path: e.label for e in manifest.entries}
     missing = [rid for rid in ids if rid not in by_path]
     if missing:
@@ -190,7 +200,7 @@ def cmd_train_backend(args) -> int:
             pipe.STAGE_MANIFEST, f"no manifest labels for {len(missing)} iVector ids"
         )
     model = pipe.train_backend(cfg, w, [by_path[rid] for rid in ids])
-    backend_mod.save_backend(model, args.out)
+    pipe.write_output(args.out, backend_mod.backend_to_bytes(model))
     print(f"{args.out}: {len(model.class_labels)} classes, alpha {model.alpha}")
     return 0
 
@@ -225,7 +235,7 @@ def cmd_classify(args) -> int:
     ]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        pipe.write_output(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0

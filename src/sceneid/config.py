@@ -1,15 +1,15 @@
 """Pipeline configuration with paper-default hyperparameters.
 
 Configs round-trip through a plain `key = value` text format (one pair per
-line, `#` comments). The snapshot writer is canonical: every field in
-declaration order, so identical configs serialize to identical bytes.
+line, `#` comments); the pipeline reads and writes the files. The snapshot
+writer is canonical: every field in declaration order, so identical configs
+serialize to identical bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 
 from .audio import FrameConfig
 from .errors import SceneidError
@@ -80,9 +80,6 @@ class PipelineConfig:
             lines.append(f"{f.name} = {_format_value(getattr(self, f.name))}")
         return "\n".join(lines) + "\n"
 
-    def save(self, path) -> None:
-        Path(path).write_text(self.snapshot_text(), encoding="utf-8")
-
     def apply_overrides(self, pairs) -> "PipelineConfig":
         """Return a copy with `key=value` strings applied."""
         cfg = dataclasses.replace(self)
@@ -94,44 +91,39 @@ class PipelineConfig:
         return cfg._validated()
 
     @classmethod
-    def load(cls, path, raw: bytes | None = None) -> "PipelineConfig":
-        """Parse a config file; `raw` is its content when already read."""
-        path = Path(path)
-        if raw is None:
-            if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
-            raw = path.read_bytes()
+    def from_bytes(cls, raw: bytes) -> "PipelineConfig":
+        """Parse the `key = value` text of a config file."""
         cfg = cls()
         for lineno, line in enumerate(raw.decode("utf-8").splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                raise ConfigError(f"line {lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
             try:
                 _set_field(cfg, key.strip(), value.strip())
             except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        return cfg._validated(f"{path}: ")
+                raise ConfigError(f"line {lineno}: {exc}") from exc
+        return cfg._validated()
 
-    def _validated(self, source: str = "") -> "PipelineConfig":
+    def _validated(self) -> "PipelineConfig":
         """Check model sizes, counts and the seed, and build the feature and
         tracker configs once, so a value they reject fails here as a
         ConfigError, before any audio is read."""
         for key in ("ubm_components", "tv_rank", "nf_init_frames"):
             if getattr(self, key) < 1:
-                raise ConfigError(f"{source}{key} must be at least 1, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         for key in ("ubm_iters", "kmeans_iters", "tv_iters", "seed"):
             if getattr(self, key) < 0:
-                raise ConfigError(f"{source}{key} must not be negative, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must not be negative, got {getattr(self, key)}")
         if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"{source}alpha must lie in [0, 1], got {self.alpha}")
+            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         try:
             self.to_feature_config()
             self.to_spp_params()
         except ValueError as exc:
-            raise ConfigError(f"{source}{exc}") from exc
+            raise ConfigError(str(exc)) from exc
         return self
 
 

@@ -19,6 +19,9 @@ from .errors import SceneidError
 
 MEL_LOG_FLOOR = 1e-10  # added to band energies before log; keeps silence finite
 
+# Widest feature row a config may ask for: n_ceps + (2k+1)n is 76 in the paper.
+MAX_FEATURE_DIM = 1024
+
 
 class FeatureDimError(SceneidError):
     """Shapes of spectrogram, filter bank or feature matrix do not line up."""
@@ -244,6 +247,11 @@ class FeatureConfig:
             raise ValueError(f"need 1 <= n_ceps <= n_mels={self.n_mels}, got {self.n_ceps}")
         if self.use_sdc and self.sdc.n > self.n_ceps:
             raise ValueError(f"sdc_n={self.sdc.n} exceeds n_ceps={self.n_ceps}")
+        if self.use_sdc and self.n_ceps + self.sdc.appended_dim > MAX_FEATURE_DIM:
+            raise ValueError(
+                f"feature width n_ceps + (2*sdc_k+1)*sdc_n = "
+                f"{self.n_ceps + self.sdc.appended_dim} exceeds {MAX_FEATURE_DIM}"
+            )
 
     def fft_size(self) -> int:
         return 1 << (self.frame.frame_len(self.sample_rate) - 1).bit_length()
@@ -341,10 +349,9 @@ def extract_features_many(
     return out
 
 
-def export_csv(feats: FeatureMatrix, path) -> None:
+def feature_csv(feats: FeatureMatrix) -> str:
     """Lossless CSV: a `frame,f0,...` header, then per row the frame index and
     the `repr` of each float64 value, which reads back to the same bits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frame," + ",".join(f"f{i}" for i in range(feats.dim)) + "\n")
-        for t, row in enumerate(feats.rows):
-            fh.write(f"{t}," + ",".join(repr(float(v)) for v in row) + "\n")
+    lines = ["frame," + ",".join(f"f{i}" for i in range(feats.dim))]
+    lines += [f"{t}," + ",".join(repr(float(v)) for v in row) for t, row in enumerate(feats.rows)]
+    return "\n".join(lines) + "\n"

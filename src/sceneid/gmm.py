@@ -9,7 +9,6 @@ variability extractor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from io import BytesIO
 
 import numpy as np
 from scipy.special import logsumexp
@@ -204,8 +203,8 @@ def accumulate_stats(model: GmmModel, feats) -> SufficientStats:
     return SufficientStats(n, f)
 
 
-def _gmm_payload(model: GmmModel) -> bytes:
-    buf = BytesIO()
+def gmm_to_bytes(model: GmmModel) -> bytes:
+    buf = serialize.new_container(_GMM_MAGIC, _GMM_VERSION)
     serialize.pack_u32(buf, model.n_components)
     serialize.pack_u32(buf, model.n_features)
     serialize.pack_array(buf, model.weights)
@@ -217,16 +216,13 @@ def _gmm_payload(model: GmmModel) -> bytes:
 
 
 def gmm_checksum(model: GmmModel) -> str:
-    """Content hash used to bind downstream models to this UBM."""
-    return serialize.sha256_hex(_gmm_payload(model))
+    """Content hash of the container payload, used to bind downstream models
+    to this UBM."""
+    return serialize.sha256_hex(memoryview(gmm_to_bytes(model))[serialize.HEADER_BYTES:])
 
 
-def save_gmm(model: GmmModel, path) -> None:
-    serialize.write_container(path, _GMM_MAGIC, _GMM_VERSION, _gmm_payload(model))
-
-
-def load_gmm(path, raw: bytes | None = None) -> GmmModel:
-    fh = serialize.read_container(path, _GMM_MAGIC, _GMM_VERSION, raw)
+def gmm_from_bytes(raw: bytes) -> GmmModel:
+    fh = serialize.open_container(raw, _GMM_MAGIC, _GMM_VERSION)
     n_components = serialize.unpack_u32(fh)
     n_features = serialize.unpack_u32(fh)
     weights = serialize.unpack_array(fh)
@@ -235,5 +231,5 @@ def load_gmm(path, raw: bytes | None = None) -> GmmModel:
     floor = serialize.unpack_array(fh)
     seed = serialize.unpack_u64(fh)
     if means.shape != (n_components, n_features):
-        raise serialize.ContainerError(f"{path}: inconsistent GMM dimensions")
+        raise serialize.ContainerError("inconsistent GMM dimensions")
     return GmmModel(weights, means, variances, floor, seed=seed)

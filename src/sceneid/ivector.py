@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from io import BytesIO
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr
@@ -306,47 +305,47 @@ def tv_evidence(tv: TvMatrix, ubm: GmmModel, stats_list) -> float:
     return total
 
 
-def save_tv(tv: TvMatrix, path) -> None:
-    buf = BytesIO()
+def tv_to_bytes(tv: TvMatrix) -> bytes:
+    buf = serialize.new_container(_TV_MAGIC, _TV_VERSION)
     serialize.pack_u32(buf, tv.t.shape[0])
     serialize.pack_u32(buf, tv.t.shape[1])
     serialize.pack_u32(buf, tv.t.shape[2])
     serialize.pack_str(buf, tv.ubm_checksum)
     serialize.pack_array(buf, tv.t)
-    serialize.write_container(path, _TV_MAGIC, _TV_VERSION, buf.getvalue())
+    return buf.getvalue()
 
 
-def load_tv(path, raw: bytes | None = None) -> TvMatrix:
-    fh = serialize.read_container(path, _TV_MAGIC, _TV_VERSION, raw)
+def tv_from_bytes(raw: bytes) -> TvMatrix:
+    fh = serialize.open_container(raw, _TV_MAGIC, _TV_VERSION)
     c = serialize.unpack_u32(fh)
     f = serialize.unpack_u32(fh)
     r = serialize.unpack_u32(fh)
     checksum = serialize.unpack_str(fh)
     t = serialize.unpack_array(fh)
     if t.shape != (c, f, r):
-        raise serialize.ContainerError(f"{path}: inconsistent T dimensions")
+        raise serialize.ContainerError("inconsistent T dimensions")
     return TvMatrix(t, checksum)
 
 
-def save_ivectors(ids, w_matrix: np.ndarray, path) -> None:
+def ivectors_to_bytes(ids, w_matrix: np.ndarray) -> bytes:
     """Recording-id keyed batch of iVectors."""
     ids = list(ids)
     w_matrix = np.asarray(w_matrix, dtype=np.float64)
     if w_matrix.ndim != 2 or w_matrix.shape[0] != len(ids):
         raise IVectorError("need one iVector row per recording id")
-    buf = BytesIO()
+    buf = serialize.new_container(_IVEC_MAGIC, _IVEC_VERSION)
     serialize.pack_u32(buf, len(ids))
     for rid in ids:
         serialize.pack_str(buf, rid)
     serialize.pack_array(buf, w_matrix)
-    serialize.write_container(path, _IVEC_MAGIC, _IVEC_VERSION, buf.getvalue())
+    return buf.getvalue()
 
 
-def load_ivectors(path) -> tuple[list[str], np.ndarray]:
-    fh = serialize.read_container(path, _IVEC_MAGIC, _IVEC_VERSION)
+def ivectors_from_bytes(raw: bytes) -> tuple[list[str], np.ndarray]:
+    fh = serialize.open_container(raw, _IVEC_MAGIC, _IVEC_VERSION)
     count = serialize.unpack_u32(fh)
     ids = [serialize.unpack_str(fh) for _ in range(count)]
     w = serialize.unpack_array(fh)
-    if w.shape[0] != count:
-        raise serialize.ContainerError(f"{path}: iVector count mismatch")
+    if w.ndim != 2 or w.shape[0] != count:
+        raise serialize.ContainerError("iVector count mismatch")
     return ids, w

@@ -138,7 +138,7 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        write_output(path, self.to_json().encode("utf-8"))
 
     def text_table(self) -> str:
         width = max((len(lab) for lab in self.labels), default=5) + 2
@@ -166,63 +166,76 @@ class ModelBundle:
     backend: backend_mod.BackendModel
 
     def save(self, bundle_dir) -> None:
+        """Write the four model files and `bundle.json`, which lists their
+        SHA-256 hashes, each file opened once."""
         bundle_dir = Path(bundle_dir)
-        bundle_dir.mkdir(parents=True, exist_ok=True)
-        self.config.save(bundle_dir / "config.txt")
-        gmm_mod.save_gmm(self.ubm, bundle_dir / "ubm.gmm")
-        ivector_mod.save_tv(self.tv, bundle_dir / "tv.tvm")
-        backend_mod.save_backend(self.backend, bundle_dir / "backend.gbe")
-        index = {
-            "version": 1,
-            "root_seed": self.config.seed,
-            "files": {
-                name: sha256_hex((bundle_dir / name).read_bytes()) for name in _BUNDLE_FILES
-            },
+        with _file_errors(bundle_dir):
+            bundle_dir.mkdir(parents=True, exist_ok=True)
+        encoded = {
+            "config.txt": self.config.snapshot_text().encode("utf-8"),
+            "ubm.gmm": gmm_mod.gmm_to_bytes(self.ubm),
+            "tv.tvm": ivector_mod.tv_to_bytes(self.tv),
+            "backend.gbe": backend_mod.backend_to_bytes(self.backend),
         }
-        (bundle_dir / "bundle.json").write_text(
-            json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        for name, data in encoded.items():
+            write_output(bundle_dir / name, data)
+        index = {"files": {name: sha256_hex(data) for name, data in encoded.items()}}
+        write_output(
+            bundle_dir / "bundle.json",
+            (json.dumps(index, sort_keys=True, indent=2) + "\n").encode("utf-8"),
         )
 
     @classmethod
     def load(cls, bundle_dir) -> "ModelBundle":
         """Load a bundle whose index lists, and checksums, exactly its files.
 
-        Every failure to read a bundle file is a config-stage error naming it.
+        Every file is read before any is parsed. Every failure to read a
+        bundle file is a config-stage error naming it.
         """
         bundle_dir = Path(bundle_dir)
         for name in _BUNDLE_FILES + ("bundle.json",):
             if not (bundle_dir / name).exists():
                 raise PipelineStageError(STAGE_CONFIG, f"bundle file missing: {name}")
-        with stage(STAGE_CONFIG, OSError, ValueError, item=bundle_dir / "bundle.json"):
-            index = json.loads((bundle_dir / "bundle.json").read_text(encoding="utf-8"))
+        index = read_model_file(json.loads, bundle_dir / "bundle.json")
         files = index.get("files") if isinstance(index, dict) else None
         if not isinstance(files, dict) or sorted(files) != sorted(_BUNDLE_FILES):
             raise PipelineStageError(
                 STAGE_CONFIG, f"bundle.json must list exactly the files {list(_BUNDLE_FILES)}"
             )
-        raw = {}  # each file is read once: hashed, then parsed from the same bytes
-        for name, expect in files.items():
-            with stage(STAGE_CONFIG, OSError, item=bundle_dir / name):
-                raw[name] = (bundle_dir / name).read_bytes()
-            if sha256_hex(raw[name]) != expect:
+        raw = {  # every file is read before any is parsed
+            name: read_model_file(lambda data: data, bundle_dir / name) for name in _BUNDLE_FILES
+        }
+        for name, data in raw.items():
+            if sha256_hex(data) != files[name]:
                 raise PipelineStageError(STAGE_CONFIG, f"bundle file corrupted: {name}")
+
+        def decoded(decode, name):
+            with _file_errors(bundle_dir / name):
+                return decode(raw.pop(name))
+
         return cls(
-            config=load_model_file(
-                PipelineConfig.load, bundle_dir / "config.txt", raw.pop("config.txt")
-            ),
-            ubm=load_model_file(gmm_mod.load_gmm, bundle_dir / "ubm.gmm", raw.pop("ubm.gmm")),
-            tv=load_model_file(ivector_mod.load_tv, bundle_dir / "tv.tvm", raw.pop("tv.tvm")),
-            backend=load_model_file(
-                backend_mod.load_backend, bundle_dir / "backend.gbe", raw.pop("backend.gbe")
-            ),
+            config=decoded(PipelineConfig.from_bytes, "config.txt"),
+            ubm=decoded(gmm_mod.gmm_from_bytes, "ubm.gmm"),
+            tv=decoded(ivector_mod.tv_from_bytes, "tv.tvm"),
+            backend=decoded(backend_mod.backend_from_bytes, "backend.gbe"),
         )
 
 
-def load_model_file(loader, path, raw: bytes | None = None):
-    """Read one model or config file with `loader`, from `raw` when its bytes
-    are already in hand; any failure is a config error."""
-    with stage(STAGE_CONFIG, OSError, SceneidError, ValueError, item=path):
-        return loader(path) if raw is None else loader(path, raw)
+def _file_errors(path):
+    """Failing to read, parse or write `path` is a config-stage error naming it."""
+    return stage(STAGE_CONFIG, OSError, SceneidError, ValueError, item=path)
+
+
+def read_model_file(decode, path):
+    """Read a model, config or iVector file and decode its bytes with `decode`."""
+    with _file_errors(path):
+        return decode(Path(path).read_bytes())
+
+
+def write_output(path, data: bytes) -> None:
+    """Write an output file: a model, a report, features or audio."""
+    with _file_errors(path):
+        Path(path).write_bytes(data)
 
 
 def load_audio(path, config: PipelineConfig) -> AudioBuffer:

@@ -1,8 +1,9 @@
 """Low-level helpers for the versioned little-endian model containers.
 
 Every model file is magic (4 bytes) + version (u16) + a sequence of fields
-written by the pack_* helpers. Writers are deterministic: identical inputs
+written by the pack_* helpers. Encoders are deterministic: identical inputs
 produce identical bytes, which the pipeline relies on for reproducibility.
+Nothing here touches a file: the pipeline reads and writes the bytes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from io import BytesIO
 import numpy as np
 
 from .errors import SceneidError
+
+
+HEADER_BYTES = 6  # magic and version
 
 
 class ContainerError(SceneidError):
@@ -87,26 +91,23 @@ def _take(fh, n: int) -> bytes:
     return data
 
 
-def write_container(path, magic: bytes, version: int, payload: bytes) -> None:
-    with open(path, "wb") as out:
-        out.write(magic)
-        out.write(struct.pack("<H", version))
-        out.write(payload)
+def new_container(magic: bytes, version: int) -> BytesIO:
+    """A buffer holding magic and version; the encoder packs its fields after
+    them and takes the file's bytes with getvalue()."""
+    fh = BytesIO()
+    fh.write(magic + struct.pack("<H", version))
+    return fh
 
 
-def read_container(path, magic: bytes, version: int, raw: bytes | None = None) -> BytesIO:
-    """Check magic and version and return the payload; `raw` is the file's
-    content when the caller has already read it, else the file is read."""
-    if raw is None:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    if len(raw) < 6 or raw[:4] != magic:
-        raise ContainerError(f"{path}: wrong or missing magic (expected {magic!r})")
-    (found,) = struct.unpack("<H", raw[4:6])
+def open_container(raw: bytes, magic: bytes, version: int) -> BytesIO:
+    """Check magic and version and return a reader positioned at the payload."""
+    if len(raw) < HEADER_BYTES or raw[:4] != magic:
+        raise ContainerError(f"wrong or missing magic (expected {magic!r})")
+    (found,) = struct.unpack("<H", raw[4:HEADER_BYTES])
     if found != version:
-        raise ContainerError(f"{path}: container version {found}, expected {version}")
+        raise ContainerError(f"container version {found}, expected {version}")
     fh = BytesIO(raw)  # shares raw's buffer; slicing would copy the payload
-    fh.seek(6)
+    fh.seek(HEADER_BYTES)
     return fh
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from sceneid.cli import build_parser, main
 from sceneid.config import PipelineConfig
 from sceneid.features import power_spectrogram
 from sceneid.gmm import accumulate_stats
-from sceneid.ivector import extract_ivector
+from sceneid.ivector import extract_ivector, ivectors_to_bytes
 from sceneid.noisefloor import noise_floor_spectrogram
 from sceneid.pipeline import ModelBundle, features_for_buffers, load_audio
 from sceneid.serialize import sha256_hex
@@ -275,7 +276,7 @@ class TestExitCodes:
         "overlap=1.0", "window=bogus", "frame_ms=inf", "frame_ms=1e308",
         "fmin_hz=9000", "fmax_hz=20000", "n_mels=0", "n_mels=100000000", "n_ceps=0",
         "n_ceps=50", "sdc_n=30", "nf_init_frames=0", "psd_floor=nan", "psd_floor=inf",
-        "spp_xi_h1_db=1e308", "seed=-1",
+        "spp_xi_h1_db=1e308", "seed=-1", "sdc_k=1000", "sdc_k=100000000",
     ])
     def test_invalid_frame_setting_is_config_code_before_audio(
         self, tmp_path, capsys, override
@@ -521,6 +522,13 @@ def _damage_backend_magic_rehashed(d):
     _rehash(d, "backend.gbe")
 
 
+def _damage_backend_version_1_rehashed(d):
+    # Version 1 also stored the derived covariances; such a bundle is retrained.
+    data = (d / "backend.gbe").read_bytes()
+    (d / "backend.gbe").write_bytes(data[:4] + struct.pack("<H", 1) + data[6:])
+    _rehash(d, "backend.gbe")
+
+
 def _damage_ubm_replaced_by_directory(d):
     (d / "ubm.gmm").unlink()
     (d / "ubm.gmm").mkdir()
@@ -533,6 +541,7 @@ def _damage_ubm_replaced_by_directory(d):
     (_damage_config_from_before_mct_removal, "mct_sbrs"),
     (_damage_tv_byte_flipped, "tv.tvm"),
     (_damage_backend_magic_rehashed, "backend.gbe"),
+    (_damage_backend_version_1_rehashed, "backend.gbe: container version 1, expected 2"),
     (_damage_ubm_replaced_by_directory, "ubm.gmm"),
 ])
 def test_bad_bundle_is_config_code(workspace, bundle, tmp_path, capsys, damage, named):
@@ -546,18 +555,76 @@ def test_bad_bundle_is_config_code(workspace, bundle, tmp_path, capsys, damage, 
     assert err.startswith("error: [config] ") and named in err
 
 
-def test_bundle_files_are_read_once(bundle, monkeypatch):
-    # Each file is hashed and parsed from one read.
+def test_bundle_files_are_read_once(bundle, tmp_path, monkeypatch):
+    # Each file is hashed and parsed from one read; saving opens each file
+    # once, to write it, and reads none back.
     opened = []
+    written = []
 
     def counting(real):
         def wrapper(file, *args, **kwargs):
-            opened.append(Path(file).name)
+            mode = args[0] if args else kwargs.get("mode", "r")
+            (written if "w" in mode else opened).append(Path(file).name)
             return real(file, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(io, "open", counting(io.open))
     monkeypatch.setattr(builtins, "open", counting(builtins.open))
-    ModelBundle.load(bundle)
+    loaded = ModelBundle.load(bundle)
     assert sorted(opened) == sorted(["bundle.json", "config.txt", "ubm.gmm", "tv.tvm",
                                      "backend.gbe"])
+    assert written == []
+    opened.clear()
+    loaded.save(tmp_path / "again")
+    assert opened == []
+    assert sorted(written) == sorted(["bundle.json", "config.txt", "ubm.gmm", "tv.tvm",
+                                      "backend.gbe"])
+    monkeypatch.undo()
+    assert json.loads((tmp_path / "again" / "bundle.json").read_text()).keys() == {"files"}
+    for name in ("config.txt", "ubm.gmm", "tv.tvm", "backend.gbe", "bundle.json"):
+        assert (tmp_path / "again" / name).read_bytes() == (bundle / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["train", "--manifest", "TRAIN", "--out", "FILE"] + TINY_SET, "FILE"),
+    (["train-ubm", "--manifest", "TRAIN", "--out", "MISSING"] + TINY_SET, "MISSING"),
+    (["train-tv", "--manifest", "TRAIN", "--ubm", "UBM", "--out", "MISSING"] + TINY_SET,
+     "MISSING"),
+    (["extract-ivectors", "--manifest", "TRAIN", "--ubm", "UBM", "--tv", "TV",
+      "--out", "MISSING"], "MISSING"),
+    (["train-backend", "--manifest", "TRAIN", "--ivectors", "IVEC", "--out", "MISSING"],
+     "MISSING"),
+    (["classify", "--bundle", "BUNDLE", "--audio", "WAV", "--out", "MISSING"], "MISSING"),
+    (["evaluate", "--bundle", "BUNDLE", "--manifest", "TEST", "--out", "MISSING"], "MISSING"),
+    (["sweep", "--bundle", "BUNDLE", "--manifest", "TEST", "--out", "MISSING"], "MISSING"),
+    (["extract-features", "--audio", "WAV", "--out", "MISSING"], "MISSING"),
+    (["extract-features", "--audio", "WAV", "--out", "OK", "--dump-spectrogram", "MISSING"],
+     "MISSING"),
+    (["extract-features", "--audio", "WAV", "--out", "OK", "--dump-noise-floor", "MISSING"],
+     "MISSING"),
+    (["mix", "--background", "WAV", "--speech", "SPEECH", "--sbr", "5", "--out", "MISSING"],
+     "MISSING"),
+    (["synth", "--out", "FILE"] + TINY_ARGS, "FILE"),
+], ids=["train-over-file", "train-ubm", "train-tv", "extract-ivectors", "train-backend",
+        "classify", "evaluate", "sweep", "extract-features", "dump-spectrogram",
+        "dump-noise-floor", "mix", "synth-over-file"])
+def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, argv, bad):
+    corpus = workspace / "corpus"
+    manifest = [json.loads(line) for line in (corpus / "train.jsonl").read_text().splitlines()]
+    ivectors = tmp_path / "w.ivec"
+    ivectors.write_bytes(ivectors_to_bytes(
+        [e["path"] for e in manifest], np.random.default_rng(0).normal(size=(len(manifest), 4))
+    ))
+    (tmp_path / "file").write_text("")
+    subst = {
+        "TRAIN": corpus / "train.jsonl", "TEST": corpus / "test.jsonl", "BUNDLE": bundle,
+        "UBM": bundle / "ubm.gmm", "TV": bundle / "tv.tvm", "IVEC": ivectors,
+        "WAV": next(corpus.glob("scenes/test_*.wav")),
+        "SPEECH": next(corpus.glob("speech/*.wav")),
+        "FILE": tmp_path / "file", "MISSING": tmp_path / "missing" / "out",
+        "OK": tmp_path / "ok.csv",
+    }
+    rc = main([str(subst.get(a, a)) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: [config] ") and str(subst[bad]) in err

@@ -6,10 +6,10 @@ from sceneid.gmm import (
     GmmModel,
     accumulate_stats,
     gmm_checksum,
-    load_gmm,
+    gmm_from_bytes,
+    gmm_to_bytes,
     log_likelihood,
     responsibilities,
-    save_gmm,
     train_ubm,
 )
 
@@ -190,11 +190,9 @@ class TestAccumulateStats:
 
 
 class TestSerialization:
-    def test_roundtrip(self, tmp_path, rng):
+    def test_roundtrip(self, rng):
         model = random_model(rng)
-        path = tmp_path / "m.gmm"
-        save_gmm(model, path)
-        back = load_gmm(path)
+        back = gmm_from_bytes(gmm_to_bytes(model))
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.means, model.means)
         assert np.array_equal(back.variances, model.variances)

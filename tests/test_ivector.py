@@ -14,12 +14,12 @@ from sceneid.ivector import (
     extract_ivector,
     extract_ivectors,
     init_tv_pca,
-    load_ivectors,
-    load_tv,
-    save_ivectors,
-    save_tv,
+    ivectors_from_bytes,
+    ivectors_to_bytes,
     train_tv,
     tv_evidence,
+    tv_from_bytes,
+    tv_to_bytes,
 )
 from sceneid.serialize import ContainerError
 
@@ -404,38 +404,30 @@ class TestTrainTv:
 
 
 class TestSerialization:
-    def test_tv_roundtrip(self, tmp_path, rng):
+    def test_tv_roundtrip(self, rng):
         ubm = make_ubm(rng)
         tv = make_tv(rng, ubm, rank=2)
-        path = tmp_path / "t.tvm"
-        save_tv(tv, path)
-        back = load_tv(path)
+        back = tv_from_bytes(tv_to_bytes(tv))
         assert np.array_equal(back.t, tv.t)
         assert back.ubm_checksum == tv.ubm_checksum
 
-    def test_loaded_t_is_an_owned_writeable_copy(self, tmp_path, rng):
+    def test_loaded_t_is_an_owned_writeable_copy(self, rng):
         ubm = make_ubm(rng, 4, 3)
         tv = make_tv(rng, ubm, rank=5)
-        path = tmp_path / "t.tvm"
-        save_tv(tv, path)
-        back = load_tv(path, path.read_bytes())
+        back = tv_from_bytes(tv_to_bytes(tv))
         assert back.t.flags.writeable and back.t.flags.owndata
         assert np.array_equal(back.t, tv.t)
 
-    def test_truncated_tv_rejected(self, tmp_path, rng):
+    def test_truncated_tv_rejected(self, rng):
         ubm = make_ubm(rng)
-        path = tmp_path / "t.tvm"
-        save_tv(make_tv(rng, ubm, rank=2), path)
-        path.write_bytes(path.read_bytes()[:-1])
+        raw = tv_to_bytes(make_tv(rng, ubm, rank=2))
         with pytest.raises(ContainerError, match="truncated"):
-            load_tv(path)
+            tv_from_bytes(raw[:-1])
 
-    def test_ivector_batch_roundtrip(self, tmp_path, rng):
+    def test_ivector_batch_roundtrip(self, rng):
         ids = ["a.wav", "b.wav", "c.wav"]
         w = rng.normal(0, 1, (3, 4))
-        path = tmp_path / "w.ivec"
-        save_ivectors(ids, w, path)
-        ids_back, w_back = load_ivectors(path)
+        ids_back, w_back = ivectors_from_bytes(ivectors_to_bytes(ids, w))
         assert ids_back == ids
         assert np.array_equal(w_back, w)
 

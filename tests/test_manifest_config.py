@@ -110,15 +110,12 @@ class TestConfig:
         assert cfg.alpha == 0.7
         assert cfg.sample_rate == 16000
 
-    def test_snapshot_roundtrip_byte_identical(self, tmp_path):
+    def test_snapshot_roundtrip_byte_identical(self):
         cfg = PipelineConfig(noise_floor=True, seed=99)
-        p1 = tmp_path / "c1.txt"
-        cfg.save(p1)
-        loaded = PipelineConfig.load(p1)
+        text = cfg.snapshot_text()
+        loaded = PipelineConfig.from_bytes(text.encode("utf-8"))
         assert loaded == cfg
-        p2 = tmp_path / "c2.txt"
-        loaded.save(p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert loaded.snapshot_text() == text
 
     def test_overrides(self):
         cfg = PipelineConfig().apply_overrides(
@@ -141,7 +138,7 @@ class TestConfig:
     def test_file_with_comments(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# comment\nubm_components = 64\n\nalpha = 0.3 # inline\n")
-        cfg = PipelineConfig.load(path)
+        cfg = PipelineConfig.from_bytes(path.read_bytes())
         assert cfg.ubm_components == 64
         assert cfg.alpha == 0.3
 
@@ -168,7 +165,7 @@ class TestConfig:
         except ConfigError:
             return
         text = cfg.snapshot_text()
-        back = PipelineConfig.load("config.txt", text.encode("utf-8"))
+        back = PipelineConfig.from_bytes(text.encode("utf-8"))
         assert back == cfg
         assert back.snapshot_text() == text
         try:
