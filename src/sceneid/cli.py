@@ -122,13 +122,16 @@ def cmd_build_corpus(args) -> int:
     manifest = _load_manifest(args.manifest)
     pool = _load_manifest(args.speech_pool)
     sbrs = _parse_sbrs(args.sbrs)
+    with pipe.stage(pipe.STAGE_CONFIG, OSError, item=args.out):
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     with pipe.stage(pipe.STAGE_MIXER, SceneidError, ValueError, OSError):
         out = mixer_mod.build_multicondition_corpus(
             manifest, sbrs, pool, args.seed, args.out,
             exclude_speakers=args.exclude_speaker,
         )
     out_path = Path(args.out) / "manifest.jsonl"
-    out.save(out_path)
+    with pipe.stage(pipe.STAGE_CONFIG, OSError, item=out_path):
+        out.save(out_path)
     print(out_path)
     return 0
 

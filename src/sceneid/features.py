@@ -22,6 +22,10 @@ MEL_LOG_FLOOR = 1e-10  # added to band energies before log; keeps silence finite
 # Widest feature row a config may ask for: n_ceps + (2k+1)n is 76 in the paper.
 MAX_FEATURE_DIM = 1024
 
+# Largest SDC spread m or block step p, in frames. Shifts only move clamped
+# frame indices, so larger ones change nothing on any real clip.
+MAX_SDC_SHIFT = 10_000
+
 
 class FeatureDimError(SceneidError):
     """Shapes of spectrogram, filter bank or feature matrix do not line up."""
@@ -251,6 +255,10 @@ class FeatureConfig:
             raise ValueError(
                 f"feature width n_ceps + (2*sdc_k+1)*sdc_n = "
                 f"{self.n_ceps + self.sdc.appended_dim} exceeds {MAX_FEATURE_DIM}"
+            )
+        if self.use_sdc and max(self.sdc.m, self.sdc.p) > MAX_SDC_SHIFT:
+            raise ValueError(
+                f"sdc_m={self.sdc.m} and sdc_p={self.sdc.p} must be at most {MAX_SDC_SHIFT} frames"
             )
 
     def fft_size(self) -> int:

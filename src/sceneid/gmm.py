@@ -22,6 +22,8 @@ _GMM_VERSION = 1
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+_TINY = np.finfo(np.float64).tiny  # smallest normal double
+
 # Variances never drop below this times the pooled per-dimension variance.
 _VAR_FLOOR_SCALE = 1e-3
 
@@ -98,10 +100,17 @@ def log_likelihood(model: GmmModel, frame) -> float:
 
 
 def _e_step(model: GmmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior gamma_t(c), shape (T, C), and the per-frame log-likelihood, (T,)."""
+    """Posterior gamma_t(c), shape (T, C), and the per-frame log-likelihood, (T,).
+
+    Posteriors below the smallest normal double are set to exact zero: they
+    add nothing to a sum of normal-sized counts, and every BLAS product over
+    the statistics built from them would take the slow subnormal path.
+    """
     log_joint = _weighted_log_densities(model, x)
     per_frame = logsumexp(log_joint, axis=1)
-    return np.exp(log_joint - per_frame[:, None]), per_frame
+    gamma = np.exp(log_joint - per_frame[:, None])
+    gamma[gamma < _TINY] = 0.0
+    return gamma, per_frame
 
 
 def responsibilities(model: GmmModel, x: np.ndarray) -> np.ndarray:

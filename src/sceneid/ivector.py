@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr
-from scipy.linalg.lapack import dormqr
+from scipy.linalg.lapack import dormqr, dpotri
 
 from . import serialize
 from .errors import SceneidError
@@ -249,7 +249,6 @@ def train_tv(stats_list, ubm: GmmModel, rank: int, n_iters: int = 5) -> TvMatrix
     tv = init_tv_pca(stats_list, ubm, rank)
     n, f = _stats_arrays(stats_list)
     c, fdim = ubm.means.shape
-    eye = np.eye(rank)
 
     for _ in range(n_iters):
         op = _TvOperator(tv, ubm)
@@ -257,9 +256,10 @@ def train_tv(stats_list, ubm: GmmModel, rank: int, n_iters: int = 5) -> TvMatrix
         eww = np.empty((len(stats_list), rank, rank))
         for rows in _chunks(len(stats_list)):
             w[rows], chol = op.posterior(n[rows], f[rows])
-            eww[rows] = [
-                cho_solve((low, True), eye) + np.outer(w_i, w_i) for low, w_i in zip(chol, w[rows])
-            ]
+            for i, low in enumerate(chol, rows.start):
+                cov = dpotri(low, lower=1)[0]  # lower triangle of (L L')^-1; upper stays 0
+                cov += np.tril(cov, -1).T
+                np.add(cov, np.outer(w[i], w[i]), out=eww[i])
         del op  # frees the Gram stack before the M-step allocates its sums
         # Sums over recordings, so one GEMM each: sum_i n_ic E[ww']_i and sum_i f_i w_i'.
         acc_a = (n.T @ eww.reshape(len(w), rank * rank)).reshape(c, rank, rank)

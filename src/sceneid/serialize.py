@@ -69,19 +69,19 @@ def unpack_str(fh) -> str:
 
 def unpack_array(fh: BytesIO) -> np.ndarray:
     """Read an array written by pack_array, copying its payload once out of
-    the container's buffer."""
+    the container's bytes."""
     ndim = struct.unpack("<B", _take(fh, 1))[0]
     shape = tuple(unpack_u32(fh) for _ in range(ndim))
     count = int(np.prod(shape)) if shape else 1
     start = fh.tell()
-    with fh.getbuffer() as buffer:
-        if len(buffer) - start < 8 * count:
-            raise ContainerError("container truncated")
-        view = np.frombuffer(buffer, dtype="<f8", count=count, offset=start)
-        data = view.reshape(shape).astype(np.float64)
-        del view  # the buffer cannot be released while a view exports it
+    # The bytes open_container wrapped, returned without a copy while fh
+    # shares them; getbuffer() would copy them first.
+    raw = fh.getvalue()
+    if len(raw) - start < 8 * count:
+        raise ContainerError("container truncated")
+    view = np.frombuffer(raw, dtype="<f8", count=count, offset=start)
     fh.seek(start + 8 * count)
-    return data
+    return view.reshape(shape).astype(np.float64)
 
 
 def _take(fh, n: int) -> bytes:

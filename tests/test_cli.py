@@ -4,14 +4,18 @@ import importlib
 import importlib.util
 import io
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sceneid
 from sceneid import backend as backend_mod
 from sceneid.audio import AudioBuffer, frame_signal, read_wav, write_wav
 from sceneid.backend import score
@@ -213,6 +217,18 @@ def test_readme_tables_match_parser_and_config():
     assert keys == set(PipelineConfig.__dataclass_fields__)
 
 
+def test_module_runs_cli(tmp_path):
+    """`python -m sceneid` is the CLI, exit code included."""
+    src = Path(sceneid.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "sceneid", "train", "--manifest", "m.jsonl",
+         "--out", "b", "--set", "nonsense=1"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [config] unknown config key 'nonsense'\n"
+
+
 def test_mix_command(workspace, tmp_path, capsys):
     corpus = workspace / "corpus"
     bg = next(corpus.glob("scenes/train_*.wav"))
@@ -277,6 +293,7 @@ class TestExitCodes:
         "fmin_hz=9000", "fmax_hz=20000", "n_mels=0", "n_mels=100000000", "n_ceps=0",
         "n_ceps=50", "sdc_n=30", "nf_init_frames=0", "psd_floor=nan", "psd_floor=inf",
         "spp_xi_h1_db=1e308", "seed=-1", "sdc_k=1000", "sdc_k=100000000",
+        "sdc_p=100000000000000000000", "sdc_m=100000000000000000000",
     ])
     def test_invalid_frame_setting_is_config_code_before_audio(
         self, tmp_path, capsys, override
@@ -605,9 +622,14 @@ def test_bundle_files_are_read_once(bundle, tmp_path, monkeypatch):
     (["mix", "--background", "WAV", "--speech", "SPEECH", "--sbr", "5", "--out", "MISSING"],
      "MISSING"),
     (["synth", "--out", "FILE"] + TINY_ARGS, "FILE"),
+    (["build-corpus", "--manifest", "TRAIN", "--speech-pool", "POOL", "--sbrs", "5",
+      "--out", "FILE"], "FILE"),
+    (["build-corpus", "--manifest", "TRAIN", "--speech-pool", "POOL", "--sbrs", "clean",
+      "--out", "TAKEN"], "TAKEN"),
 ], ids=["train-over-file", "train-ubm", "train-tv", "extract-ivectors", "train-backend",
         "classify", "evaluate", "sweep", "extract-features", "dump-spectrogram",
-        "dump-noise-floor", "mix", "synth-over-file"])
+        "dump-noise-floor", "mix", "synth-over-file", "build-corpus-over-file",
+        "build-corpus-manifest-is-a-directory"])
 def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, argv, bad):
     corpus = workspace / "corpus"
     manifest = [json.loads(line) for line in (corpus / "train.jsonl").read_text().splitlines()]
@@ -616,13 +638,14 @@ def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, a
         [e["path"] for e in manifest], np.random.default_rng(0).normal(size=(len(manifest), 4))
     ))
     (tmp_path / "file").write_text("")
+    (tmp_path / "taken" / "manifest.jsonl").mkdir(parents=True)
     subst = {
         "TRAIN": corpus / "train.jsonl", "TEST": corpus / "test.jsonl", "BUNDLE": bundle,
         "UBM": bundle / "ubm.gmm", "TV": bundle / "tv.tvm", "IVEC": ivectors,
         "WAV": next(corpus.glob("scenes/test_*.wav")),
-        "SPEECH": next(corpus.glob("speech/*.wav")),
+        "SPEECH": next(corpus.glob("speech/*.wav")), "POOL": corpus / "speech_train.jsonl",
         "FILE": tmp_path / "file", "MISSING": tmp_path / "missing" / "out",
-        "OK": tmp_path / "ok.csv",
+        "OK": tmp_path / "ok.csv", "TAKEN": tmp_path / "taken",
     }
     rc = main([str(subst.get(a, a)) for a in argv])
     err = capsys.readouterr().err

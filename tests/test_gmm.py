@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from sceneid.gmm import (
     GmmError,
@@ -32,6 +33,26 @@ def oracle_log_density(model, x):
         quad = np.sum((x - mu) ** 2 / var)
         total += np.longdouble(model.weights[c]) * norm * np.exp(-0.5 * quad)
     return float(np.log(total))
+
+
+def naive_stats(model, x):
+    """Baum-Welch statistics frame by frame from the densities themselves."""
+    n_naive = np.zeros(model.n_components)
+    f_naive = np.zeros_like(model.means)
+    for t in range(x.shape[0]):
+        dens = np.array(
+            [
+                model.weights[c]
+                * np.prod(1 / np.sqrt(2 * np.pi * model.variances[c]))
+                * np.exp(-0.5 * np.sum((x[t] - model.means[c]) ** 2 / model.variances[c]))
+                for c in range(model.n_components)
+            ]
+        )
+        gamma = dens / dens.sum()
+        n_naive += gamma
+        for c in range(model.n_components):
+            f_naive[c] += gamma[c] * (x[t] - model.means[c])
+    return n_naive, f_naive
 
 
 class TestTrainUbm:
@@ -140,22 +161,29 @@ class TestAccumulateStats:
         model = random_model(rng, n_components=3, n_features=2)
         x = rng.normal(0, 2, (40, 2))
         stats = accumulate_stats(model, x)
+        n_naive, f_naive = naive_stats(model, x)
+        np.testing.assert_allclose(stats.n, n_naive, atol=1e-10)
+        np.testing.assert_allclose(stats.f, f_naive, atol=1e-10)
 
-        n_naive = np.zeros(3)
-        f_naive = np.zeros((3, 2))
-        for t in range(x.shape[0]):
-            dens = np.array(
-                [
-                    model.weights[c]
-                    * np.prod(1 / np.sqrt(2 * np.pi * model.variances[c]))
-                    * np.exp(-0.5 * np.sum((x[t] - model.means[c]) ** 2 / model.variances[c]))
-                    for c in range(3)
-                ]
-            )
-            gamma = dens / dens.sum()
-            n_naive += gamma
-            for c in range(3):
-                f_naive[c] += gamma[c] * (x[t] - model.means[c])
+    def test_subnormal_posteriors_are_zero(self):
+        # Component 1 sits 40 standard deviations from component 0, so frames
+        # between them give it log-posteriors from about -1200 to 0, through
+        # the range (-745, -708) where exp() returns a subnormal.
+        tiny = np.finfo(np.float64).tiny
+        model = GmmModel(
+            np.array([0.5, 0.5]), np.array([[0.0], [40.0]]), np.ones((2, 1)), np.full(1, 1e-10)
+        )
+        x = np.linspace(-10.0, 20.0, 301)[:, None]
+        log_joint = np.log(0.5) - 0.5 * (np.log(2 * np.pi) + (x - model.means[:, 0]) ** 2)
+        log_post = log_joint - logsumexp(log_joint, axis=1, keepdims=True)
+        assert np.any((log_post > -745.0) & (log_post < np.log(tiny)))
+
+        gamma = responsibilities(model, x)
+        stats = accumulate_stats(model, x)
+        for values in (gamma, stats.n, stats.f):
+            assert not np.any((values != 0) & (np.abs(values) < tiny))
+        np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
+        n_naive, f_naive = naive_stats(model, x)
         np.testing.assert_allclose(stats.n, n_naive, atol=1e-10)
         np.testing.assert_allclose(stats.f, f_naive, atol=1e-10)
 

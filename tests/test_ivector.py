@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -417,6 +418,20 @@ class TestSerialization:
         back = tv_from_bytes(tv_to_bytes(tv))
         assert back.t.flags.writeable and back.t.flags.owndata
         assert np.array_equal(back.t, tv.t)
+
+    def test_decoding_copies_the_payload_once(self):
+        # 64 x 64 x 256 doubles: an 8 MB payload, far above the decoder's
+        # own small allocations.
+        t = np.arange(64 * 64 * 256, dtype=np.float64).reshape(64, 64, 256)
+        raw = tv_to_bytes(TvMatrix(t, "0" * 64))
+        tracemalloc.start()
+        try:
+            back = tv_from_bytes(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.t, t)
+        assert t.nbytes <= peak < 1.5 * t.nbytes
 
     def test_truncated_tv_rejected(self, rng):
         ubm = make_ubm(rng)
