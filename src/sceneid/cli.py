@@ -268,6 +268,32 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# Options that name an output file, and the commands whose `--out` is a
+# directory they create, parents included.
+_OUTPUT_FILES = ("out", "dump_spectrogram", "dump_noise_floor")
+_OUTPUT_DIRECTORIES = (cmd_synth, cmd_build_corpus, cmd_train)
+
+
+def _check_outputs(args) -> None:
+    """Config stage, before any work and without creating anything: an output
+    file's directory exists, and an output directory is, or can be made, a
+    directory."""
+    if args.func in _OUTPUT_DIRECTORIES:
+        path = Path(args.out)
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+        if not nearest.is_dir():
+            raise pipe.PipelineStageError(
+                pipe.STAGE_CONFIG, f"{path}: {nearest} is not a directory"
+            )
+        return
+    for name in _OUTPUT_FILES:
+        path = getattr(args, name, None)
+        if path is not None and not Path(path).parent.is_dir():
+            raise pipe.PipelineStageError(
+                pipe.STAGE_CONFIG, f"{path}: no such directory: {Path(path).parent}"
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sceneid",
@@ -379,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except pipe.PipelineStageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ jointly when the sum would clip, so the ratio is preserved exactly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -201,10 +202,13 @@ def build_multicondition_corpus(
     out_entries: list[ManifestEntry] = []
     for ci, cond in enumerate(conditions):
         if cond is None:
-            # Pass-through: keep records but resolve paths so they stay
-            # readable from the output manifest's directory.
+            # Pass-through: keep records. A relative path moves from the input
+            # manifest's directory to out_dir, which the output manifest
+            # resolves it against; an absolute one stays as it is.
             out_entries.extend(
-                replace(e, path=str(manifest.resolve(e))) for e in manifest.entries
+                e if Path(e.path).is_absolute()
+                else replace(e, path=os.path.relpath(manifest.resolve(e), out_dir))
+                for e in manifest.entries
             )
             continue
         tag = condition_tag(cond)

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -17,6 +18,7 @@ import pytest
 
 import sceneid
 from sceneid import backend as backend_mod
+from sceneid import cli, pipeline
 from sceneid.audio import AudioBuffer, frame_signal, read_wav, write_wav
 from sceneid.backend import score
 from sceneid.cli import build_parser, main
@@ -215,6 +217,28 @@ def test_readme_tables_match_parser_and_config():
     assert "sdc_m,k,n,p" in keys  # one row for the four shifted-delta keys
     keys = (keys - {"sdc_m,k,n,p"}) | {"sdc_m", "sdc_k", "sdc_n", "sdc_p"}
     assert keys == set(PipelineConfig.__dataclass_fields__)
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """README's Quick start runs as written, from a relative working directory,
+    with tiny corpus and model sizes appended."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sceneid ")]
+    assert [c[0] for c in commands] == [
+        "synth", "train", "evaluate", "sweep", "build-corpus", "train"
+    ]
+    tiny = {
+        "synth": TINY_ARGS,
+        "train": ["--set", "ubm_components=8", "--set", "ubm_iters=2", "--set", "kmeans_iters=2",
+                  "--set", "tv_rank=4", "--set", "tv_iters=1"],
+    }
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv + tiny.get(argv[0], [])) == 0, argv
+        capsys.readouterr()
+    assert (tmp_path / "bundle_mct" / "bundle.json").is_file()
 
 
 def test_module_runs_cli(tmp_path):
@@ -602,8 +626,15 @@ def test_bundle_files_are_read_once(bundle, tmp_path, monkeypatch):
         assert (tmp_path / "again" / name).read_bytes() == (bundle / name).read_bytes(), name
 
 
+def test_output_directories_are_created_with_parents(tmp_path, capsys):
+    out = tmp_path / "new" / "nested" / "corpus"
+    assert main(["synth", "--out", str(out), "--seed", "1"] + TINY_ARGS) == 0
+    assert (out / "train.jsonl").is_file()
+
+
 @pytest.mark.parametrize("argv, bad", [
     (["train", "--manifest", "TRAIN", "--out", "FILE"] + TINY_SET, "FILE"),
+    (["train", "--manifest", "TRAIN", "--out", "UNDER_FILE"] + TINY_SET, "UNDER_FILE"),
     (["train-ubm", "--manifest", "TRAIN", "--out", "MISSING"] + TINY_SET, "MISSING"),
     (["train-tv", "--manifest", "TRAIN", "--ubm", "UBM", "--out", "MISSING"] + TINY_SET,
      "MISSING"),
@@ -626,11 +657,12 @@ def test_bundle_files_are_read_once(bundle, tmp_path, monkeypatch):
       "--out", "FILE"], "FILE"),
     (["build-corpus", "--manifest", "TRAIN", "--speech-pool", "POOL", "--sbrs", "clean",
       "--out", "TAKEN"], "TAKEN"),
-], ids=["train-over-file", "train-ubm", "train-tv", "extract-ivectors", "train-backend",
-        "classify", "evaluate", "sweep", "extract-features", "dump-spectrogram",
+], ids=["train-over-file", "train-under-file", "train-ubm", "train-tv", "extract-ivectors",
+        "train-backend", "classify", "evaluate", "sweep", "extract-features", "dump-spectrogram",
         "dump-noise-floor", "mix", "synth-over-file", "build-corpus-over-file",
         "build-corpus-manifest-is-a-directory"])
-def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, argv, bad):
+def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, monkeypatch,
+                                          argv, bad):
     corpus = workspace / "corpus"
     manifest = [json.loads(line) for line in (corpus / "train.jsonl").read_text().splitlines()]
     ivectors = tmp_path / "w.ivec"
@@ -644,9 +676,20 @@ def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, a
         "UBM": bundle / "ubm.gmm", "TV": bundle / "tv.tvm", "IVEC": ivectors,
         "WAV": next(corpus.glob("scenes/test_*.wav")),
         "SPEECH": next(corpus.glob("speech/*.wav")), "POOL": corpus / "speech_train.jsonl",
-        "FILE": tmp_path / "file", "MISSING": tmp_path / "missing" / "out",
+        "FILE": tmp_path / "file", "UNDER_FILE": tmp_path / "file" / "bundle",
+        "MISSING": tmp_path / "missing" / "out",
         "OK": tmp_path / "ok.csv", "TAKEN": tmp_path / "taken",
     }
+
+    def work_started(*args, **kwargs):
+        raise AssertionError("the output was checked only after work began")
+
+    # The check comes before any audio is read or any model is trained.
+    # build-corpus's --out is a directory it makes first; the manifest it
+    # writes there last is not checked early.
+    for name in ("manifest_features", "load_audio", "train_backend"):
+        monkeypatch.setattr(pipeline, name, work_started)
+    monkeypatch.setattr(cli, "read_wav", work_started)
     rc = main([str(subst.get(a, a)) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from sceneid import gmm
 from sceneid.gmm import (
     GmmError,
     GmmModel,
@@ -55,6 +56,55 @@ def naive_stats(model, x):
     return n_naive, f_naive
 
 
+def logsumexp_oracle(model, x):
+    """Posteriors and per-frame log-likelihoods of the whole frame matrix at
+    once, from direct differences and scipy's logsumexp."""
+    with np.errstate(divide="ignore"):
+        log_w = np.log(model.weights)
+    log_joint = log_w - 0.5 * (
+        np.log(2 * np.pi * model.variances).sum(axis=1)
+        + ((x[:, None, :] - model.means) ** 2 / model.variances).sum(axis=2)
+    )
+    per_frame = logsumexp(log_joint, axis=1)
+    return np.exp(log_joint - per_frame[:, None]), per_frame
+
+
+def reference_kmeans_plus_plus(x, k, rng, n_iters):
+    """k-means++ as one (N, F) difference per seeded centre and one mask pass
+    per cluster and Lloyd iteration. Also returns the (cluster, owner) pairs of
+    every re-seed on the farthest frame, owner being the cluster that frame
+    was assigned to before the iteration's first re-seed."""
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[c] = x[rng.integers(n)]
+        else:
+            centers[c] = x[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
+
+    x_sq = (x**2).sum(axis=1)
+    assign = np.zeros(n, dtype=np.int64)
+    reseeds = []
+    for _ in range(n_iters):
+        dists = x_sq[:, None] - 2.0 * (x @ centers.T) + (centers**2).sum(axis=1)
+        assign = dists.argmin(axis=1)
+        owner = assign[dists.min(axis=1).argmax()]
+        for c in range(k):
+            mask = assign == c
+            if mask.any():
+                centers[c] = x[mask].mean(axis=0)
+            else:
+                far = dists.min(axis=1).argmax()
+                centers[c] = x[far]
+                assign[far] = c
+                reseeds.append((c, owner))
+    return centers, assign, reseeds
+
+
 class TestTrainUbm:
     def test_two_cluster_recovery(self, rng):
         truth = np.array([[-5.0, 0.0], [5.0, 0.0]])
@@ -106,6 +156,92 @@ class TestTrainUbm:
         b = train_ubm(x, 4, n_iters=5, seed=7)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.weights, b.weights)
+
+    def test_ll_history_is_plain_floats(self, rng):
+        model = train_ubm(rng.normal(0, 1, (300, 3)), 3, n_iters=4, seed=0)
+        assert [type(v) for v in model.ll_history] == [float] * 4
+
+
+class TestBlockedEStep:
+    """The E-step runs over blocks of gmm._FRAME_BLOCK frames. Every consumer
+    must match the whole-matrix oracle across two full blocks and a ragged
+    third one."""
+
+    @pytest.fixture
+    def frames(self, rng):
+        return rng.normal(0, 2, (2 * gmm._FRAME_BLOCK + 17, 3))
+
+    def test_responsibilities_match_oracle(self, rng, frames):
+        model = random_model(rng)
+        gamma, _ = logsumexp_oracle(model, frames)
+        np.testing.assert_allclose(responsibilities(model, frames), gamma, rtol=0, atol=1e-12)
+
+    def test_stats_match_oracle(self, rng, frames):
+        model = random_model(rng)
+        gamma, _ = logsumexp_oracle(model, frames)
+        stats = accumulate_stats(model, frames)
+        n = gamma.sum(axis=0)
+        np.testing.assert_allclose(stats.n, n, rtol=1e-12)
+        f = gamma.T @ frames - n[:, None] * model.means
+        np.testing.assert_allclose(stats.f, f, rtol=1e-12, atol=1e-12 * np.abs(f).max())
+
+    def test_em_matches_oracle(self, frames):
+        # One EM step from m1 gives m2: its log-likelihood entry is m1's mean
+        # per-frame log-likelihood, and its parameters are the M-step of m1's
+        # posteriors.
+        m1 = train_ubm(frames, 4, n_iters=1, seed=3, kmeans_iters=2)
+        m2 = train_ubm(frames, 4, n_iters=2, seed=3, kmeans_iters=2)
+        gamma, per_frame = logsumexp_oracle(m1, frames)
+        assert m2.ll_history[0] == m1.ll_history[0]
+        assert m2.ll_history[1] == pytest.approx(per_frame.mean(), rel=1e-12)
+        nk = gamma.sum(axis=0)
+        means = gamma.T @ frames / nk[:, None]
+        variances = gamma.T @ frames**2 / nk[:, None] - means**2
+        np.testing.assert_allclose(m2.weights, nk / frames.shape[0], rtol=1e-12)
+        np.testing.assert_allclose(m2.means, means, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(m2.variances, np.maximum(variances, m2.var_floor), rtol=1e-11)
+
+    def test_log_likelihood_matches_oracle(self, rng, frames):
+        model = random_model(rng)
+        _, per_frame = logsumexp_oracle(model, frames[:20])
+        for x, expected in zip(frames[:20], per_frame):
+            assert log_likelihood(model, x) == pytest.approx(expected, rel=1e-12)
+
+
+class TestKmeansPlusPlus:
+    """The GEMV seeding and bincount Lloyd update give the reference loop's
+    centres and assignments bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n, k, n_iters", [(500, 8, 1), (500, 8, 10), (60, 20, 5)])
+    def test_matches_reference(self, seed, n, k, n_iters):
+        x = np.random.default_rng(100 + seed).normal(0, 1.5, (n, 6))
+        centers, assign = gmm._kmeans_plus_plus(x, k, np.random.default_rng(seed), n_iters)
+        ref_centers, ref_assign, _ = reference_kmeans_plus_plus(
+            x, k, np.random.default_rng(seed), n_iters
+        )
+        assert np.array_equal(centers, ref_centers)
+        assert np.array_equal(assign, ref_assign)
+
+    @pytest.mark.parametrize("n_iters", [0, 3])
+    def test_empty_clusters_match_reference(self, n_iters):
+        # Five distinct frames, repeated, for eight clusters: the seeding runs
+        # out of distance mass and draws frames uniformly (what n_iters=0
+        # returns), so Lloyd empties clusters. Across the seeds, the farthest
+        # frame's own cluster comes both before and after the first empty one.
+        events = []
+        for seed in range(12):
+            x = np.tile(np.random.default_rng(seed).normal(0, 1, (5, 76)), (7, 1))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            centers, assign = gmm._kmeans_plus_plus(x, 8, rng, n_iters)
+            ref_centers, ref_assign, reseeds = reference_kmeans_plus_plus(x, 8, ref_rng, n_iters)
+            assert np.array_equal(centers, ref_centers)
+            assert np.array_equal(assign, ref_assign)
+            assert rng.random() == ref_rng.random()  # the same draws were taken
+            events += reseeds
+        if n_iters:
+            assert any(c < owner for c, owner in events)
+            assert any(c > owner for c, owner in events)
 
 
 class TestLogLikelihood:
@@ -215,6 +351,14 @@ class TestAccumulateStats:
         model = random_model(rng)
         with pytest.raises(GmmError):
             accumulate_stats(model, np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, rng, bad):
+        model = random_model(rng)
+        x = rng.normal(0, 2, (50, 3))
+        x[7, 2] = bad
+        with pytest.raises(GmmError, match="NaN or infinity"):
+            accumulate_stats(model, x)
 
 
 class TestSerialization:
