@@ -118,6 +118,9 @@ def cmd_mix(args) -> int:
     return 0
 
 
+_CORPUS_MANIFEST = "manifest.jsonl"  # written into build-corpus's --out
+
+
 def cmd_build_corpus(args) -> int:
     manifest = _load_manifest(args.manifest)
     pool = _load_manifest(args.speech_pool)
@@ -129,7 +132,7 @@ def cmd_build_corpus(args) -> int:
             manifest, sbrs, pool, args.seed, args.out,
             exclude_speakers=args.exclude_speaker,
         )
-    out_path = Path(args.out) / "manifest.jsonl"
+    out_path = Path(args.out) / _CORPUS_MANIFEST
     with pipe.stage(pipe.STAGE_CONFIG, OSError, item=out_path):
         out.save(out_path)
     print(out_path)
@@ -276,14 +279,19 @@ _OUTPUT_DIRECTORIES = (cmd_synth, cmd_build_corpus, cmd_train)
 
 def _check_outputs(args) -> None:
     """Config stage, before any work and without creating anything: an output
-    file's directory exists, and an output directory is, or can be made, a
-    directory."""
+    file's directory exists, an output directory is, or can be made, a
+    directory, and build-corpus's manifest is a regular file if it exists."""
     if args.func in _OUTPUT_DIRECTORIES:
         path = Path(args.out)
         nearest = next(p for p in (path, *path.parents) if p.exists())
         if not nearest.is_dir():
             raise pipe.PipelineStageError(
                 pipe.STAGE_CONFIG, f"{path}: {nearest} is not a directory"
+            )
+        manifest = path / _CORPUS_MANIFEST
+        if args.func is cmd_build_corpus and manifest.exists() and not manifest.is_file():
+            raise pipe.PipelineStageError(
+                pipe.STAGE_CONFIG, f"{manifest}: exists and is not a regular file"
             )
         return
     for name in _OUTPUT_FILES:

@@ -29,21 +29,16 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # Soft counts below this are raised to it in the PCA residual f_c / n_c.
 _PCA_N_FLOOR = 1e-2
 
-# Recordings whose posteriors are stacked at once: keeps the (chunk, R, R)
-# precision and factor stacks small. Results do not depend on it.
-IVECTOR_CHUNK = 16
+# Rows of every posterior GEMM: each chunk of recordings is zero-padded to
+# this many rows, so the GEMM shape, and with it every row's rounding, never
+# depends on how many recordings share a call. It also keeps the (chunk, R, R)
+# precision and factor stacks small.
+IVECTOR_CHUNK = 8
 
 # Rows per block of the stored Gram: each block keeps columns from its first
 # row to R, so the upper block-triangle is stored (15,000 of 22,500 entries at
 # R=150).
 _GRAM_ROW_BLOCK = 50
-
-# Column width of the stored-Gram blocks the precision matvecs visit: 1 MB per
-# block at C=256.
-_GRAM_BLOCK = 512
-
-# Rows of Sigma^-1 T per block of the linear term: 1.2 MB per block at R=150.
-_LINEAR_BLOCK = 1024
 
 
 class IVectorError(SceneidError):
@@ -108,21 +103,25 @@ class _TvOperator:
     """The iVector E-step of a T bound to its UBM.
 
     Caches Sigma^-1 T as a (C*F, R) matrix and the upper block-triangle of
-    the per-component Gram matrices T_c' Sigma_c^-1 T_c as a (C, S) matrix,
-    both built with BLAS: row block [lo, hi) of every Gram keeps its columns
-    lo..R-1, so S = sum over blocks of (hi - lo) * (R - lo). Each recording's
-    precision and linear term are per-row matvecs over fixed blocks of these
-    matrices, so one block stays in cache across a chunk's rows. Every block
-    partition depends only on (C, F, R), so a row of the output never
-    depends on how many recordings share the call or which ones: a stacked
-    GEMM over the rows would round differently for different batch sizes.
+    the per-component Gram matrices T_c' Sigma_c^-1 T_c as a (C, S) matrix:
+    row block [lo, hi) of every Gram keeps its columns lo..R-1, so S = sum
+    over blocks of (hi - lo) * (R - lo). A component's Gram is built on
+    first use, when some recording occupies it; until then its row is zero,
+    which gives the same bits, since its count is zero wherever it is used.
+
+    Each chunk's precisions and linear terms are two GEMMs over exactly
+    IVECTOR_CHUNK zero-padded rows. The GEMM shape depends only on (C, F, R),
+    so every row goes through the same kernel in the same order and a row of
+    the output never depends on how many recordings share the call or which
+    ones; a GEMM over a varying number of rows would round differently.
     """
 
     def __init__(self, tv: TvMatrix, ubm: GmmModel):
         _check_binding(tv, ubm)
         c, f, r = tv.t.shape
-        t_over_var = tv.t / ubm.variances[:, :, None]  # Sigma_c^{-1} T_c
-        self.tov2d = t_over_var.reshape(c * f, r)
+        self._t = tv.t
+        self._t_over_var = tv.t / ubm.variances[:, :, None]  # Sigma_c^{-1} T_c
+        self.tov2d = self._t_over_var.reshape(c * f, r)
         self.rank = r
         self._eye = np.eye(r)
         # (lo, hi, columns of the stored upper part) per Gram row block.
@@ -132,46 +131,41 @@ class _TvOperator:
             hi = min(lo + _GRAM_ROW_BLOCK, r)
             self._row_blocks.append((lo, hi, slice(size, size + (hi - lo) * (r - lo))))
             size += (hi - lo) * (r - lo)
-        self.gram_upper = np.empty((c, size))
-        t_trans = tv.t.transpose(0, 2, 1)
-        for lo, hi, cols in self._row_blocks:
-            out = self.gram_upper[:, cols].reshape(c, hi - lo, r - lo)  # a view
-            np.matmul(t_trans[:, lo:hi], t_over_var[:, :, lo:], out=out)
-        self._gram_cols = [slice(j, min(j + _GRAM_BLOCK, size)) for j in range(0, size, _GRAM_BLOCK)]
-        self._linear_rows = [
-            slice(j, min(j + _LINEAR_BLOCK, c * f)) for j in range(0, c * f, _LINEAR_BLOCK)
-        ]
+        self.gram_upper = np.zeros((c, size))
+        self._built = np.zeros(c, dtype=bool)
+
+    def _build_grams(self, components) -> None:
+        """Computes the stored Gram blocks of `components` in place."""
+        r = self.rank
+        for comp in components:
+            t_trans = self._t[comp].T
+            for lo, hi, cols in self._row_blocks:
+                out = self.gram_upper[comp, cols].reshape(hi - lo, r - lo)  # a view
+                np.matmul(t_trans[lo:hi], self._t_over_var[comp, :, lo:], out=out)
+            self._built[comp] = True
 
     def posterior(self, n: np.ndarray, f: np.ndarray):
         """Posterior means w (N, R) and lower Cholesky factors (N, R, R) of the
         precisions I + sum_c n_c T_c' S_c^-1 T_c, for stacked statistics n
-        (N, C) and f (N, C, F)."""
+        (N, C) and f (N, C, F) of N <= IVECTOR_CHUNK recordings."""
         if not (np.all(np.isfinite(n)) and np.all(np.isfinite(f))):
             raise IVectorError("sufficient statistics contain non-finite values")
         rows, r = n.shape[0], self.rank
-        upper = np.empty((rows, self.gram_upper.shape[1]))
-        for cols in self._gram_cols:
-            gram = self.gram_upper[:, cols]
-            for i in range(rows):
-                np.matmul(n[i], gram, out=upper[i, cols])
+        self._build_grams(np.flatnonzero((n != 0).any(axis=0) & ~self._built))
+        n_tile = np.zeros((IVECTOR_CHUNK, n.shape[1]))
+        n_tile[:rows] = n
+        f_tile = np.zeros((IVECTOR_CHUNK, self.tov2d.shape[0]))
+        f_tile[:rows] = f.reshape(rows, -1)
+        upper = n_tile @ self.gram_upper
+        b = f_tile @ self.tov2d
         precision = np.empty((rows, r, r))
         for lo, hi, cols in self._row_blocks:
-            block = upper[:, cols].reshape(rows, hi - lo, r - lo)
+            block = upper[:rows, cols].reshape(rows, hi - lo, r - lo)
             precision[:, lo:hi, lo:] = block
             precision[:, hi:, lo:hi] = block[:, :, hi - lo :].transpose(0, 2, 1)
         precision += self._eye
-        # Linear terms: partial products per block of Sigma^-1 T, added in
-        # block order.
-        f_flat = f.reshape(rows, -1)
-        b = np.zeros((rows, r))
-        part = np.empty((rows, r))
-        for block in self._linear_rows:
-            tov = self.tov2d[block]
-            for i in range(rows):
-                np.matmul(f_flat[i, block], tov, out=part[i])
-            b += part
         chol = np.linalg.cholesky(precision)
-        w = np.stack([cho_solve((low, True), b_i) for low, b_i in zip(chol, b)])
+        w = np.stack([cho_solve((low, True), b_i) for low, b_i in zip(chol, b[:rows])])
         return w, chol
 
 

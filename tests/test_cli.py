@@ -19,6 +19,7 @@ import pytest
 import sceneid
 from sceneid import backend as backend_mod
 from sceneid import cli, pipeline
+from sceneid import mixer as mixer_mod
 from sceneid.audio import AudioBuffer, frame_signal, read_wav, write_wav
 from sceneid.backend import score
 from sceneid.cli import build_parser, main
@@ -655,7 +656,7 @@ def test_output_directories_are_created_with_parents(tmp_path, capsys):
     (["synth", "--out", "FILE"] + TINY_ARGS, "FILE"),
     (["build-corpus", "--manifest", "TRAIN", "--speech-pool", "POOL", "--sbrs", "5",
       "--out", "FILE"], "FILE"),
-    (["build-corpus", "--manifest", "TRAIN", "--speech-pool", "POOL", "--sbrs", "clean",
+    (["build-corpus", "--manifest", "TRAIN", "--speech-pool", "POOL", "--sbrs", "clean,5",
       "--out", "TAKEN"], "TAKEN"),
 ], ids=["train-over-file", "train-under-file", "train-ubm", "train-tv", "extract-ivectors",
         "train-backend", "classify", "evaluate", "sweep", "extract-features", "dump-spectrogram",
@@ -684,12 +685,12 @@ def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, m
     def work_started(*args, **kwargs):
         raise AssertionError("the output was checked only after work began")
 
-    # The check comes before any audio is read or any model is trained.
-    # build-corpus's --out is a directory it makes first; the manifest it
-    # writes there last is not checked early.
+    # The check comes before any audio is read or mixed or any model is
+    # trained, also for the manifest build-corpus writes last into its --out.
     for name in ("manifest_features", "load_audio", "train_backend"):
         monkeypatch.setattr(pipeline, name, work_started)
     monkeypatch.setattr(cli, "read_wav", work_started)
+    monkeypatch.setattr(mixer_mod, "read_wav", work_started)
     rc = main([str(subst.get(a, a)) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -221,8 +225,8 @@ class TestExtractIvector:
             assert np.all(np.isfinite(ivec.w))
 
 
-# C*F = 1200 and R = 60: more than one row block of the stored Gram and more
-# than one block of the linear term.
+# R = 60 and IVECTOR_CHUNK + 2 recordings: more than one row block of the
+# stored Gram and more than one GEMM tile.
 PINNED_MULTI_BLOCK = dict(c=40, f_dim=30, rank_draw=59, n_rec=IVECTOR_CHUNK + 2, cuts=[7], seed=3)
 
 
@@ -230,7 +234,7 @@ class TestBatchInvariance:
     def test_pinned_example_spans_several_blocks(self):
         p = PINNED_MULTI_BLOCK
         assert 1 + p["rank_draw"] > ivector._GRAM_ROW_BLOCK
-        assert p["c"] * p["f_dim"] > ivector._LINEAR_BLOCK
+        assert p["n_rec"] > IVECTOR_CHUNK
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -244,9 +248,7 @@ class TestBatchInvariance:
     @example(c=8, f_dim=5, rank_draw=29, n_rec=2 * IVECTOR_CHUNK + 3, cuts=[5, 20], seed=1)
     @example(**PINNED_MULTI_BLOCK)
     def test_rows_independent_of_batch(self, c, f_dim, rank_draw, n_rec, cuts, seed):
-        # R = 30 splits the stored Gram into more than one column block;
-        # PINNED_MULTI_BLOCK also spans several Gram row blocks and blocks of
-        # the linear term.
+        # PINNED_MULTI_BLOCK also spans several Gram row blocks.
         rng = np.random.default_rng(seed)
         rank = 1 + rank_draw % (c * f_dim)
         ubm = make_ubm(rng, c, f_dim)
@@ -270,13 +272,100 @@ class TestBatchInvariance:
     def test_train_tv_matches_per_recording_loop(self, rng, c, f_dim, rank):
         ubm = make_ubm(rng, c, f_dim)
         tv_true = make_tv(rng, ubm, rank, scale=0.8)
-        stats, _ = synthetic_stats(rng, ubm, tv_true, 2 * IVECTOR_CHUNK + 5)
+        stats, _ = synthetic_stats(rng, ubm, tv_true, 4 * IVECTOR_CHUNK + 5)
         for s in stats[::4]:  # component 0 unoccupied in some recordings
             s.n[0] = 0.0
             s.f[0] = 0.0
         got = train_tv(stats, ubm, rank, n_iters=2)
         want = reference_train_tv(stats, ubm, rank, n_iters=2)
         np.testing.assert_allclose(got.t, want.t, rtol=0, atol=1e-10)
+
+
+# Paper shape: C=256, F=76, R=150 over about three tiles of recordings.
+PAPER_SHAPE = dict(c=256, f_dim=76, rank=150, n_rec=3 * IVECTOR_CHUNK + 3)
+# The only recording that occupies the last LONELY_COMPONENTS components, so
+# no other row of its tile (or of any tile) shares them.
+LONELY_ROW, LONELY_COMPONENTS = IVECTOR_CHUNK + 2, 16
+
+
+def paper_shape_case(seed=0):
+    """A paper-shape T, UBM and statistics: about 40% occupancy per
+    recording, every seventh recording with no occupancy at all, and one
+    recording (LONELY_ROW) alone on its components."""
+    rng = np.random.default_rng(seed)
+    p = PAPER_SHAPE
+    c = p["c"]
+    ubm = make_ubm(rng, c, p["f_dim"])
+    tv = make_tv(rng, ubm, p["rank"], scale=0.1)
+    stats = []
+    for i in range(p["n_rec"]):
+        n = rng.uniform(0.1, 20.0, c) * (rng.random(c) < 0.4)
+        if i == LONELY_ROW:
+            n[:-LONELY_COMPONENTS] = 0.0
+            n[-LONELY_COMPONENTS:] = rng.uniform(0.1, 20.0, LONELY_COMPONENTS)
+        else:
+            n[-LONELY_COMPONENTS:] = 0.0
+        if i % 7 == 3:
+            n[:] = 0.0
+        stats.append(SufficientStats(n, rng.normal(0, 3.0, (c, p["f_dim"])) * (n[:, None] > 0)))
+    return tv, ubm, stats
+
+
+def check_paper_shape_invariance(seed=0):
+    """Whole-batch rows equal single-recording rows and rows of random splits,
+    bit for bit."""
+    tv, ubm, stats = paper_shape_case(seed)
+    whole = extract_ivectors(tv, ubm, stats)
+    for i, s in enumerate(stats):
+        assert np.array_equal(whole[i], extract_ivector(tv, ubm, s).w), i
+        if not s.n.any():
+            assert not whole[i].any()
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(2):
+        cuts = sorted(rng.choice(np.arange(1, len(stats)), size=3, replace=False))
+        bounds = [0, *cuts, len(stats)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert np.array_equal(whole[lo:hi], extract_ivectors(tv, ubm, stats[lo:hi])), (lo, hi)
+
+
+class TestPaperShape:
+    def test_rows_independent_of_batch(self):
+        check_paper_shape_invariance()
+
+    def test_rows_independent_of_batch_at_one_blas_thread(self):
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_ivector; test_ivector.check_paper_shape_invariance()"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_prebuilt_gram_gives_the_same_bits(self):
+        tv, ubm, stats = paper_shape_case()
+        n, f = np.stack([s.n for s in stats]), np.stack([s.f for s in stats])
+        lazy = ivector._TvOperator(tv, ubm)
+        full = ivector._TvOperator(tv, ubm)
+        full._build_grams(range(tv.t.shape[0]))
+        for lo in range(0, len(stats), IVECTOR_CHUNK):
+            rows = slice(lo, lo + IVECTOR_CHUNK)
+            for got, want in zip(lazy.posterior(n[rows], f[rows]), full.posterior(n[rows], f[rows])):
+                assert np.array_equal(got, want)
+            if lo == 0:  # the lonely components wait for the lonely row's tile
+                assert not lazy._built[-LONELY_COMPONENTS:].any()
+        assert np.array_equal(lazy._built, (n != 0).any(axis=0))
+
+    def test_no_state_leaks_between_calls(self):
+        tv, ubm, stats = paper_shape_case()
+        n, f = np.stack([s.n for s in stats]), np.stack([s.f for s in stats])
+        used = ivector._TvOperator(tv, ubm)
+        used.posterior(n[:IVECTOR_CHUNK], f[:IVECTOR_CHUNK])
+        for rows in (slice(LONELY_ROW, LONELY_ROW + 1), slice(IVECTOR_CHUNK, 2 * IVECTOR_CHUNK)):
+            fresh = ivector._TvOperator(tv, ubm)
+            for got, want in zip(used.posterior(n[rows], f[rows]), fresh.posterior(n[rows], f[rows])):
+                assert np.array_equal(got, want)
 
 
 class TestPcaInit:
