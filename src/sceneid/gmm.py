@@ -81,9 +81,6 @@ class SufficientStats:
     n: np.ndarray  # (C,) soft counts
     f: np.ndarray  # (C, F) first-order sums centered on the UBM means
 
-    def __add__(self, other: "SufficientStats") -> "SufficientStats":
-        return SufficientStats(self.n + other.n, self.f + other.f)
-
 
 def _frames(feats, what: str) -> np.ndarray:
     """The (T, F) frame matrix of `feats`, which must be 2-D, non-empty and finite."""

@@ -102,15 +102,16 @@ def _chol_logdet(chol: np.ndarray) -> float:
 class _TvOperator:
     """The iVector E-step of a T bound to its UBM.
 
-    Caches Sigma^-1 T as a (C*F, R) matrix and the upper block-triangle of
-    the per-component Gram matrices T_c' Sigma_c^-1 T_c as a (C, S) matrix:
-    row block [lo, hi) of every Gram keeps its columns lo..R-1, so S = sum
-    over blocks of (hi - lo) * (R - lo). A component's Gram is built on
-    first use, when some recording occupies it; until then its row is zero,
-    which gives the same bits, since its count is zero wherever it is used.
+    Caches the upper block-triangle of the per-component Gram matrices
+    T_c' Sigma_c^-1 T_c as a (C, S) matrix: row block [lo, hi) of every Gram
+    keeps its columns lo..R-1, so S = sum over blocks of (hi - lo) * (R - lo).
+    A component's Gram is built on first use, from T_c and Sigma_c^-1 T_c,
+    when some recording occupies it; until then its row is zero, which gives
+    the same bits, since its count is zero wherever it is used.
 
     Each chunk's precisions and linear terms are two GEMMs over exactly
-    IVECTOR_CHUNK zero-padded rows. The GEMM shape depends only on (C, F, R),
+    IVECTOR_CHUNK zero-padded rows: n times the Gram stack, and f Sigma^-1
+    times T as a (C*F, R) matrix. The GEMM shape depends only on (C, F, R),
     so every row goes through the same kernel in the same order and a row of
     the output never depends on how many recordings share the call or which
     ones; a GEMM over a varying number of rows would round differently.
@@ -120,8 +121,8 @@ class _TvOperator:
         _check_binding(tv, ubm)
         c, f, r = tv.t.shape
         self._t = tv.t
-        self._t_over_var = tv.t / ubm.variances[:, :, None]  # Sigma_c^{-1} T_c
-        self.tov2d = self._t_over_var.reshape(c * f, r)
+        self._t2d = tv.t.reshape(c * f, r)
+        self._variances = ubm.variances
         self.rank = r
         self._eye = np.eye(r)
         # (lo, hi, columns of the stored upper part) per Gram row block.
@@ -139,9 +140,10 @@ class _TvOperator:
         r = self.rank
         for comp in components:
             t_trans = self._t[comp].T
+            t_over_var = self._t[comp] / self._variances[comp, :, None]  # Sigma_c^-1 T_c
             for lo, hi, cols in self._row_blocks:
                 out = self.gram_upper[comp, cols].reshape(hi - lo, r - lo)  # a view
-                np.matmul(t_trans[lo:hi], self._t_over_var[comp, :, lo:], out=out)
+                np.matmul(t_trans[lo:hi], t_over_var[:, lo:], out=out)
             self._built[comp] = True
 
     def posterior(self, n: np.ndarray, f: np.ndarray):
@@ -154,10 +156,10 @@ class _TvOperator:
         self._build_grams(np.flatnonzero((n != 0).any(axis=0) & ~self._built))
         n_tile = np.zeros((IVECTOR_CHUNK, n.shape[1]))
         n_tile[:rows] = n
-        f_tile = np.zeros((IVECTOR_CHUNK, self.tov2d.shape[0]))
-        f_tile[:rows] = f.reshape(rows, -1)
+        f_tile = np.zeros((IVECTOR_CHUNK, self._t2d.shape[0]))
+        np.divide(f, self._variances, out=f_tile[:rows].reshape(f.shape))  # f Sigma^-1
         upper = n_tile @ self.gram_upper
-        b = f_tile @ self.tov2d
+        b = f_tile @ self._t2d
         precision = np.empty((rows, r, r))
         for lo, hi, cols in self._row_blocks:
             block = upper[:rows, cols].reshape(rows, hi - lo, r - lo)
@@ -281,7 +283,6 @@ def tv_evidence(tv: TvMatrix, ubm: GmmModel, stats_list) -> float:
     """
     stats_list = list(stats_list)
     op = _TvOperator(tv, ubm)
-    t_over_var = op.tov2d.reshape(tv.t.shape)
     total = 0.0
     for rows in _chunks(len(stats_list)):
         chunk = stats_list[rows]
@@ -290,7 +291,7 @@ def tv_evidence(tv: TvMatrix, ubm: GmmModel, stats_list) -> float:
             active = s.n > 1e-12
             f_act = s.f[active]
             lam = s.n[active, None] * ubm.variances[active]
-            b = f_act.reshape(-1) @ t_over_var[active].reshape(-1, tv.rank)
+            b = (f_act / ubm.variances[active]).reshape(-1) @ tv.t[active].reshape(-1, tv.rank)
             quad = float((f_act**2 / lam).sum() - b @ w_i)
             dim = f_act.size
             total += -0.5 * (

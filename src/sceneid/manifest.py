@@ -19,6 +19,19 @@ class ManifestError(SceneidError):
     pass
 
 
+# Field -> (JSON value types it accepts, what the error says it must be).
+# JSON booleans are never accepted, although Python's bool is an int.
+_FIELD_TYPES = {
+    "path": ((str,), "a string"),
+    "label": ((str,), "a string"),
+    "speaker_id": ((str, type(None)), "a string or null"),
+    "condition": ((str,), "a string"),
+    "fold": ((int, type(None)), "an integer or null"),
+    "seed": ((int, type(None)), "an integer or null"),
+    "gain": ((int, float, type(None)), "a number or null"),
+}
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     path: str
@@ -67,26 +80,40 @@ class CorpusManifest:
 
     @classmethod
     def load(cls, path) -> "CorpusManifest":
+        """Parse a JSON-lines manifest; any unreadable file or malformed record
+        is a ManifestError naming the file, and the line where there is one."""
         path = Path(path)
-        if not path.exists():
-            raise ManifestError(f"manifest not found: {path}")
+        try:
+            raw = path.read_bytes()
+        except FileNotFoundError as exc:
+            raise ManifestError(f"manifest not found: {path}") from exc
+        except OSError as exc:
+            raise ManifestError(f"{path}: cannot read manifest ({exc.strerror or exc})") from exc
         entries = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ManifestError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-                if "path" not in record or "label" not in record:
-                    raise ManifestError(f"{path}:{lineno}: record needs 'path' and 'label'")
-                known = {f for f in ManifestEntry.__dataclass_fields__}
-                unknown = set(record) - known
-                if unknown:
-                    raise ManifestError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
-                entries.append(ManifestEntry(**record))
+        for lineno, line in enumerate(raw.splitlines(), start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ManifestError(f"{where}: not UTF-8 text ({exc.reason})") from exc
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ManifestError(f"{where}: invalid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise ManifestError(f"{where}: record must be a JSON object")
+            if "path" not in record or "label" not in record:
+                raise ManifestError(f"{where}: record needs 'path' and 'label'")
+            unknown = set(record) - set(_FIELD_TYPES)
+            if unknown:
+                raise ManifestError(f"{where}: unknown fields {sorted(unknown)}")
+            for name, value in record.items():
+                types, expected = _FIELD_TYPES[name]
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise ManifestError(f"{where}: {name!r} must be {expected}, got {value!r}")
+            entries.append(ManifestEntry(**record))
         return cls(entries, base_dir=path.parent)
 
     def save(self, path) -> None:

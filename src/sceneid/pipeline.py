@@ -70,16 +70,6 @@ def stage(name: str, *errors, item=None):
         raise PipelineStageError(name, str(exc) if item is None else f"{item}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class EvalSample:
-    """One already-loaded test item (used by sweeps that mix in memory)."""
-
-    buf: AudioBuffer
-    label: str
-    condition: str = "clean"
-    rec_id: str = ""
-
-
 @dataclass
 class EvalReport:
     """Accuracy and confusion counts, pooled and per condition tag."""
@@ -288,11 +278,15 @@ def check_manifest(manifest: CorpusManifest) -> None:
         raise PipelineStageError(STAGE_MANIFEST, "manifest is empty")
 
 
+def manifest_buffers(manifest: CorpusManifest, config: PipelineConfig):
+    """(entry path, mono buffer) per manifest entry, each read as it is drawn."""
+    return ((e.path, load_audio(manifest.resolve(e), config)) for e in manifest.entries)
+
+
 def manifest_features(manifest: CorpusManifest, config: PipelineConfig) -> list[FeatureMatrix]:
     """Check the manifest, then read and featurize every entry."""
     check_manifest(manifest)
-    items = ((e.path, load_audio(manifest.resolve(e), config)) for e in manifest.entries)
-    return list(features_for_buffers(items, config))
+    return list(features_for_buffers(manifest_buffers(manifest, config), config))
 
 
 def train_ubm(config: PipelineConfig, feats) -> gmm_mod.GmmModel:
@@ -360,27 +354,20 @@ def score_ivectors(bundle: ModelBundle, w_matrix) -> np.ndarray:
         return backend_mod.score_many(bundle.backend, w_matrix)
 
 
-def _check_labels(bundle: ModelBundle, labels) -> None:
-    unknown = set(labels) - set(bundle.backend.class_labels)
+def _check_test_manifest(bundle: ModelBundle, manifest: CorpusManifest) -> None:
+    """Manifest and label checks, made before any audio is read."""
+    check_manifest(manifest)
+    unknown = {e.label for e in manifest.entries} - set(bundle.backend.class_labels)
     if unknown:
         raise PipelineStageError(
             STAGE_EVALUATION, f"labels {sorted(unknown)} not in the trained label set"
         )
 
 
-def evaluate_samples(bundle: ModelBundle, samples) -> EvalReport:
-    """Classify EvalSamples drawn lazily from any iterable and score them."""
-    truth: list[str] = []
-    conditions: list[str] = []
-
-    def checked():
-        for s in samples:
-            _check_labels(bundle, [s.label])
-            truth.append(s.label)
-            conditions.append(s.condition)
-            yield s
-
-    w_matrix = ivectors_for_buffers(bundle, ((s.rec_id, s.buf) for s in checked()))
+def _evaluate(bundle: ModelBundle, items, truth, conditions) -> EvalReport:
+    """Classify (recording id, mono buffer) pairs, drawn lazily, and score the
+    predictions against the true labels and condition tags of the same items."""
+    w_matrix = ivectors_for_buffers(bundle, items)
     with stage(STAGE_BACKEND, backend_mod.BackendError):
         predictions = backend_mod.classify_many(bundle.backend, w_matrix)
     return EvalReport.from_predictions(
@@ -388,25 +375,15 @@ def evaluate_samples(bundle: ModelBundle, samples) -> EvalReport:
     )
 
 
-def _check_test_manifest(bundle: ModelBundle, manifest: CorpusManifest) -> None:
-    """Manifest and label checks, made before any audio is read."""
-    check_manifest(manifest)
-    _check_labels(bundle, (e.label for e in manifest.entries))
-
-
 def run_evaluation(bundle: ModelBundle, manifest: CorpusManifest) -> EvalReport:
     """Evaluate manifest entries with the bundle's exact feature configuration."""
     _check_test_manifest(bundle, manifest)
-    samples = (
-        EvalSample(
-            buf=load_audio(manifest.resolve(e), bundle.config),
-            label=e.label,
-            condition=e.condition,
-            rec_id=e.path,
-        )
-        for e in manifest.entries
+    return _evaluate(
+        bundle,
+        manifest_buffers(manifest, bundle.config),
+        [e.label for e in manifest.entries],
+        [e.condition for e in manifest.entries],
     )
-    return evaluate_samples(bundle, samples)
 
 
 def run_sbr_sweep(
@@ -430,35 +407,40 @@ def run_sbr_sweep(
 
     with stage(STAGE_MIXER, ValueError):
         pool = usable_speech_pool(speech_pool, sbr_list, exclude_speakers)
-    return evaluate_samples(
-        bundle, _sweep_samples(bundle.config, clean_manifest, speech_pool, pool, sbr_list, seed)
+    entries = clean_manifest.entries
+    return _evaluate(
+        bundle,
+        _sweep_samples(bundle.config, clean_manifest, speech_pool, pool, sbr_list, seed),
+        [e.label for _ in sbr_list for e in entries],
+        [condition_tag(cond) for cond in sbr_list for _ in entries],
     )
 
 
 def _sweep_samples(config, clean_manifest, speech_pool, pool, sbr_list, seed):
-    """Yield the clean clips and their seeded mixes, condition by condition."""
-    buffers = [load_audio(clean_manifest.resolve(e), config) for e in clean_manifest]
-    for entry, buf in zip(clean_manifest.entries, buffers):
-        _reject_silent(entry.path, buf)  # before any mix of it is drawn
+    """Yield (recording id, mono buffer) for the clean clips and their seeded
+    mixes, condition by condition."""
+    clean = list(manifest_buffers(clean_manifest, config))
+    for rec_id, buf in clean:
+        _reject_silent(rec_id, buf)  # before any mix of it is drawn
     speech_cache: dict = {}
     for ci, cond in enumerate(sbr_list):
         tag = condition_tag(cond)
-        for ei, entry in enumerate(clean_manifest.entries):
+        for ei, (rec_id, buf) in enumerate(clean):
             if cond is None:
-                yield EvalSample(buffers[ei], entry.label, tag, entry.path)
+                yield rec_id, buf
                 continue
             mix_seed, speech_entry = draw_speech(pool, seed, ci, ei)
             if speech_entry.path not in speech_cache:
                 speech_cache[speech_entry.path] = load_audio(
                     speech_pool.resolve(speech_entry), config
                 )
-            with stage(STAGE_MIXER, SceneidError, item=entry.path):
+            with stage(STAGE_MIXER, SceneidError, item=rec_id):
                 mixed, _ = mix_at_sbr(
-                    buffers[ei],
+                    buf,
                     speech_cache[speech_entry.path],
                     cond,
                     rng_seed=mix_seed,
-                    background_id=entry.path,
+                    background_id=rec_id,
                     speech_id=speech_entry.path,
                 )
-            yield EvalSample(mixed, entry.label, tag, f"{entry.path}@{tag}")
+            yield f"{rec_id}@{tag}", mixed

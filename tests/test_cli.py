@@ -160,6 +160,28 @@ def test_benchmark_layer_names_resolve():
         assert callable(obj), name
 
 
+def test_benchmark_tracer_installs():
+    """The benchmark's traced runs can wrap every layer: run in a fresh
+    interpreter, since installing rebinds functions in every sceneid module,
+    and one that writes no bytecode cache into bench/."""
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), str(root / "bench"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "import importlib, spans\n"
+        "spans.Tracer().install()\n"
+        "for name in spans.LAYERS:\n"
+        "    module, *attrs = name.split('.')\n"
+        "    obj = importlib.import_module('sceneid.' + module)\n"
+        "    for attr in attrs:\n"
+        "        obj = getattr(obj, attr)\n"
+        "    assert hasattr(obj, '__wrapped__'), name\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_stagewise_training_matches_composite(workspace, capsys):
     corpus = workspace / "corpus"
     stage = workspace / "stagewise"
@@ -481,6 +503,41 @@ class TestExitCodes:
         rc = main([command, "--bundle", str(bundle), "--manifest", str(empty)])
         assert rc == 3
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, option, content",
+        [
+            ("train", "--manifest", None),
+            ("sweep", "--speech-pool", None),
+            ("train", "--manifest", b"5\n"),
+            ("train", "--manifest", b'{"path": 5, "label": "x"}\n'),
+            ("train", "--manifest", b'{"path": "a.wav", "label": "x"}\n\xff\xfe\n'),
+            ("evaluate", "--manifest",
+             b'{"path": "a.wav", "label": "x"}\n{"path": "b.wav", "label": 5}\n'),
+        ],
+        ids=["directory", "pool-directory", "not-an-object", "path-type", "not-utf8",
+             "label-type"],
+    )
+    def test_malformed_manifest_is_manifest_code(
+        self, workspace, bundle, tmp_path, capsys, command, option, content
+    ):
+        bad = tmp_path / "bad.jsonl"
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(content)
+        argv = [command, option, str(bad)]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "b")] + TINY_SET
+        else:
+            argv += ["--bundle", str(bundle)]
+        if option == "--speech-pool":
+            argv += ["--manifest", str(workspace / "corpus" / "test.jsonl"), "--sbrs", "clean,5"]
+        rc = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("error: [manifest] "), err
+        assert str(bad) in err[0]
 
     @pytest.mark.parametrize("sources", [[], ["--manifest", "m.jsonl", "--audio", "a.wav"]])
     def test_classify_needs_exactly_one_source(self, bundle, capsys, sources):

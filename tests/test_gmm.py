@@ -334,9 +334,9 @@ class TestAccumulateStats:
         a = rng.normal(0, 2, (60, 3))
         b = rng.normal(1, 2, (40, 3))
         combined = accumulate_stats(model, np.vstack([a, b]))
-        summed = accumulate_stats(model, a) + accumulate_stats(model, b)
-        np.testing.assert_allclose(combined.n, summed.n, atol=1e-10)
-        np.testing.assert_allclose(combined.f, summed.f, atol=1e-10)
+        sa, sb = accumulate_stats(model, a), accumulate_stats(model, b)
+        np.testing.assert_allclose(combined.n, sa.n + sb.n, atol=1e-10)
+        np.testing.assert_allclose(combined.f, sa.f + sb.f, atol=1e-10)
 
     def test_frame_order_invariance(self, rng):
         model = random_model(rng)

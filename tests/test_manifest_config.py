@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sceneid import manifest as manifest_mod
 from sceneid.audio import AudioBuffer
 from sceneid.config import ConfigError, PipelineConfig, parse_sbr_token
 from sceneid.manifest import CorpusManifest, ManifestEntry, ManifestError
@@ -85,6 +86,58 @@ class TestManifest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ManifestError, match="not found"):
             CorpusManifest.load(tmp_path / "none.jsonl")
+
+    def test_directory_rejected_naming_it(self, tmp_path):
+        with pytest.raises(ManifestError, match="cannot read manifest") as err:
+            CorpusManifest.load(tmp_path)
+        assert str(tmp_path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"5", "must be a JSON object"),
+            (b'["a.wav", "x"]', "must be a JSON object"),
+            (b'"a.wav"', "must be a JSON object"),
+            (b"null", "must be a JSON object"),
+            (b'{"path": "b.wav", "label": "x"}\xff\xfe', "not UTF-8"),
+            (b'{"path": 5, "label": "x"}', "'path' must be a string"),
+            (b'{"path": "b.wav", "label": 5}', "'label' must be a string"),
+            (b'{"path": "b.wav", "label": null}', "'label' must be a string"),
+            (b'{"path": "b.wav", "label": "x", "condition": null}', "'condition' must be"),
+            (b'{"path": "b.wav", "label": "x", "condition": 0}', "'condition' must be"),
+            (b'{"path": "b.wav", "label": "x", "speaker_id": 3}', "'speaker_id' must be"),
+            (b'{"path": "b.wav", "label": "x", "fold": 1.0}', "'fold' must be an integer"),
+            (b'{"path": "b.wav", "label": "x", "fold": true}', "'fold' must be an integer"),
+            (b'{"path": "b.wav", "label": "x", "seed": "7"}', "'seed' must be an integer"),
+            (b'{"path": "b.wav", "label": "x", "seed": false}', "'seed' must be an integer"),
+            (b'{"path": "b.wav", "label": "x", "gain": "0.5"}', "'gain' must be a number"),
+            (b'{"path": "b.wav", "label": "x", "gain": true}', "'gain' must be a number"),
+        ],
+        ids=["int", "list", "string", "null", "not-utf8", "path-int", "label-int",
+             "label-null", "condition-null", "condition-int", "speaker-int", "fold-float",
+             "fold-bool", "seed-string", "seed-bool", "gain-string", "gain-bool"],
+    )
+    def test_malformed_record_rejected_naming_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"path": "a.wav", "label": "x"}\n\n' + line + b"\n")
+        with pytest.raises(ManifestError, match=message) as err:
+            CorpusManifest.load(path)
+        assert str(err.value).startswith(f"{path}:3: ")
+
+    def test_optional_fields_accept_null_and_every_field_is_typed(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"path": "a.wav", "label": "x", "speaker_id": null, "fold": null,'
+            ' "seed": null, "gain": null}\n'
+            '{"path": "b.wav", "label": "y", "speaker_id": "s1", "condition": "sbr+5dB",'
+            ' "fold": 0, "seed": 3, "gain": 2}\n'
+        )
+        assert CorpusManifest.load(path).entries == [
+            ManifestEntry("a.wav", "x"),
+            ManifestEntry("b.wav", "y", "s1", "sbr+5dB", 0, 3, 2),
+        ]
+        fields = {f.name for f in dataclasses.fields(ManifestEntry)}
+        assert set(manifest_mod._FIELD_TYPES) == fields
 
     def test_filter(self):
         m = CorpusManifest(

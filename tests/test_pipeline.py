@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,26 @@ class TestRunEvaluation:
         r2 = run_evaluation(tiny_bundle, tiny_corpus["test"])
         assert r1.to_json() == r2.to_json()
 
+    def test_audio_is_read_one_chunk_at_a_time(self, tiny_bundle, tiny_corpus, monkeypatch):
+        # Each chunk is featurized before the audio of the next is read.
+        loaded, loaded_before_chunk = [], []
+        real_load, real_many = pipeline.load_audio, pipeline.extract_features_many
+
+        def counting_load(*args, **kwargs):
+            loaded.append(1)
+            return real_load(*args, **kwargs)
+
+        def recording_many(bufs, *args, **kwargs):
+            loaded_before_chunk.append(len(loaded))
+            return real_many(bufs, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_audio", counting_load)
+        monkeypatch.setattr(pipeline, "extract_features_many", recording_many)
+        monkeypatch.setattr(pipeline, "FEATURE_CHUNK", 4)
+        report = run_evaluation(tiny_bundle, tiny_corpus["test"])
+        assert report.total == 9
+        assert loaded_before_chunk == [4, 8, 9]
+
     def test_condition_grouping(self, tiny_bundle, tiny_corpus, tmp_path):
         entries = []
         for i, e in enumerate(tiny_corpus["test"].entries):
@@ -212,6 +234,15 @@ class TestSbrSweep:
     def test_empty_sweep_equals_plain_evaluation(self, tiny_bundle, tiny_corpus):
         plain = run_evaluation(tiny_bundle, tiny_corpus["test"])
         swept = run_sbr_sweep(tiny_bundle, tiny_corpus["test"], None, [], seed=1)
+        assert swept.to_json() == plain.to_json()
+
+    def test_clean_only_sweep_equals_plain_evaluation(self, tiny_bundle, tiny_corpus):
+        test = tiny_corpus["test"]
+        clean = CorpusManifest(
+            [dataclasses.replace(e, condition="clean") for e in test.entries], test.base_dir
+        )
+        plain = run_evaluation(tiny_bundle, clean)
+        swept = run_sbr_sweep(tiny_bundle, test, None, [None], seed=1)
         assert swept.to_json() == plain.to_json()
 
     def test_conditions_present(self, tiny_bundle, tiny_corpus):
