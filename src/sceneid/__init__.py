@@ -39,7 +39,6 @@ from .mixer import (
     LevelMeasurement,
     MixSpec,
     active_speech_level,
-    build_multicondition_corpus,
     mix_at_sbr,
     rms_level,
 )
@@ -52,6 +51,13 @@ from .noisefloor import (
     track_noise_floor,
     update,
 )
-from .pipeline import EvalReport, ModelBundle, run_evaluation, run_sbr_sweep, run_training
+from .pipeline import (
+    EvalReport,
+    ModelBundle,
+    build_multicondition_corpus,
+    run_evaluation,
+    run_sbr_sweep,
+    run_training,
+)
 
 __version__ = "0.1.0"

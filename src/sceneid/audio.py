@@ -125,12 +125,12 @@ def read_wav(path) -> AudioBuffer:
     Integer samples are normalized by 2^(bits-1). Raises FileNotFoundError,
     WavCodecError (compressed/unsupported format) or WavCorruptError
     (malformed or truncated file, or non-finite float samples) so callers
-    can tell the cases apart.
+    can tell the cases apart. The messages leave naming the file to the caller.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise WavCorruptError(f"{path}: not a RIFF/WAVE file")
+        raise WavCorruptError("not a RIFF/WAVE file")
 
     fmt = None
     payload = None
@@ -141,41 +141,41 @@ def read_wav(path) -> AudioBuffer:
         body = raw[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
-                raise WavCorruptError(f"{path}: fmt chunk truncated")
+                raise WavCorruptError("fmt chunk truncated")
             fmt = struct.unpack("<HHIIHH", body[:16])
             if fmt[0] == _WAVE_FORMAT_EXTENSIBLE:
                 if len(body) < 26:
-                    raise WavCorruptError(f"{path}: extensible fmt chunk truncated")
+                    raise WavCorruptError("extensible fmt chunk truncated")
                 sub_format = struct.unpack("<H", body[24:26])[0]
                 fmt = (sub_format,) + fmt[1:]
         elif chunk_id == b"data":
             if len(body) < chunk_size:
-                raise WavCorruptError(f"{path}: data chunk truncated")
+                raise WavCorruptError("data chunk truncated")
             payload = body
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word aligned
 
     if fmt is None or payload is None:
-        raise WavCorruptError(f"{path}: missing fmt or data chunk")
+        raise WavCorruptError("missing fmt or data chunk")
     format_tag, channels, rate, _byte_rate, _block_align, bits = fmt
     if channels < 1 or rate <= 0:
-        raise WavCorruptError(f"{path}: nonsensical fmt fields")
+        raise WavCorruptError("nonsensical fmt fields")
 
     if format_tag == _WAVE_FORMAT_PCM:
         if bits not in (16, 24, 32):
-            raise WavCodecError(f"{path}: unsupported PCM width {bits} bits")
+            raise WavCodecError(f"unsupported PCM width {bits} bits")
     elif format_tag == _WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
-            raise WavCodecError(f"{path}: unsupported float width {bits} bits")
+            raise WavCodecError(f"unsupported float width {bits} bits")
     else:
-        raise WavCodecError(f"{path}: non-PCM codec (format tag {format_tag:#06x})")
+        raise WavCodecError(f"non-PCM codec (format tag {format_tag:#06x})")
     width = bits // 8
     if len(payload) % width != 0:
-        raise WavCorruptError(f"{path}: {bits}-bit payload not a multiple of {width} bytes")
+        raise WavCorruptError(f"{bits}-bit payload not a multiple of {width} bytes")
 
     if format_tag == _WAVE_FORMAT_IEEE_FLOAT:
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(samples)):
-            raise WavCorruptError(f"{path}: non-finite (NaN or infinite) float samples")
+            raise WavCorruptError("non-finite (NaN or infinite) float samples")
     else:
         if bits == 24:
             b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
@@ -187,7 +187,7 @@ def read_wav(path) -> AudioBuffer:
         samples = ints / float(2 ** (bits - 1))
 
     if samples.size % channels != 0:
-        raise WavCorruptError(f"{path}: payload length inconsistent with channel count")
+        raise WavCorruptError("payload length inconsistent with channel count")
     return AudioBuffer(samples, rate, channels)
 
 

@@ -138,19 +138,17 @@ def score_many(model: BackendModel, w_matrix: np.ndarray, mode: str = MODE_CLASS
     if x.ndim != 2 or x.shape[1] != model.rank:
         raise BackendError(f"iVectors must be (n, {model.rank})")
     n_classes = len(model.class_labels)
-    out = np.empty((x.shape[0], n_classes))
     if mode == MODE_CLASS:
-        for c in range(n_classes):
-            d = x - model.mu[c]
-            quad = (d * cho_solve(model._chol_tilde[c], d.T).T).sum(axis=1)
-            out[:, c] = -0.5 * model._logdet_tilde[c] - 0.5 * quad
-    elif mode == MODE_SHARED:
-        for c in range(n_classes):
-            d = x - model.mu[c]
-            quad = (d * cho_solve(model._chol_shared, d.T).T).sum(axis=1)
-            out[:, c] = -0.5 * quad
+        factors, logdets = model._chol_tilde, model._logdet_tilde
+    elif mode == MODE_SHARED:  # one covariance: its log-determinant cancels
+        factors, logdets = [model._chol_shared] * n_classes, np.zeros(n_classes)
     else:
         raise BackendError(f"unknown scoring mode {mode!r}")
+    out = np.empty((x.shape[0], n_classes))
+    for c in range(n_classes):
+        d = x - model.mu[c]
+        quad = (d * cho_solve(factors[c], d.T).T).sum(axis=1)
+        out[:, c] = -0.5 * logdets[c] - 0.5 * quad
     return out
 
 

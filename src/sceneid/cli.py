@@ -17,14 +17,12 @@ import numpy as np
 from . import backend as backend_mod
 from . import gmm as gmm_mod
 from . import ivector as ivector_mod
-from . import mixer as mixer_mod
 from . import pipeline as pipe
-from .audio import frame_signal, read_wav, wav_bytes
+from .audio import frame_signal, wav_bytes
 from .config import ConfigError, PipelineConfig, parse_sbr_token
 from .errors import SceneidError
 from .features import FeatureMatrix, feature_csv, power_spectrogram
 from .manifest import CorpusManifest, ManifestError
-from .mixer import NoActivityError, RateMismatchError, SilentSignalError
 from .noisefloor import NoiseFloorError, noise_floor_spectrogram
 from .synth import generate_corpus
 
@@ -103,17 +101,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    with pipe.stage(pipe.STAGE_AUDIO, OSError, SceneidError):
-        background = read_wav(args.background)
-        speech = read_wav(args.speech)
-    with pipe.stage(pipe.STAGE_MIXER, SilentSignalError, NoActivityError, RateMismatchError,
-                    ValueError):
-        mixed, spec = mixer_mod.mix_at_sbr(
-            background, speech, args.sbr, args.seed,
-            background_id=args.background, speech_id=args.speech,
-        )
-        data = wav_bytes(mixed)
-    pipe.write_output(args.out, data)
+    mixed, spec = pipe.mix_recording(args.background, args.speech, args.sbr, args.seed)
+    pipe.write_output(args.out, wav_bytes(mixed))
     print(json.dumps(asdict(spec), sort_keys=True))
     return 0
 
@@ -125,16 +114,11 @@ def cmd_build_corpus(args) -> int:
     manifest = _load_manifest(args.manifest)
     pool = _load_manifest(args.speech_pool)
     sbrs = _parse_sbrs(args.sbrs)
-    with pipe.stage(pipe.STAGE_CONFIG, OSError, item=args.out):
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-    with pipe.stage(pipe.STAGE_MIXER, SceneidError, ValueError, OSError):
-        out = mixer_mod.build_multicondition_corpus(
-            manifest, sbrs, pool, args.seed, args.out,
-            exclude_speakers=args.exclude_speaker,
-        )
+    out = pipe.build_multicondition_corpus(
+        manifest, sbrs, pool, args.seed, args.out, exclude_speakers=args.exclude_speaker
+    )
     out_path = Path(args.out) / _CORPUS_MANIFEST
-    with pipe.stage(pipe.STAGE_CONFIG, OSError, item=out_path):
-        out.save(out_path)
+    pipe.write_output(out_path, out.to_bytes())
     print(out_path)
     return 0
 
@@ -145,7 +129,7 @@ def _write_csv(path, feats: FeatureMatrix) -> None:
 
 def cmd_extract_features(args) -> int:
     cfg = _load_config(args)
-    buf = pipe.load_audio(args.audio, cfg)
+    buf = pipe.load_audio(args.audio, cfg.sample_rate)
     (feats,) = pipe.features_for_buffers([(args.audio, buf)], cfg)
     if args.dump_spectrogram or args.dump_noise_floor:
         with pipe.stage(pipe.STAGE_FEATURES, SceneidError, ValueError, item=args.audio):
@@ -228,7 +212,8 @@ def cmd_classify(args) -> int:
         items = [(e.path, manifest.resolve(e)) for e in manifest.entries]
     else:
         items = [(a, a) for a in args.audio]
-    buffers = ((rec_id, pipe.load_audio(path, bundle.config)) for rec_id, path in items)
+    rate = bundle.config.sample_rate
+    buffers = ((rec_id, pipe.load_audio(path, rate)) for rec_id, path in items)
     scores = pipe.score_ivectors(bundle, pipe.ivectors_for_buffers(bundle, buffers))
     labels = bundle.backend.class_labels
     lines = [

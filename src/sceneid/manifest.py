@@ -116,8 +116,10 @@ class CorpusManifest:
             entries.append(ManifestEntry(**record))
         return cls(entries, base_dir=path.parent)
 
+    def to_bytes(self) -> bytes:
+        """The JSON-lines file `load` reads: one sorted-key record per line."""
+        lines = (json.dumps(e.to_record(), sort_keys=True) + "\n" for e in self.entries)
+        return "".join(lines).encode("utf-8")
+
     def save(self, path) -> None:
-        path = Path(path)
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write(json.dumps(e.to_record(), sort_keys=True) + "\n")
+        Path(path).write_bytes(self.to_bytes())

@@ -4,18 +4,19 @@ The speech-to-background ratio of a mix is defined as the active speech
 level (dB) minus the background RMS level (dB). Mixing measures both levels,
 applies the gain that realizes the requested SBR, and only ever attenuates
 jointly when the sum would clip, so the ratio is preserved exactly.
+
+This module is signal code only and does no file I/O: `sceneid.pipeline`
+reads the recordings, mixes them here and writes the results.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, read_wav, resample, write_wav
+from .audio import AudioBuffer
 from .errors import SceneidError
 from .manifest import CorpusManifest, ManifestEntry
 
@@ -178,65 +179,3 @@ def draw_speech(
     seed = int(ss.generate_state(1)[0])
     rng = np.random.default_rng(seed)
     return seed, pool[int(rng.integers(0, len(pool)))]
-
-
-def build_multicondition_corpus(
-    manifest: CorpusManifest,
-    sbr_list_db,
-    speech_pool: CorpusManifest,
-    rng_seed: int,
-    out_dir,
-    exclude_speakers=(),
-) -> CorpusManifest:
-    """Mix every background at every SBR condition; None passes through.
-
-    Speech clips are drawn from the pool deterministically given the seed,
-    never from excluded speakers. Mixed files are written under out_dir as
-    16-bit WAV; labels are inherited from the background recording.
-    """
-    conditions = list(sbr_list_db)
-    pool = usable_speech_pool(speech_pool, conditions, exclude_speakers)
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_entries: list[ManifestEntry] = []
-    for ci, cond in enumerate(conditions):
-        if cond is None:
-            # Pass-through: keep records. A relative path moves from the input
-            # manifest's directory to out_dir, which the output manifest
-            # resolves it against; an absolute one stays as it is.
-            out_entries.extend(
-                e if Path(e.path).is_absolute()
-                else replace(e, path=os.path.relpath(manifest.resolve(e), out_dir))
-                for e in manifest.entries
-            )
-            continue
-        tag = condition_tag(cond)
-        for ei, entry in enumerate(manifest.entries):
-            seed, speech_entry = draw_speech(pool, rng_seed, ci, ei)
-
-            background = read_wav(manifest.resolve(entry))
-            speech = read_wav(speech_pool.resolve(speech_entry))
-            if speech.sample_rate != background.sample_rate:
-                speech = resample(speech, background.sample_rate)
-            mixed, spec = mix_at_sbr(
-                background,
-                speech,
-                cond,
-                rng_seed=seed,
-                background_id=entry.path,
-                speech_id=speech_entry.path,
-            )
-            out_name = f"{ei:05d}_{Path(entry.path).stem}_{tag}.wav"
-            write_wav(out_dir / out_name, mixed)
-            out_entries.append(
-                ManifestEntry(
-                    path=out_name,
-                    label=entry.label,
-                    speaker_id=speech_entry.speaker_id,
-                    condition=tag,
-                    seed=seed,
-                    gain=spec.speech_gain * spec.headroom_gain,
-                )
-            )
-    return CorpusManifest(out_entries, base_dir=out_dir)

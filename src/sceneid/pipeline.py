@@ -1,4 +1,4 @@
-"""End-to-end training, evaluation and SBR-sweep orchestration.
+"""End-to-end training, evaluation, SBR sweeps and multi-condition corpora.
 
 Stages run in the fixed order features -> UBM -> statistics -> T -> iVectors
 -> backend. Any stage failure aborts with the failing stage named so the CLI
@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,11 @@ import numpy as np
 from . import backend as backend_mod
 from . import gmm as gmm_mod
 from . import ivector as ivector_mod
-from .audio import AudioBuffer, downmix_mono, read_wav, resample
+from .audio import AudioBuffer, downmix_mono, read_wav, resample, wav_bytes
 from .config import PipelineConfig
 from .errors import SceneidError
 from .features import FeatureMatrix, extract_features_many
-from .manifest import CorpusManifest, ManifestError
+from .manifest import CorpusManifest, ManifestEntry, ManifestError
 from .mixer import condition_tag, draw_speech, mix_at_sbr, usable_speech_pool
 from .noisefloor import NoiseFloorError
 from .serialize import sha256_hex
@@ -59,15 +60,19 @@ def stage(name: str, *errors, item=None):
     """Re-raise the listed exception types as PipelineStageError(name, ...).
 
     `item` names what failed (a file, a recording) at the head of the
-    message. A PipelineStageError raised inside passes through unchanged, so
-    nested stages keep the stage that raised first.
+    message, and only there: an OSError about that same file contributes
+    its `strerror` alone. A PipelineStageError raised inside passes through
+    unchanged, so nested stages keep the stage that raised first.
     """
     try:
         yield
     except PipelineStageError:
         raise
     except errors as exc:
-        raise PipelineStageError(name, str(exc) if item is None else f"{item}: {exc}") from exc
+        if item is None:
+            raise PipelineStageError(name, str(exc)) from exc
+        named = isinstance(exc, OSError) and str(exc.filename) == str(item)
+        raise PipelineStageError(name, f"{item}: {exc.strerror if named else exc}") from exc
 
 
 @dataclass
@@ -228,10 +233,12 @@ def write_output(path, data: bytes) -> None:
         Path(path).write_bytes(data)
 
 
-def load_audio(path, config: PipelineConfig) -> AudioBuffer:
-    """Read, downmix and resample one recording to the pipeline rate."""
+def load_audio(path, sample_rate: int | None) -> AudioBuffer:
+    """Read and downmix one recording, resampled to `sample_rate` (None keeps
+    the file's rate). The one place a WAV file is read."""
     with stage(STAGE_AUDIO, OSError, SceneidError, ValueError, item=path):
-        return resample(downmix_mono(read_wav(path)), config.sample_rate)
+        buf = downmix_mono(read_wav(path))
+        return buf if sample_rate is None else resample(buf, sample_rate)
 
 
 def _reject_silent(rec_id, buf: AudioBuffer) -> None:
@@ -280,7 +287,9 @@ def check_manifest(manifest: CorpusManifest) -> None:
 
 def manifest_buffers(manifest: CorpusManifest, config: PipelineConfig):
     """(entry path, mono buffer) per manifest entry, each read as it is drawn."""
-    return ((e.path, load_audio(manifest.resolve(e), config)) for e in manifest.entries)
+    return (
+        (e.path, load_audio(manifest.resolve(e), config.sample_rate)) for e in manifest.entries
+    )
 
 
 def manifest_features(manifest: CorpusManifest, config: PipelineConfig) -> list[FeatureMatrix]:
@@ -405,42 +414,102 @@ def run_sbr_sweep(
         return run_evaluation(bundle, clean_manifest)
     _check_test_manifest(bundle, clean_manifest)
 
-    with stage(STAGE_MIXER, ValueError):
-        pool = usable_speech_pool(speech_pool, sbr_list, exclude_speakers)
+    mix = _speech_mixer(speech_pool, sbr_list, seed, exclude_speakers)
     entries = clean_manifest.entries
     return _evaluate(
         bundle,
-        _sweep_samples(bundle.config, clean_manifest, speech_pool, pool, sbr_list, seed),
+        _sweep_samples(bundle.config, clean_manifest, mix, sbr_list),
         [e.label for _ in sbr_list for e in entries],
         [condition_tag(cond) for cond in sbr_list for _ in entries],
     )
 
 
-def _sweep_samples(config, clean_manifest, speech_pool, pool, sbr_list, seed):
+def _sweep_samples(config, clean_manifest, mix, sbr_list):
     """Yield (recording id, mono buffer) for the clean clips and their seeded
     mixes, condition by condition."""
     clean = list(manifest_buffers(clean_manifest, config))
     for rec_id, buf in clean:
         _reject_silent(rec_id, buf)  # before any mix of it is drawn
-    speech_cache: dict = {}
     for ci, cond in enumerate(sbr_list):
         tag = condition_tag(cond)
         for ei, (rec_id, buf) in enumerate(clean):
             if cond is None:
                 yield rec_id, buf
-                continue
-            mix_seed, speech_entry = draw_speech(pool, seed, ci, ei)
-            if speech_entry.path not in speech_cache:
-                speech_cache[speech_entry.path] = load_audio(
-                    speech_pool.resolve(speech_entry), config
-                )
-            with stage(STAGE_MIXER, SceneidError, item=rec_id):
-                mixed, _ = mix_at_sbr(
-                    buf,
-                    speech_cache[speech_entry.path],
-                    cond,
-                    rng_seed=mix_seed,
-                    background_id=rec_id,
-                    speech_id=speech_entry.path,
-                )
-            yield f"{rec_id}@{tag}", mixed
+            else:
+                mixed, _, _ = mix(rec_id, buf, cond, ci, ei)
+                yield f"{rec_id}@{tag}", mixed
+
+
+def _mix(background, speech, sbr_db, seed, background_id, speech_id):
+    """`mix_at_sbr` under the mixer stage, naming the background."""
+    with stage(STAGE_MIXER, SceneidError, ValueError, item=background_id):
+        return mix_at_sbr(background, speech, sbr_db, seed, background_id, speech_id)
+
+
+def _speech_mixer(speech_pool, sbr_list, seed, exclude_speakers):
+    """The mixing step of a sweep and a built corpus: `mix` draws the speech
+    clip and seed of one (condition, entry) position, loads the clip at the
+    background's rate (once per clip and rate) and returns the mix, its
+    `MixSpec` and the speech entry."""
+    with stage(STAGE_MIXER, ValueError):
+        pool = usable_speech_pool(speech_pool, sbr_list, exclude_speakers)
+    speech_cache: dict = {}
+
+    def mix(background_id, background, sbr_db, condition_index, entry_index):
+        mix_seed, entry = draw_speech(pool, seed, condition_index, entry_index)
+        key = (entry.path, background.sample_rate)
+        if key not in speech_cache:
+            speech_cache[key] = load_audio(speech_pool.resolve(entry), background.sample_rate)
+        mixed, spec = _mix(background, speech_cache[key], sbr_db, mix_seed, background_id,
+                           entry.path)
+        return mixed, spec, entry
+
+    return mix
+
+
+def mix_recording(background_path, speech_path, sbr_db, seed):
+    """Mix one speech file into one background file at `sbr_db`, the speech
+    read at the background's rate: the mix and its `MixSpec`."""
+    background = load_audio(background_path, None)
+    speech = load_audio(speech_path, background.sample_rate)
+    return _mix(background, speech, sbr_db, seed, background_path, speech_path)
+
+
+def build_multicondition_corpus(
+    manifest: CorpusManifest, sbr_list_db, speech_pool: CorpusManifest, rng_seed: int,
+    out_dir, exclude_speakers=(),
+) -> CorpusManifest:
+    """Mix every background at every SBR condition; None passes through.
+
+    Speech clips are drawn as a sweep with the same seed draws them, never
+    from excluded speakers. Mixed files are written under out_dir as 16-bit
+    WAV at the background's rate; labels are inherited from the background.
+    """
+    conditions = list(sbr_list_db)
+    mix = _speech_mixer(speech_pool, conditions, rng_seed, exclude_speakers)
+    out_dir = Path(out_dir)
+    with _file_errors(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    out_entries: list[ManifestEntry] = []
+    for ci, cond in enumerate(conditions):
+        if cond is None:
+            # Pass-through: keep records. A relative path moves from the input
+            # manifest's directory to out_dir, which the output manifest
+            # resolves it against; an absolute one stays as it is.
+            out_entries.extend(
+                e if Path(e.path).is_absolute()
+                else replace(e, path=os.path.relpath(manifest.resolve(e), out_dir))
+                for e in manifest.entries
+            )
+            continue
+        tag = condition_tag(cond)
+        for ei, entry in enumerate(manifest.entries):
+            background = load_audio(manifest.resolve(entry), None)
+            mixed, spec, speech = mix(entry.path, background, cond, ci, ei)
+            out_name = f"{ei:05d}_{Path(entry.path).stem}_{tag}.wav"
+            write_output(out_dir / out_name, wav_bytes(mixed))
+            out_entries.append(ManifestEntry(
+                out_name, entry.label, speech.speaker_id, condition=tag,
+                seed=spec.rng_seed, gain=spec.speech_gain * spec.headroom_gain,
+            ))
+    return CorpusManifest(out_entries, base_dir=out_dir)

@@ -15,13 +15,7 @@ from sceneid.features import Spectrogram, make_mel_bank, mfcc, power_spectrogram
 from sceneid.gmm import SufficientStats, gmm_checksum, train_ubm
 from sceneid.ivector import TvMatrix, extract_ivector, extract_ivectors, train_tv
 from sceneid.manifest import CorpusManifest
-from sceneid.mixer import (
-    active_speech_level,
-    align_speech,
-    build_multicondition_corpus,
-    mix_at_sbr,
-    rms_level,
-)
+from sceneid.mixer import active_speech_level, align_speech, mix_at_sbr, rms_level
 from sceneid.noisefloor import (
     SppParams,
     init_state,
@@ -29,7 +23,12 @@ from sceneid.noisefloor import (
     noise_periodogram_estimate,
     update,
 )
-from sceneid.pipeline import run_evaluation, run_sbr_sweep, run_training
+from sceneid.pipeline import (
+    build_multicondition_corpus,
+    run_evaluation,
+    run_sbr_sweep,
+    run_training,
+)
 from sceneid.synth import generate_corpus, scene_clip, speech_clip
 
 from test_features import oracle_log_mel_dct

@@ -78,7 +78,8 @@ class TestReadWav:
         payload = np.array([0.25, bad, -0.75], dtype="<f4").tobytes()
         path = tmp_path / "nonfinite.wav"
         path.write_bytes(make_wav_bytes(payload, format_tag=3, bits=32))
-        with pytest.raises(WavCorruptError, match="nonfinite.wav"):
+        # read_wav leaves naming the file to its caller (see test_cli.py).
+        with pytest.raises(WavCorruptError, match="non-finite"):
             read_wav(path)
 
     def test_stereo_interleaved(self, tmp_path):
@@ -129,7 +130,7 @@ class TestReadWav:
     ):
         path = tmp_path / "ragged.wav"
         path.write_bytes(make_wav_bytes(payload, format_tag=format_tag, bits=bits))
-        with pytest.raises(WavCorruptError, match="ragged.wav"):
+        with pytest.raises(WavCorruptError, match=rf"{bits}-bit payload not a multiple"):
             read_wav(path)
 
     @settings(deadline=None, max_examples=300)

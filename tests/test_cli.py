@@ -19,7 +19,6 @@ import pytest
 import sceneid
 from sceneid import backend as backend_mod
 from sceneid import cli, pipeline
-from sceneid import mixer as mixer_mod
 from sceneid.audio import AudioBuffer, frame_signal, read_wav, write_wav
 from sceneid.backend import score
 from sceneid.cli import build_parser, main
@@ -27,11 +26,14 @@ from sceneid.config import PipelineConfig
 from sceneid.features import power_spectrogram
 from sceneid.gmm import accumulate_stats
 from sceneid.ivector import extract_ivector, ivectors_to_bytes
+from sceneid.manifest import CorpusManifest
+from sceneid.mixer import draw_speech, usable_speech_pool
 from sceneid.noisefloor import noise_floor_spectrogram
 from sceneid.pipeline import ModelBundle, features_for_buffers, load_audio
 from sceneid.serialize import sha256_hex
+from sceneid.synth import scene_clip, speech_clip
 
-from conftest import make_wav_bytes
+from conftest import make_wav_bytes, pcm16_wav_bytes
 
 TINY_ARGS = [
     "--classes", "3",
@@ -138,7 +140,8 @@ def test_classify_audio_scores_equal_single_item_path(bundle, workspace, capsys)
     labels = model.backend.class_labels
     assert [r["id"] for r in records] == wavs
     for wav, record in zip(wavs, records):
-        (feats,) = features_for_buffers([(wav, load_audio(wav, model.config))], model.config)
+        buf = load_audio(wav, model.config.sample_rate)
+        (feats,) = features_for_buffers([(wav, buf)], model.config)
         w = extract_ivector(model.tv, model.ubm, accumulate_stats(model.ubm, feats))
         want = score(model.backend, w.w)
         assert [record["scores"][lab] for lab in labels] == want.tolist()
@@ -214,7 +217,7 @@ def test_extract_features_with_dumps(workspace, tmp_path, capsys):
                    "--set", f"noise_floor={noise_floor}"])
         assert rc == 0
         cfg = PipelineConfig().apply_overrides([f"noise_floor={noise_floor}"])
-        buf = load_audio(wav, cfg)
+        buf = load_audio(wav, cfg.sample_rate)
         (want,) = features_for_buffers([(str(wav), buf)], cfg)
         assert out.read_text().startswith("frame,f0,f1,")
         got = np.loadtxt(out, delimiter=",", skiprows=1)
@@ -301,6 +304,116 @@ def test_build_corpus_command(workspace, tmp_path, capsys):
     assert manifest_path.exists()
     lines = manifest_path.read_text().splitlines()
     assert len(lines) == 2 * 18  # {clean, -5 dB} doubles the corpus
+
+
+def _mono_and_stereo(x, rng):
+    """16-bit-exact (mono, interleaved stereo) samples of `x`; the stereo
+    channels differ, and their average is exactly the mono clip."""
+    ints = np.round(np.asarray(x) * 16384.0)
+    diff = rng.integers(-4096, 4097, size=ints.size)
+    stereo = np.stack([ints + diff, ints - diff], axis=1).reshape(-1)
+    return ints / 32768.0, stereo / 32768.0
+
+
+def _write_pair(directory, name, x, rate, rng):
+    """Write `x` as a mono and a stereo WAV of the same name, in directory/mono
+    and directory/stereo; returns the two paths."""
+    paths = []
+    for layout, samples in zip(("mono", "stereo"), _mono_and_stereo(x, rng)):
+        path = directory / layout / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_wav(path, AudioBuffer(samples, rate, 1 if layout == "mono" else 2))
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("stereo", ["background", "speech"])
+def test_mix_of_stereo_file_mixes_its_downmix(tmp_path, capsys, stereo):
+    rng = np.random.default_rng(3)
+    files = {
+        "background": _write_pair(tmp_path, "bg.wav", scene_clip(0, 16000, 16000, rng),
+                                  16000, rng),
+        "speech": _write_pair(tmp_path, "sp.wav", speech_clip(16000, 16000, rng, 180.0),
+                              16000, rng),
+    }
+    runs = []
+    for layout in (0, 1):  # mono, then the stereo file in the `stereo` role
+        out = tmp_path / f"mix{layout}.wav"
+        chosen = {role: pair[layout if role == stereo else 0] for role, pair in files.items()}
+        assert main(["mix", "--background", str(chosen["background"]),
+                     "--speech", str(chosen["speech"]), "--sbr", "5", "--seed", "4",
+                     "--out", str(out)]) == 0
+        spec = json.loads(capsys.readouterr().out)
+        del spec[f"{stereo}_id"]  # the file names differ
+        runs.append((out.read_bytes(), spec))
+    assert runs[1] == runs[0]
+
+
+def test_build_corpus_of_stereo_files_mixes_their_downmix(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    for i in range(2):
+        _write_pair(tmp_path, f"bg{i}.wav", scene_clip(i, 16000, 16000, rng), 16000, rng)
+        _write_pair(tmp_path, f"sp{i}.wav", speech_clip(16000, 16000, rng, 150.0 + 40 * i),
+                    16000, rng)
+    built = []
+    for layout in ("mono", "stereo"):
+        root = tmp_path / layout
+        (root / "bg.jsonl").write_text("".join(
+            json.dumps({"path": f"bg{i}.wav", "label": f"c{i}"}) + "\n" for i in range(2)))
+        (root / "sp.jsonl").write_text("".join(
+            json.dumps({"path": f"sp{i}.wav", "label": "speech", "speaker_id": f"s{i}"}) + "\n"
+            for i in range(2)))
+        out = root / "out"
+        assert main(["build-corpus", "--manifest", str(root / "bg.jsonl"),
+                     "--speech-pool", str(root / "sp.jsonl"), "--sbrs=-5,10",
+                     "--seed", "3", "--out", str(out)]) == 0
+        built.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(built[0]) == 5  # four mixes and the manifest
+    assert built[1] == built[0]
+
+
+@pytest.mark.parametrize("mixed_formats", [False, True],
+                         ids=["mono-same-rate", "48k-and-stereo-backgrounds-16k-speech"])
+def test_build_corpus_mixes_are_reproduced_by_mix(tmp_path, capsys, mixed_formats):
+    # Every mixed entry's WAV is `mix` of its background and the speech clip
+    # `draw_speech` picks, at the seed its manifest record holds.
+    rng = np.random.default_rng(21)
+    layouts = [(48000, 1), (44100, 2)] if mixed_formats else [(16000, 1), (16000, 1)]
+    backgrounds = []
+    for i, (rate, channels) in enumerate(layouts):
+        name = f"bg{i}.wav"
+        samples = _mono_and_stereo(scene_clip(i, rate, rate, rng), rng)[channels - 1]
+        write_wav(tmp_path / name, AudioBuffer(samples, rate, channels))
+        backgrounds.append({"path": name, "label": f"c{i}"})
+    speech = []
+    for i in range(3):
+        name = f"sp{i}.wav"
+        write_wav(tmp_path / name, AudioBuffer(speech_clip(16000, 16000, rng, 140.0 + 30 * i),
+                                               16000))
+        speech.append({"path": name, "label": "speech", "speaker_id": f"s{i}"})
+    for name, records in (("bg.jsonl", backgrounds), ("sp.jsonl", speech)):
+        (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out"
+    sbrs = [None, -5.0, 10.0]
+    assert main(["build-corpus", "--manifest", str(tmp_path / "bg.jsonl"),
+                 "--speech-pool", str(tmp_path / "sp.jsonl"), "--sbrs", "clean,-5,10",
+                 "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    pool = usable_speech_pool(CorpusManifest.load(tmp_path / "sp.jsonl"), sbrs)
+    records = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+    assert len(records) == len(sbrs) * len(backgrounds)
+    for k, record in enumerate(records):
+        ci, ei = divmod(k, len(backgrounds))
+        if sbrs[ci] is None:
+            continue
+        seed, speech_entry = draw_speech(pool, 7, ci, ei)
+        assert (record["seed"], record["speaker_id"]) == (seed, speech_entry.speaker_id)
+        again = tmp_path / f"again{k}.wav"
+        assert main(["mix", "--background", str(tmp_path / backgrounds[ei]["path"]),
+                     "--speech", str(tmp_path / speech_entry.path), f"--sbr={sbrs[ci]}",
+                     "--seed", str(record["seed"]), "--out", str(again)]) == 0
+        assert again.read_bytes() == (out / record["path"]).read_bytes()
+        assert read_wav(again).sample_rate == layouts[ei][0]
 
 
 def test_sweep_command(workspace, tmp_path, capsys):
@@ -546,6 +659,48 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["corrupt", "truncated", "missing", "non-finite",
+                                      "ragged"])
+    @pytest.mark.parametrize("command", ["extract-features", "classify", "mix",
+                                         "build-corpus-background", "build-corpus-speech"])
+    def test_unreadable_wav_is_audio_code_naming_it_once(
+        self, workspace, bundle, tmp_path, capsys, kind, command
+    ):
+        corpus = workspace / "corpus"
+        bad = tmp_path / "bad.wav"
+        content = {
+            "corrupt": b"not a wav file at all",
+            "truncated": pcm16_wav_bytes(range(100))[:-50],
+            "non-finite": make_wav_bytes(np.array([0.25, np.nan], dtype="<f4").tobytes(),
+                                         format_tag=3, bits=32),
+            "ragged": make_wav_bytes(b"\x01\x00\x02"),
+        }
+        if kind != "missing":
+            bad.write_bytes(content[kind])
+        good = next(corpus.glob("scenes/train_*.wav"))
+        listed = tmp_path / "m.jsonl"
+        listed.write_text(json.dumps({"path": str(bad), "label": "x", "speaker_id": "s"}) + "\n")
+        other = tmp_path / "ok.jsonl"
+        other.write_text(json.dumps({"path": str(good), "label": "x", "speaker_id": "s"}) + "\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "extract-features": ["extract-features", "--audio", str(bad), "--out", out],
+            "classify": ["classify", "--bundle", str(bundle), "--audio", str(bad)],
+            "mix": ["mix", "--background", str(good), "--speech", str(bad), "--sbr", "0",
+                    "--out", out],
+            "build-corpus-background": ["build-corpus", "--manifest", str(listed),
+                                        "--speech-pool", str(other), "--sbrs", "5",
+                                        "--out", out],
+            "build-corpus-speech": ["build-corpus", "--manifest", str(other),
+                                    "--speech-pool", str(listed), "--sbrs", "5",
+                                    "--out", out],
+        }[command]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith(f"error: [audio-io] {bad}: ") and err.endswith("\n")
+        assert err.count(str(bad)) == 1 and err.count("\n") == 1
+
     def test_nan_float_wav_is_audio_code(self, bundle, tmp_path, capsys):
         samples = np.full(16000, 0.1, dtype="<f4")
         samples[100] = np.nan
@@ -746,8 +901,6 @@ def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, m
     # trained, also for the manifest build-corpus writes last into its --out.
     for name in ("manifest_features", "load_audio", "train_backend"):
         monkeypatch.setattr(pipeline, name, work_started)
-    monkeypatch.setattr(cli, "read_wav", work_started)
-    monkeypatch.setattr(mixer_mod, "read_wav", work_started)
     rc = main([str(subst.get(a, a)) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2

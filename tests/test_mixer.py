@@ -9,11 +9,11 @@ from sceneid.mixer import (
     SilentSignalError,
     active_speech_level,
     align_speech,
-    build_multicondition_corpus,
     condition_tag,
     mix_at_sbr,
     rms_level,
 )
+from sceneid.pipeline import PipelineStageError, build_multicondition_corpus
 from sceneid.synth import scene_clip, speech_clip
 
 from conftest import tone
@@ -221,12 +221,12 @@ class TestBuildCorpus:
 
     def test_empty_pool_rejected(self, tmp_path):
         manifest, pool = _write_corpus(tmp_path)
-        with pytest.raises(ValueError, match="pool"):
+        with pytest.raises(PipelineStageError, match=r"^\[mixer\] speech pool"):
             build_multicondition_corpus(
                 manifest, [0.0], CorpusManifest([], tmp_path), 0, tmp_path / "out"
             )
         all_speakers = {e.speaker_id for e in pool.entries}
-        with pytest.raises(ValueError, match="pool"):
+        with pytest.raises(PipelineStageError, match=r"^\[mixer\] speech pool"):
             build_multicondition_corpus(
                 manifest, [0.0], pool, 0, tmp_path / "out", exclude_speakers=all_speakers
             )

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +302,43 @@ class TestSbrSweep:
             exclude_speakers=excluded,
         )
         assert report.per_condition["sbr+5dB"].sum() == 9
+
+
+def _references(path: Path, names) -> list[str]:
+    """`module.function` scope of every use of one of `names` in a source
+    file, by name or by attribute; imports are not uses."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and used in names:
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return found
+
+
+SOURCES = sorted(Path(pipeline.__file__).parent.glob("*.py"))
+
+
+def test_wav_files_are_read_only_by_load_audio():
+    # A third way of reading audio, with its own errors, fails here.
+    uses = [scope for path in SOURCES for scope in _references(path, {"read_wav"})]
+    assert uses == ["pipeline.load_audio"]
+
+
+def test_mixer_does_no_file_io():
+    path = Path(pipeline.__file__).parent / "mixer.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "").split(".")[0]}
+            imported |= {alias.name for alias in node.names}
+    assert imported.isdisjoint({"read_wav", "write_wav", "resample", "os", "pathlib"})
+    assert _references(path, {"open"}) == []
