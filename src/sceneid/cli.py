@@ -19,7 +19,7 @@ from . import gmm as gmm_mod
 from . import ivector as ivector_mod
 from . import pipeline as pipe
 from .audio import frame_signal, wav_bytes
-from .config import ConfigError, PipelineConfig, parse_sbr_token
+from .config import ConfigError, PipelineConfig, finite_sbr, parse_sbr_token
 from .errors import SceneidError
 from .features import FeatureMatrix, feature_csv, power_spectrogram
 from .manifest import CorpusManifest, ManifestError
@@ -86,7 +86,7 @@ def _add_fold_args(parser):
 
 
 def cmd_synth(args) -> int:
-    with pipe.stage(pipe.STAGE_CONFIG, OSError, item=args.out):
+    with pipe.stage(pipe.STAGE_CONFIG, OSError, ValueError, item=args.out):
         paths = generate_corpus(
             args.out,
             n_classes=args.classes,
@@ -138,7 +138,7 @@ def cmd_extract_features(args) -> int:
             _write_csv(args.dump_spectrogram, FeatureMatrix(spec.frames))
         if args.dump_noise_floor:
             with pipe.stage(pipe.STAGE_NOISE_FLOOR, NoiseFloorError):
-                floor = noise_floor_spectrogram(spec, cfg.to_spp_params(), cfg.nf_init_frames)
+                floor = noise_floor_spectrogram(spec, cfg.to_spp_params())
             _write_csv(args.dump_noise_floor, FeatureMatrix(floor.frames))
     _write_csv(args.out, feats)
     print(f"{args.out}: {feats.n_frames} frames x {feats.dim} dims")
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mix", help="mix speech into a background at an exact SBR")
     p.add_argument("--background", required=True)
     p.add_argument("--speech", required=True)
-    p.add_argument("--sbr", type=float, required=True)
+    p.add_argument("--sbr", type=finite_sbr, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_mix)
@@ -396,6 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # `--sbrs -5,10` -> `--sbrs=-5,10`: argparse takes a lone `-5,10` for an option.
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in ("--sbr", "--sbrs"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         _check_outputs(args)

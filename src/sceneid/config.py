@@ -9,6 +9,7 @@ serialize to identical bytes.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .audio import FrameConfig
@@ -53,6 +54,7 @@ class PipelineConfig:
     seed: int = 12345
 
     def to_feature_config(self) -> FeatureConfig:
+        sdc = SdcConfig(self.sdc_m, self.sdc_k, self.sdc_n, self.sdc_p)  # checked even if unused
         return FeatureConfig(
             sample_rate=self.sample_rate,
             frame=FrameConfig(self.frame_ms, self.overlap, self.window),
@@ -60,8 +62,8 @@ class PipelineConfig:
             n_ceps=self.n_ceps,
             fmin_hz=self.fmin_hz,
             fmax_hz=self.fmax_hz,
-            sdc=SdcConfig(self.sdc_m, self.sdc_k, self.sdc_n, self.sdc_p),
-            use_sdc=self.use_sdc,
+            sdc=sdc if self.use_sdc else None,
+            noise_floor=self.to_spp_params() if self.noise_floor else None,
         )
 
     def to_spp_params(self) -> SppParams:
@@ -72,6 +74,7 @@ class PipelineConfig:
             psd_smooth=self.psd_smooth,
             spp_clamp=self.spp_clamp,
             psd_floor=self.psd_floor,
+            init_frames=self.nf_init_frames,
         )
 
     def snapshot_text(self) -> str:
@@ -111,7 +114,7 @@ class PipelineConfig:
         """Check model sizes, counts and the seed, and build the feature and
         tracker configs once, so a value they reject fails here as a
         ConfigError, before any audio is read."""
-        for key in ("ubm_components", "tv_rank", "nf_init_frames"):
+        for key in ("ubm_components", "tv_rank"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         for key in ("ubm_iters", "kmeans_iters", "tv_iters", "seed"):
@@ -140,14 +143,21 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def finite_sbr(text) -> float:
+    """An SBR in dB; also the argparse type of `mix --sbr`."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"SBR must be finite, got {text}")
+    return value
+
+
 def parse_sbr_token(token: str):
     token = token.strip().lower()
     if token in ("clean", "nospeech", "no-speech"):
         return None
     try:
-        return float(token)
+        return finite_sbr(token)
     except ValueError as exc:
-        raise ConfigError(f"bad SBR token {token!r} (number or 'clean')") from exc
+        raise ConfigError(f"bad SBR token {token!r} (finite number or 'clean')") from exc
 
 
 def _set_field(cfg: PipelineConfig, key: str, raw: str) -> None:

@@ -2,8 +2,9 @@
 
 The static front end keeps 21 cepstral coefficients (c0 included) from 40
 mel bands; temporal context comes from shifted delta blocks instead of
-conventional derivative appends. A noise-floor variant of the spectrogram
-can be substituted before the mel stage (see sceneid.noisefloor).
+conventional derivative appends. Both optional stages are values of
+`FeatureConfig`: `sdc` and `noise_floor`, a tracked floor of the spectrogram
+substituted before the mel stage (see sceneid.noisefloor).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import scipy.fft
 
 from .audio import AudioBuffer, FrameConfig, Frames, frame_signal
 from .errors import SceneidError
+from .noisefloor import SppParams, check_tracker_length, track_noise_floor
 
 MEL_LOG_FLOOR = 1e-10  # added to band energies before log; keeps silence finite
 
@@ -241,22 +243,22 @@ class FeatureConfig:
     n_ceps: int = 21
     fmin_hz: float = 0.0
     fmax_hz: float | None = None
-    sdc: SdcConfig = SdcConfig()
-    use_sdc: bool = True
+    sdc: SdcConfig | None = SdcConfig()  # None: static MFCCs only
+    noise_floor: SppParams | None = None  # None: MFCCs of the raw spectrogram
 
     def __post_init__(self) -> None:
         self.frame.hop(self.sample_rate)
         _check_mel_bank(self.n_mels, self.fft_size(), self.sample_rate, self.fmin_hz, self.fmax_hz)
         if not 1 <= self.n_ceps <= self.n_mels:
             raise ValueError(f"need 1 <= n_ceps <= n_mels={self.n_mels}, got {self.n_ceps}")
-        if self.use_sdc and self.sdc.n > self.n_ceps:
+        if self.sdc is not None and self.sdc.n > self.n_ceps:
             raise ValueError(f"sdc_n={self.sdc.n} exceeds n_ceps={self.n_ceps}")
-        if self.use_sdc and self.n_ceps + self.sdc.appended_dim > MAX_FEATURE_DIM:
+        if self.sdc is not None and self.n_ceps + self.sdc.appended_dim > MAX_FEATURE_DIM:
             raise ValueError(
                 f"feature width n_ceps + (2*sdc_k+1)*sdc_n = "
                 f"{self.n_ceps + self.sdc.appended_dim} exceeds {MAX_FEATURE_DIM}"
             )
-        if self.use_sdc and max(self.sdc.m, self.sdc.p) > MAX_SDC_SHIFT:
+        if self.sdc is not None and max(self.sdc.m, self.sdc.p) > MAX_SDC_SHIFT:
             raise ValueError(
                 f"sdc_m={self.sdc.m} and sdc_p={self.sdc.p} must be at most {MAX_SDC_SHIFT} frames"
             )
@@ -266,17 +268,10 @@ class FeatureConfig:
 
 
 def extract_features(
-    buf: AudioBuffer,
-    config: FeatureConfig = FeatureConfig(),
-    use_noise_floor: bool = False,
-    spp_params=None,
-    n_init: int = 5,
-    recording_id: str = "",
+    buf: AudioBuffer, config: FeatureConfig = FeatureConfig(), recording_id: str = ""
 ) -> FeatureMatrix:
-    """Full front end: frame -> power spectrogram -> [noise floor] -> MFCC -> SDC."""
-    (feats,) = extract_features_many(
-        [buf], config, use_noise_floor, spp_params, n_init, [recording_id]
-    )
+    """Full front end: frame -> power spectrogram -> [noise floor] -> MFCC -> [SDC]."""
+    (feats,) = extract_features_many([buf], config, [recording_id])
     return feats
 
 
@@ -292,12 +287,7 @@ def _naming(recording_id: str):
 
 
 def extract_features_many(
-    bufs,
-    config: FeatureConfig = FeatureConfig(),
-    use_noise_floor: bool = False,
-    spp_params=None,
-    n_init: int = 5,
-    recording_ids=None,
+    bufs, config: FeatureConfig = FeatureConfig(), recording_ids=None
 ) -> list[FeatureMatrix]:
     """`extract_features` for several recordings, in their order.
 
@@ -313,24 +303,18 @@ def extract_features_many(
         raise ValueError(f"{len(bufs)} buffers but {len(ids)} recording ids")
     if not bufs:
         return []
-    if use_noise_floor:
-        from .noisefloor import SppParams, check_tracker_length, track_noise_floor
-
-        params = spp_params or SppParams()
 
     framed = []
     by_length: dict[int, list[int]] = {}
     for i, (buf, rid) in enumerate(zip(bufs, ids)):
         with _naming(rid):
-            if buf.channel_count != 1:
-                raise ValueError("extract_features expects a mono buffer")
             if buf.sample_rate != config.sample_rate:
                 raise ValueError(
                     f"buffer rate {buf.sample_rate} differs from configured {config.sample_rate}"
                 )
             frames = frame_signal(buf, config.frame)
-            if use_noise_floor:
-                check_tracker_length(len(frames.data), n_init)
+            if config.noise_floor is not None:
+                check_tracker_length(len(frames.data), config.noise_floor)
         framed.append(frames)
         by_length.setdefault(len(frames.data), []).append(i)
 
@@ -346,12 +330,12 @@ def extract_features_many(
         for j, i in enumerate(members):
             _power_into(framed[i], fft_size, stack[j])
             framed[i] = None
-        if use_noise_floor:
-            track_noise_floor(stack, params, n_init)
+        if config.noise_floor is not None:
+            track_noise_floor(stack, config.noise_floor)
         for j, i in enumerate(members):
             with _naming(ids[i]):
                 feats = mfcc(Spectrogram(stack[j], bin_hz, hop_s), bank, config.n_ceps)
-                if config.use_sdc:
+                if config.sdc is not None:
                     feats = append_sdc(feats, config.sdc)
             out[i] = replace(feats, recording_id=ids[i])
     return out

@@ -112,7 +112,7 @@ def mix_at_sbr(
     speech_gain = 10^((target + bg_rms_db - speech_active_db) / 20), with the
     active level measured on the looped/offset speech actually added. If the
     sum would clip, the whole mix is attenuated (SBR unchanged) and the
-    applied headroom gain recorded.
+    applied headroom gain recorded. An SBR with no finite, audible mix is a ValueError.
     """
     if background.sample_rate != speech.sample_rate:
         raise RateMismatchError(
@@ -129,9 +129,13 @@ def mix_at_sbr(
     aligned = align_speech(speech.samples, background.samples.size, offset)
     speech_active = active_speech_level(AudioBuffer(aligned, speech.sample_rate))
 
-    gain = 10.0 ** ((target_sbr_db + bg_rms.level_db - speech_active.level_db) / 20.0)
-    mix = background.samples + gain * aligned
+    gain_db = target_sbr_db + bg_rms.level_db - speech_active.level_db
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as one error
+        gain = float(np.float64(10.0) ** (gain_db / 20.0))
+        mix = background.samples + gain * aligned
     peak = float(np.max(np.abs(mix)))
+    if not (gain > 0.0 and math.isfinite(peak)):
+        raise ValueError(f"a {target_sbr_db} dB SBR needs a speech gain of {gain}: no usable mix")
     headroom = 1.0 if peak <= 1.0 else 1.0 / peak
     if headroom != 1.0:
         mix = mix * headroom

@@ -11,12 +11,15 @@ latching onto a raised floor when the speech posterior saturates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SceneidError
-from .features import Spectrogram
+
+if TYPE_CHECKING:  # features imports this module
+    from .features import Spectrogram
 
 # Raw smoothed-probability level above which the clamp engages.
 _STUCK_THRESHOLD = 0.99
@@ -47,6 +50,7 @@ class SppParams:
     psd_smooth: float = 0.8
     spp_clamp: float = 0.99
     psd_floor: float = 1e-12
+    init_frames: int = 5  # periodograms averaged to seed the floor
 
     def __post_init__(self) -> None:
         try:
@@ -61,6 +65,8 @@ class SppParams:
                 raise ValueError(f"SppParams.{name} must lie in (0, 1), got {v}")
         if not 0.0 < self.psd_floor < math.inf:
             raise ValueError(f"psd_floor must be finite and positive, got {self.psd_floor}")
+        if self.init_frames < 1:
+            raise ValueError(f"init_frames must be at least 1, got {self.init_frames}")
 
     @property
     def xi_h1(self) -> float:
@@ -75,13 +81,12 @@ class NoiseFloorState:
     frame_index: int = 0
 
 
-def init_state(first_frames, n_init: int, params: SppParams = SppParams()) -> NoiseFloorState:
-    """Seed the floor with the per-bin mean of the first n_init periodograms."""
+def init_state(first_frames, params: SppParams = SppParams()) -> NoiseFloorState:
+    """Seed the floor with the per-bin mean of the first init_frames periodograms."""
     rows = np.atleast_2d(np.asarray(first_frames, dtype=np.float64))
     if rows.size == 0:
         raise NoiseFloorError("cannot initialize noise floor from an empty spectrogram")
-    if n_init < 1:
-        raise ValueError("n_init must be >= 1")
+    n_init = params.init_frames
     if rows.shape[0] < n_init:
         raise NoiseFloorError(f"need {n_init} initialization frames, got {rows.shape[0]}")
     psd = np.maximum(rows[:n_init].mean(axis=0), params.psd_floor)
@@ -142,27 +147,28 @@ def update(
     return NoiseFloorState(psd, smoothed, state.frame_index + 1), psd
 
 
-def check_tracker_length(n_frames: int, n_init: int) -> None:
-    """The tracker needs its n_init seed frames plus at least one to track."""
-    if n_frames <= n_init:
+def check_tracker_length(n_frames: int, params: SppParams) -> None:
+    """The tracker needs its init_frames seed frames plus at least one to track."""
+    if n_frames <= params.init_frames:
         raise NoiseFloorError(
-            f"spectrogram has {n_frames} frames; need more than n_init={n_init}"
+            f"spectrogram has {n_frames} frames; need more than init_frames={params.init_frames}"
         )
 
 
-def track_noise_floor(stack: np.ndarray, params: SppParams = SppParams(), n_init: int = 5) -> None:
+def track_noise_floor(stack: np.ndarray, params: SppParams = SppParams()) -> None:
     """Replace each row of an (N, T, B) periodogram stack with the tracked floor.
 
     Runs in place, one step per frame over all N recordings at once. Each step
     applies the elementwise operations of `update()` in the same order, so
     every recording's output equals the `update()` loop bit for bit. The
-    first n_init rows of each recording emit its initialization estimate.
+    first init_frames rows of each recording emit its initialization estimate.
     """
     n_recordings, n_frames, n_bins = stack.shape
-    check_tracker_length(n_frames, n_init)
+    check_tracker_length(n_frames, params)
+    n_init = params.init_frames
     psd = np.empty((n_recordings, n_bins))
     for i in range(n_recordings):
-        psd[i] = init_state(stack[i, :n_init], n_init, params).noise_psd
+        psd[i] = init_state(stack[i, :n_init], params).noise_psd
     stack[:, :n_init] = psd[:, None, :]
     smoothed = np.full_like(psd, 0.5)
     p = np.empty_like(psd)
@@ -201,14 +207,12 @@ def track_noise_floor(stack: np.ndarray, params: SppParams = SppParams(), n_init
         per[...] = psd
 
 
-def noise_floor_spectrogram(
-    spec: Spectrogram, params: SppParams = SppParams(), n_init: int = 5
-) -> Spectrogram:
+def noise_floor_spectrogram(spec: Spectrogram, params: SppParams = SppParams()) -> Spectrogram:
     """Replace each spectrogram row with the tracked floor after that row.
 
-    The first n_init rows emit the initialization estimate unchanged, so the
-    output has the same shape as the input.
+    The first init_frames rows emit the initialization estimate unchanged, so
+    the output has the same shape as the input.
     """
     stack = spec.frames[None].copy()
-    track_noise_floor(stack, params, n_init)
-    return Spectrogram(stack[0], spec.bin_hz, spec.frame_hop_s)
+    track_noise_floor(stack, params)
+    return replace(spec, frames=stack[0])

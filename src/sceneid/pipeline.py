@@ -256,7 +256,6 @@ def features_for_buffers(items, config: PipelineConfig):
     A digitally silent recording is rejected (`_reject_silent`).
     """
     feature_config = config.to_feature_config()
-    spp_params = config.to_spp_params()
     items = iter(items)
     while chunk := list(itertools.islice(items, FEATURE_CHUNK)):
         for rec_id, buf in chunk:
@@ -266,12 +265,7 @@ def features_for_buffers(items, config: PipelineConfig):
             stage(STAGE_NOISE_FLOOR, NoiseFloorError),
         ):
             feats = extract_features_many(
-                [buf for _, buf in chunk],
-                feature_config,
-                use_noise_floor=config.noise_floor,
-                spp_params=spp_params,
-                n_init=config.nf_init_frames,
-                recording_ids=[rec_id for rec_id, _ in chunk],
+                [buf for _, buf in chunk], feature_config, [rec_id for rec_id, _ in chunk]
             )
         del chunk  # free this chunk's audio before the next one is drawn
         yield from feats

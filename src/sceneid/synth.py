@@ -141,8 +141,16 @@ def generate_corpus(
     Speech speakers are split into disjoint train-mix and eval-mix pools so
     multi-condition training never reuses an evaluation speaker.
     """
-    if n_classes > len(SCENE_CLASSES):
-        raise ValueError(f"at most {len(SCENE_CLASSES)} scene classes available")
+    if not 1 <= n_classes <= len(SCENE_CLASSES):
+        raise ValueError(f"need 1 to {len(SCENE_CLASSES)} scene classes, got {n_classes}")
+    if min(train_per_class, test_per_class) < 0:
+        raise ValueError("clips per class must not be negative")
+    # 8 kHz keeps the speech surrogate's 4 kHz harmonics below Nyquist.
+    if not 8000 <= sample_rate <= 384000:
+        raise ValueError(f"sample rate must lie in [8000, 384000] Hz, got {sample_rate}")
+    # Shorter clips end inside the first 10 ms onset ramp of a speech burst.
+    if not (np.isfinite(clip_seconds) and clip_seconds >= 0.01):
+        raise ValueError(f"clip length must be finite and at least 0.01 s, got {clip_seconds}")
     out_dir = Path(out_dir)
     scenes_dir = out_dir / "scenes"
     speech_dir = out_dir / "speech"

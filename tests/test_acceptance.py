@@ -76,7 +76,7 @@ def test_criterion_2_noise_floor_tracking():
         frame_signal(AudioBuffer(rng.standard_normal(10 * rate), rate), cfg)
     )
     true_psd = float(np.sum(window_values("hann", 640) ** 2))
-    est = noise_floor_spectrogram(spec, params, 5).frames[settled:].mean(axis=0)
+    est = noise_floor_spectrogram(spec, params).frames[settled:].mean(axis=0)
     coverage = float(np.mean(np.abs(10 * np.log10(est / true_psd)) <= 1.5))
     assert coverage >= 0.95
 
@@ -93,12 +93,12 @@ def test_criterion_2_noise_floor_tracking():
     ref = power_spectrogram(frame_signal(AudioBuffer(noise, rate), cfg)).frames.mean(axis=0)
     tone_bins = 10 * np.log10(spec_burst.frames.mean(axis=0) / ref) > 1.0
 
-    tracked = noise_floor_spectrogram(spec_burst, params, 5).frames[settled:].mean(axis=0)
+    tracked = noise_floor_spectrogram(spec_burst, params).frames[settled:].mean(axis=0)
     dev_tracked = 10 * np.log10(tracked / ref)
     assert np.abs(dev_tracked[tone_bins]).max() <= 3.0
     assert np.mean(np.abs(dev_tracked) <= 3.0) >= 0.95
 
-    state = init_state(spec_burst.frames[:5], 5, params)
+    state = init_state(spec_burst.frames[:5], params)
     plain = np.empty_like(spec_burst.frames)
     plain[:5] = state.noise_psd
     for k in range(5, plain.shape[0]):
@@ -124,7 +124,7 @@ def test_criterion_3_eq5_endpoints():
     assert np.max(np.abs(noise_periodogram_estimate(per, prev, 1.0) - prev)) <= 1e-12
 
     params = SppParams()
-    state = init_state(rng.uniform(0.5, 2.0, (5, 64)), 5, params)
+    state = init_state(rng.uniform(0.5, 2.0, (5, 64)), params)
     _, psd_hold = update(state, per, params, spp=1.0)
     assert np.max(np.abs(psd_hold - state.noise_psd)) <= 1e-12
     _, psd_pass = update(state, per, params, spp=0.0)

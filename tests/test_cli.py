@@ -225,7 +225,7 @@ def test_extract_features_with_dumps(workspace, tmp_path, capsys):
         assert np.array_equal(got[:, 0], np.arange(want.n_frames))
         assert np.array_equal(got[:, 1:], want.rows)
     power = power_spectrogram(frame_signal(buf, cfg.to_feature_config().frame))
-    floor = noise_floor_spectrogram(power, cfg.to_spp_params(), cfg.nf_init_frames)
+    floor = noise_floor_spectrogram(power, cfg.to_spp_params())
     for path, frames in ((spec, power.frames), (nf, floor.frames)):
         assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:], frames)
 
@@ -905,3 +905,99 @@ def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, m
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: [config] ") and str(subst[bad]) in err
+
+
+def _forbid_audio(monkeypatch):
+    def read(*args, **kwargs):
+        raise AssertionError("audio was read before the arguments were checked")
+
+    monkeypatch.setattr(pipeline, "load_audio", read)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+def test_non_finite_mix_sbr_is_usage_error(workspace, tmp_path, capsys, monkeypatch, value):
+    wav = str(next((workspace / "corpus").glob("scenes/train_*.wav")))
+    _forbid_audio(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["mix", "--background", wav, "--speech", wav, f"--sbr={value}",
+              "--out", str(tmp_path / "m.wav")])
+    assert exc.value.code == 2
+    assert f"argument --sbr: invalid finite_sbr value: '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "m.wav").exists()
+
+
+@pytest.mark.parametrize("command", ["build-corpus", "sweep"])
+@pytest.mark.parametrize("sbrs", ["nan", "inf", "-inf", "clean,-inf", "5,nan"])
+def test_non_finite_sbrs_are_config_code(workspace, bundle, tmp_path, capsys, monkeypatch,
+                                         command, sbrs):
+    corpus = workspace / "corpus"
+    _forbid_audio(monkeypatch)
+    argv = {
+        "build-corpus": ["build-corpus", "--manifest", str(corpus / "train.jsonl"),
+                         "--speech-pool", str(corpus / "speech_train.jsonl"),
+                         "--out", str(tmp_path / "out")],
+        "sweep": ["sweep", "--bundle", str(bundle), "--manifest", str(corpus / "test.jsonl"),
+                  "--speech-pool", str(corpus / "speech_eval.jsonl"),
+                  "--out", str(tmp_path / "out")],
+    }[command]
+    rc = main(argv + [f"--sbrs={sbrs}"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: [config] bad SBR token") and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_mix_sbr_is_mixer_code(workspace, tmp_path, capsys):
+    corpus = workspace / "corpus"
+    bg = next(corpus.glob("scenes/train_*.wav"))
+    sp = next(corpus.glob("speech/*.wav"))
+    rc = main(["mix", "--background", str(bg), "--speech", str(sp), "--sbr=1e308",
+               "--out", str(tmp_path / "m.wav")])
+    captured = capsys.readouterr()
+    assert rc == 7
+    assert captured.err.startswith(f"error: [mixer] {bg}: ")
+    assert "no usable mix" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "m.wav").exists()
+
+
+@pytest.mark.parametrize("command", ["build-corpus", "sweep"])
+def test_sbrs_list_starting_negative_parses_as_its_value(workspace, bundle, tmp_path, capsys,
+                                                          command):
+    # `--sbrs -5,10` gives what `--sbrs=-5,10` gives.
+    corpus = workspace / "corpus"
+    outputs = []
+    for form in (["--sbrs", "-5,10"], ["--sbrs=-5,10"]):
+        out = tmp_path / f"out{len(outputs)}"
+        argv = {
+            "build-corpus": ["build-corpus", "--manifest", str(corpus / "train.jsonl"),
+                             "--speech-pool", str(corpus / "speech_train.jsonl"),
+                             "--seed", "4", "--out", str(out)],
+            "sweep": ["sweep", "--bundle", str(bundle),
+                      "--manifest", str(corpus / "test.jsonl"),
+                      "--speech-pool", str(corpus / "speech_eval.jsonl"),
+                      "--seed", "4", "--out", str(out)],
+        }[command]
+        assert main(argv + form) == 0
+        if command == "sweep":
+            outputs.append(out.read_bytes())
+            assert set(json.loads(outputs[-1])["per_condition"]) == {"sbr-5dB", "sbr+10dB"}
+        else:
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert len(outputs[-1]) == 2 * 18 + 1
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--classes", "5"), ("--classes", "0"), ("--sample-rate", "0"),
+    ("--clip-seconds", "0"), ("--clip-seconds", "-1"), ("--clip-seconds", "nan"),
+    ("--clip-seconds", "inf"), ("--train-per-class", "-1"), ("--test-per-class", "-1"),
+])
+def test_bad_synth_argument_is_config_code_writing_nothing(tmp_path, capsys, option, value):
+    out = tmp_path / "corpus"
+    rc = main(["synth", "--out", str(out)] + TINY_ARGS + [option, value])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: [config] ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()

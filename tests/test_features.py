@@ -18,6 +18,7 @@ from sceneid.features import (
     mfcc,
     power_spectrogram,
 )
+from sceneid.noisefloor import SppParams
 
 
 def oracle_log_mel_dct(spec_frames, weights, n_ceps):
@@ -233,19 +234,20 @@ class TestExtractFeatures:
         # Tracked-floor features vary far less frame to frame than raw
         # features once the tracker has settled (2 s in). Uses the cited
         # tracker's published prior SNR.
-        from sceneid.noisefloor import SppParams
-
         rng = np.random.default_rng(0)
         buf = AudioBuffer(np.clip(0.1 * rng.standard_normal(5 * 16000), -1, 1), 16000)
-        cfg = FeatureConfig()
-        nf = extract_features(
-            buf, cfg, use_noise_floor=True, spp_params=SppParams(xi_h1_db=15.0)
-        )
-        raw = extract_features(buf, cfg, use_noise_floor=False)
+        nf = extract_features(buf, FeatureConfig(noise_floor=SppParams(xi_h1_db=15.0)))
+        raw = extract_features(buf, FeatureConfig())
         d_nf = np.linalg.norm(np.diff(nf.rows, axis=0), axis=1)
         d_raw = np.linalg.norm(np.diff(raw.rows, axis=0), axis=1)
         settled = int(2.0 / 0.020)
         assert d_nf[settled:].mean() < 0.1 * d_raw[settled:].mean()
+
+    def test_without_sdc_rows_are_static_mfccs(self, rng):
+        buf = AudioBuffer(0.1 * rng.standard_normal(16000), 16000)
+        feats = extract_features(buf, FeatureConfig(sdc=None))
+        assert feats.dim == 21
+        assert np.array_equal(feats.rows, extract_features(buf, FeatureConfig()).rows[:, :21])
 
     def test_rate_mismatch_rejected(self):
         buf = AudioBuffer(np.zeros(8000), 8000)
@@ -261,10 +263,10 @@ class TestExtractFeaturesMany:
     def test_ragged_batch_matches_reference(self, rng, noise_floor):
         from test_noisefloor import update_loop
 
-        cfg = FeatureConfig()
+        cfg = FeatureConfig(noise_floor=SppParams() if noise_floor else None)
         bufs = [AudioBuffer(0.1 * rng.standard_normal(n), 16000) for n in self.LENGTHS]
         ids = [f"clip{i}" for i in range(len(bufs))]
-        got = extract_features_many(bufs, cfg, use_noise_floor=noise_floor, recording_ids=ids)
+        got = extract_features_many(bufs, cfg, recording_ids=ids)
         bank = make_mel_bank(40, 1024, 16000)
         for buf, rid, feats in zip(bufs, ids, got):
             spec = power_spectrogram(frame_signal(buf, cfg.frame))

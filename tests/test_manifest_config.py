@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from sceneid import manifest as manifest_mod
 from sceneid.audio import AudioBuffer
 from sceneid.config import ConfigError, PipelineConfig, parse_sbr_token
+from sceneid.features import FeatureConfig
 from sceneid.manifest import CorpusManifest, ManifestEntry, ManifestError
+from sceneid.noisefloor import SppParams
 from sceneid.pipeline import PipelineStageError, features_for_buffers
 
 CLIP = AudioBuffer(0.1 * np.random.default_rng(7).standard_normal(16000), 16000)
@@ -202,6 +204,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_sbr_token("loud")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "-Infinity"])
+    def test_non_finite_sbr_token_rejected(self, token):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_sbr_token(token)
+
     def test_feature_and_spp_views(self):
         cfg = PipelineConfig()
         fc = cfg.to_feature_config()
@@ -209,6 +216,18 @@ class TestConfig:
         assert fc.sdc.n == 11
         spp = cfg.to_spp_params()
         assert spp.psd_smooth == 0.8
+
+    def test_defaults_agree_with_the_library(self):
+        # The defaults are stated twice: here and in the dataclasses.
+        assert PipelineConfig().to_feature_config() == FeatureConfig()
+        assert PipelineConfig().to_spp_params() == SppParams()
+        assert PipelineConfig(noise_floor=True).to_feature_config().noise_floor == SppParams()
+        assert PipelineConfig(use_sdc=False).to_feature_config().sdc is None
+
+    def test_init_frames_checked_once_in_spp_params(self):
+        assert PipelineConfig(nf_init_frames=9).to_spp_params().init_frames == 9
+        with pytest.raises(ConfigError, match="init_frames must be at least 1"):
+            PipelineConfig().apply_overrides(["nf_init_frames=0"])
 
     @settings(deadline=None, max_examples=200)
     @given(pairs=overrides())

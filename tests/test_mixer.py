@@ -149,6 +149,18 @@ class TestMixAtSbr:
         assert np.array_equal(m1.samples, m2.samples)
         assert s1 == s2
 
+    @pytest.mark.parametrize("target, speech_scale", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (float("-inf"), 1.0),
+        (1e308, 1.0),  # the gain overflows
+        (-1e308, 1.0),  # the gain underflows to zero: the mix would be the background
+        (6200.0, 1e10),  # the gain is finite, the scaled speech is not
+    ])
+    def test_unrealizable_target_rejected(self, target, speech_scale):
+        background = scene_buffer(seconds=1.0)
+        speech = AudioBuffer(speech_scale * speech_buffer(seconds=1.0).samples, RATE)
+        with pytest.raises(ValueError, match="no usable mix"):
+            mix_at_sbr(background, speech, target, rng_seed=0)
+
 
 def _write_corpus(tmp_path, n_backgrounds=3, n_speech=4):
     bg_dir = tmp_path / "bg"

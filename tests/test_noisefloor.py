@@ -22,26 +22,30 @@ CITED = SppParams(xi_h1_db=15.0)  # published configuration of the cited tracker
 class TestInitState:
     def test_mean_of_constants(self):
         rows = np.full((8, 4), 2.0)
-        state = init_state(rows, 5)
+        state = init_state(rows)
         np.testing.assert_array_equal(state.noise_psd, 2.0)
         np.testing.assert_array_equal(state.smoothed_spp, 0.5)
 
     def test_zero_frames_floored(self):
-        state = init_state(np.zeros((5, 4)), 5)
+        state = init_state(np.zeros((5, 4)))
         np.testing.assert_array_equal(state.noise_psd, 1e-12)
 
     def test_single_frame(self):
         rows = np.array([[1.0, 2.0, 3.0]])
-        state = init_state(rows, 1)
+        state = init_state(rows, SppParams(init_frames=1))
         np.testing.assert_array_equal(state.noise_psd, rows[0])
 
     def test_empty_rejected(self):
         with pytest.raises(NoiseFloorError):
-            init_state(np.zeros((0, 4)), 1)
+            init_state(np.zeros((0, 4)), SppParams(init_frames=1))
 
     def test_too_few_rows(self):
         with pytest.raises(NoiseFloorError):
-            init_state(np.zeros((3, 4)), 5)
+            init_state(np.zeros((3, 4)))
+
+    def test_init_frames_below_one_rejected(self):
+        with pytest.raises(ValueError, match="init_frames"):
+            SppParams(init_frames=0)
 
 
 class TestSpeechPresenceProb:
@@ -89,7 +93,7 @@ class TestUpdateEndpoints:
 
     def test_p_one_keeps_floor_unchanged_through_update(self, rng):
         params = SppParams()
-        state = init_state(rng.uniform(0.5, 2.0, (5, 8)), 5, params)
+        state = init_state(rng.uniform(0.5, 2.0, (5, 8)), params)
         new_state, psd = update(state, rng.uniform(0.5, 2.0, 8), params, spp=1.0)
         assert np.max(np.abs(psd - state.noise_psd)) <= 1e-12
         assert new_state.frame_index == state.frame_index + 1
@@ -97,7 +101,7 @@ class TestUpdateEndpoints:
     def test_forced_p_zero_equals_plain_smoother(self, rng):
         params = SppParams()
         pers = rng.uniform(0.1, 3.0, (40, 8))
-        state = init_state(pers[:5], 5, params)
+        state = init_state(pers[:5], params)
         direct = state.noise_psd.copy()
         for k in range(5, 40):
             state, psd = update(state, pers[k], params, spp=0.0)
@@ -105,7 +109,7 @@ class TestUpdateEndpoints:
             assert np.max(np.abs(psd - np.maximum(direct, params.psd_floor))) <= 1e-12
 
     def test_length_mismatch(self, rng):
-        state = init_state(rng.uniform(0.5, 2.0, (5, 8)), 5)
+        state = init_state(rng.uniform(0.5, 2.0, (5, 8)))
         with pytest.raises(NoiseFloorError):
             update(state, np.ones(9))
 
@@ -120,7 +124,7 @@ class TestTrackingAccuracy:
         spec = power_spectrogram(frame_signal(AudioBuffer(x, rate), FrameConfig()))
         win = window_values("hann", 640)
         true_psd = float(np.sum(win**2))  # unit-variance white noise
-        out = noise_floor_spectrogram(spec, SppParams(), 5)
+        out = noise_floor_spectrogram(spec, SppParams())
         settled = int(2.0 / 0.020)
         dev_db = 10 * np.log10(out.frames[settled:].mean(axis=0) / true_psd)
         assert np.mean(np.abs(dev_db) <= 1.5) >= 0.95
@@ -147,12 +151,12 @@ class TestTrackingAccuracy:
         assert tone_bins.sum() > 5
 
         settled = int(2.0 / 0.020)
-        tracked = noise_floor_spectrogram(spec_burst, params, 5).frames
+        tracked = noise_floor_spectrogram(spec_burst, params).frames
         dev_tracked = 10 * np.log10(tracked[settled:].mean(axis=0) / ref)
         assert np.abs(dev_tracked[tone_bins]).max() <= 3.0
         assert np.mean(np.abs(dev_tracked) <= 3.0) >= 0.95
 
-        state = init_state(spec_burst.frames[:5], 5, params)
+        state = init_state(spec_burst.frames[:5], params)
         plain = np.empty_like(spec_burst.frames)
         plain[:5] = state.noise_psd
         for k in range(5, plain.shape[0]):
@@ -164,13 +168,13 @@ class TestTrackingAccuracy:
 class TestNoiseFloorSpectrogram:
     def test_all_zero_input(self):
         spec = Spectrogram(np.zeros((20, 8)), 15.625, 0.02)
-        out = noise_floor_spectrogram(spec, SppParams(), 5)
+        out = noise_floor_spectrogram(spec, SppParams())
         np.testing.assert_array_equal(out.frames, 1e-12)
         assert out.frames.shape == spec.frames.shape
 
     def test_init_rows_emit_initial_estimate(self, rng):
         frames = rng.uniform(0.5, 2.0, (30, 8))
-        out = noise_floor_spectrogram(Spectrogram(frames, 15.625, 0.02), SppParams(), 5)
+        out = noise_floor_spectrogram(Spectrogram(frames, 15.625, 0.02), SppParams())
         expected = frames[:5].mean(axis=0)
         for t in range(5):
             np.testing.assert_allclose(out.frames[t], expected)
@@ -178,7 +182,7 @@ class TestNoiseFloorSpectrogram:
     def test_stationary_noise_final_rows(self):
         rng = np.random.default_rng(11)
         frames = rng.exponential(1.0, (500, 64))
-        out = noise_floor_spectrogram(Spectrogram(frames, 15.625, 0.02), SppParams(), 5)
+        out = noise_floor_spectrogram(Spectrogram(frames, 15.625, 0.02), SppParams())
         final = out.frames[-100:].mean(axis=0)
         dev_db = 10 * np.log10(final / 1.0)
         assert np.mean(np.abs(dev_db) <= 1.5) >= 0.9
@@ -186,12 +190,13 @@ class TestNoiseFloorSpectrogram:
     def test_too_few_frames(self):
         spec = Spectrogram(np.ones((4, 8)), 15.625, 0.02)
         with pytest.raises(NoiseFloorError):
-            noise_floor_spectrogram(spec, SppParams(), 5)
+            noise_floor_spectrogram(spec, SppParams())
 
 
-def update_loop(rows, params=SppParams(), n_init=5):
+def update_loop(rows, params=SppParams()):
     """Reference floor of one recording: init_state, then update() per frame."""
-    state = init_state(rows[:n_init], n_init, params)
+    n_init = params.init_frames
+    state = init_state(rows[:n_init], params)
     out = np.empty_like(rows)
     out[:n_init] = state.noise_psd
     for t in range(n_init, rows.shape[0]):
@@ -217,14 +222,15 @@ class TestTrackNoiseFloor:
         stack = rows[None].copy()
         track_noise_floor(stack)
         assert np.array_equal(stack[0], update_loop(rows))
-        spec = noise_floor_spectrogram(Spectrogram(rows, 15.625, 0.02), SppParams(), 5)
+        spec = noise_floor_spectrogram(Spectrogram(rows, 15.625, 0.02), SppParams())
         assert np.array_equal(spec.frames, update_loop(rows))
 
     @pytest.mark.parametrize("n_init", [1, 5, 12])
     def test_exactly_one_tracked_frame(self, rng, n_init):
         stack = rng.exponential(1.0, (3, n_init + 1, 9))
-        expected = [update_loop(rows, n_init=n_init) for rows in stack]
-        track_noise_floor(stack, n_init=n_init)
+        params = SppParams(init_frames=n_init)
+        expected = [update_loop(rows, params) for rows in stack]
+        track_noise_floor(stack, params)
         for got, want in zip(stack, expected):
             assert np.array_equal(got, want)
 
@@ -236,7 +242,7 @@ class TestTrackNoiseFloor:
 
     def test_too_few_frames(self):
         with pytest.raises(NoiseFloorError):
-            track_noise_floor(np.ones((2, 5, 8)), n_init=5)
+            track_noise_floor(np.ones((2, 5, 8)))
 
 
 class TestInvariants:
@@ -246,7 +252,7 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         params = SppParams()
         pers = rng.exponential(1.0, (30, 6)) * rng.uniform(0.1, 10.0)
-        state = init_state(pers[:5], 5, params)
+        state = init_state(pers[:5], params)
         upper = max(state.noise_psd.max(), pers.max())
         for k in range(5, 30):
             state, psd = update(state, pers[k], params)
@@ -260,7 +266,7 @@ class TestInvariants:
         gain = 12.5
 
         def converged(frames):
-            state = init_state(frames[:5], 5, params)
+            state = init_state(frames[:5], params)
             for k in range(5, frames.shape[0]):
                 state, psd = update(state, frames[k], params)
             return psd

@@ -66,14 +66,7 @@ class TestFeaturesForBuffers:
         got = list(features_for_buffers(iter(items), config))
         assert len(got) == len(items)
         for (rid, buf), feats in zip(items, got):
-            want = extract_features(
-                buf,
-                config.to_feature_config(),
-                use_noise_floor=noise_floor,
-                spp_params=config.to_spp_params(),
-                n_init=config.nf_init_frames,
-                recording_id=rid,
-            )
+            want = extract_features(buf, config.to_feature_config(), recording_id=rid)
             assert np.array_equal(feats.rows, want.rows)
             assert feats.recording_id == rid
 
