@@ -152,38 +152,37 @@ def make_mel_bank(
     peak; adjacent filters overlap so interior bins are covered with total
     weight at most one.
     """
-    fmax_hz = _check_mel_bank(n_filters, fft_size, sample_rate, fmin_hz, fmax_hz)
-    mel_pts = np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_filters + 2)
-    hz_pts = mel_to_hz(mel_pts)
-    n_bins = fft_size // 2 + 1
-    bin_freqs = np.arange(n_bins) * (sample_rate / fft_size)
-
+    hz_pts, bin_freqs = _check_mel_bank(n_filters, fft_size, sample_rate, fmin_hz, fmax_hz)
     lower = hz_pts[:-2, None]
     center = hz_pts[1:-1, None]
     upper = hz_pts[2:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):  # coinciding vertices fail below
-        rising = (bin_freqs - lower) / (center - lower)
-        falling = (upper - bin_freqs) / (upper - center)
+    rising = (bin_freqs - lower) / (center - lower)
+    falling = (upper - bin_freqs) / (upper - center)
     weights = np.maximum(0.0, np.minimum(rising, falling))
-    if not np.all(weights.sum(axis=1) > 0.0):
-        raise ValueError(f"{n_filters} mel filters over {n_bins} FFT bins leave a filter empty")
     return MelFilterBank(weights, hz_pts[1:-1].copy())
 
 
-def _check_mel_bank(n_filters, fft_size, sample_rate, fmin_hz, fmax_hz) -> float:
+def _check_mel_bank(n_filters, fft_size, sample_rate, fmin_hz, fmax_hz):
     """`make_mel_bank`'s argument checks, made without building the bank.
 
-    Returns fmax_hz, with None read as Nyquist.
+    Returns the M+2 filter vertices (Hz, fmax_hz None read as Nyquist) and
+    the FFT bin frequencies. A filter is empty unless its vertices strictly
+    increase and an FFT bin lies strictly between its lower and upper edge.
     """
     nyquist = sample_rate / 2.0
     fmax_hz = nyquist if fmax_hz is None else fmax_hz
     if not (0.0 <= fmin_hz < fmax_hz <= nyquist):
         raise ValueError(f"need 0 <= fmin_hz < fmax_hz <= Nyquist, got [{fmin_hz}, {fmax_hz}]")
-    if not 1 <= n_filters <= fft_size // 2 + 1:
-        raise ValueError(
-            f"need 1 to {fft_size // 2 + 1} mel filters (the FFT bin count), got {n_filters}"
-        )
-    return fmax_hz
+    n_bins = fft_size // 2 + 1
+    if not 1 <= n_filters <= n_bins:
+        raise ValueError(f"need 1 to {n_bins} mel filters (the FFT bin count), got {n_filters}")
+    hz_pts = mel_to_hz(np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_filters + 2))
+    bin_freqs = np.arange(n_bins) * (sample_rate / fft_size)
+    lower, center, upper = hz_pts[:-2], hz_pts[1:-1], hz_pts[2:]
+    inside = np.searchsorted(bin_freqs, upper, "left") - np.searchsorted(bin_freqs, lower, "right")
+    if not np.all((lower < center) & (center < upper) & (inside > 0)):
+        raise ValueError(f"{n_filters} mel filters over {n_bins} FFT bins leave a filter empty")
+    return hz_pts, bin_freqs
 
 
 def mfcc(spec: Spectrogram, bank: MelFilterBank, n_ceps: int) -> FeatureMatrix:

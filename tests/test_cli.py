@@ -450,7 +450,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("override", [
         "overlap=1.0", "window=bogus", "frame_ms=inf", "frame_ms=1e308",
-        "fmin_hz=9000", "fmax_hz=20000", "n_mels=0", "n_mels=100000000", "n_ceps=0",
+        "fmin_hz=9000", "fmin_hz=7999", "fmax_hz=20000", "n_mels=0", "n_mels=100000000", "n_ceps=0",
         "n_ceps=50", "sdc_n=30", "nf_init_frames=0", "psd_floor=nan", "psd_floor=inf",
         "spp_xi_h1_db=1e308", "seed=-1", "sdc_k=1000", "sdc_k=100000000",
         "sdc_p=100000000000000000000", "sdc_m=100000000000000000000",

@@ -1,19 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 from sceneid.audio import AudioBuffer, read_wav, write_wav
+from sceneid.cli import EXIT_CODES
 from sceneid.manifest import CorpusManifest, ManifestEntry
 from sceneid.mixer import (
+    ACTIVITY_MARGIN_DB,
     NoActivityError,
+    NonFiniteSignalError,
     RateMismatchError,
     SilentSignalError,
+    _active_frame_energies,
     active_speech_level,
     align_speech,
     condition_tag,
     mix_at_sbr,
     rms_level,
 )
-from sceneid.pipeline import PipelineStageError, build_multicondition_corpus
+from sceneid.pipeline import PipelineStageError, _mix, build_multicondition_corpus
 from sceneid.synth import scene_clip, speech_clip
 
 from conftest import tone
@@ -29,6 +35,32 @@ def speech_buffer(seed=1, seconds=2.0, f0=180.0) -> AudioBuffer:
 def scene_buffer(seed=2, seconds=2.0, class_index=0) -> AudioBuffer:
     rng = np.random.default_rng(seed)
     return AudioBuffer(scene_clip(class_index, int(seconds * RATE), RATE, rng), RATE)
+
+
+def reference_active_frame_energies(buf: AudioBuffer) -> np.ndarray:
+    """The full-length 16 ms "same" convolution of the squared signal,
+    averaged per 10 ms frame: the definition `_active_frame_energies`
+    evaluates as one strided GEMV."""
+    smooth_len = max(1, int(round(16.0 * buf.sample_rate / 1000.0)))
+    envelope = np.convolve(buf.samples**2, np.full(smooth_len, 1.0 / smooth_len), mode="same")
+    frame_len = max(1, int(round(10.0 * buf.sample_rate / 1000.0)))
+    n_frames = envelope.size // frame_len
+    if n_frames == 0:
+        return envelope.mean(keepdims=True)
+    return envelope[: n_frames * frame_len].reshape(n_frames, frame_len).mean(axis=1)
+
+
+def active_mask(energies: np.ndarray) -> np.ndarray:
+    return energies >= energies.max() * 10.0 ** (-ACTIVITY_MARGIN_DB / 10.0)
+
+
+def remeasured_sbr(background: AudioBuffer, speech: AudioBuffer, spec) -> float:
+    """Active speech level minus background RMS of the two scaled parts of a mix."""
+    aligned = align_speech(speech.samples, background.samples.size, spec.speech_offset)
+    rate = background.sample_rate
+    comp = AudioBuffer(spec.headroom_gain * spec.speech_gain * aligned, rate)
+    bg = AudioBuffer(spec.headroom_gain * background.samples, rate)
+    return active_speech_level(comp).level_db - rms_level(bg).level_db
 
 
 class TestRmsLevel:
@@ -74,6 +106,86 @@ class TestActiveSpeechLevel:
         assert active_speech_level(buf).level_db > rms_level(buf).level_db
 
 
+@pytest.mark.parametrize("level", [rms_level, active_speech_level])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", ["middle", "tail"])
+def test_non_finite_sample_has_no_level(level, bad, at):
+    # 10 ms less one sample past the last whole frame: the last sample lies
+    # beyond the smoothing window of every frame.
+    samples = np.concatenate([speech_buffer(seconds=1.0).samples, np.full(RATE // 100 - 1, 0.1)])
+    samples[RATE // 2 if at == "middle" else -1] = bad
+    with pytest.raises(NonFiniteSignalError, match="NaN or infinite"):
+        level(AudioBuffer(samples, RATE))
+
+
+@pytest.mark.parametrize("part", ["background", "speech"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_mix_input_is_mixer_stage_error(part, bad):
+    buffers = {"background": scene_buffer(seconds=1.0), "speech": speech_buffer(seconds=1.0)}
+    samples = buffers[part].samples.copy()
+    samples[-1] = bad
+    buffers[part] = AudioBuffer(samples, RATE)
+    with pytest.raises(PipelineStageError, match=r"^\[mixer\] bg: .*NaN or infinite") as info:
+        _mix(buffers["background"], buffers["speech"], 5.0, 0, "bg", "sp")
+    assert EXIT_CODES[info.value.stage] == 7
+
+
+class TestActiveFrameEnergiesOracle:
+    """The strided GEMV against the convolve-then-frame-mean reference."""
+
+    @staticmethod
+    def sizes(rate):
+        frame = rate // 100  # F, 10 ms
+        smooth = int(round(0.016 * rate))  # L, 16 ms
+        return frame, smooth
+
+    @pytest.mark.parametrize("rate", [16000, 48000])
+    def test_matches_reference_at_every_alignment(self, rate):
+        frame, smooth = self.sizes(rate)
+        rng = np.random.default_rng(rate)
+        lengths = [frame, frame + 1, smooth, smooth + 1, 7 * frame + 37, 3 * rate, 30 * rate]
+        for n in lengths:
+            buf = AudioBuffer(rng.standard_normal(n), rate)
+            expected = reference_active_frame_energies(buf)
+            got = _active_frame_energies(buf)
+            assert got.shape == expected.shape, n
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0, err_msg=f"n={n}")
+
+    @pytest.mark.parametrize("rate", [16000, 48000])
+    def test_sub_frame_signal_equals_reference_bit_for_bit(self, rate):
+        frame, _ = self.sizes(rate)
+        rng = np.random.default_rng(1)
+        for n in (1, 2, frame // 2, frame - 1):
+            buf = AudioBuffer(rng.standard_normal(n), rate)
+            assert np.array_equal(
+                _active_frame_energies(buf), reference_active_frame_energies(buf)
+            ), n
+
+    @pytest.mark.parametrize("rate", [16000, 48000])
+    def test_speech_masks_and_levels_match_reference(self, rate):
+        rng = np.random.default_rng(rate + 1)
+        for _ in range(6):
+            buf = AudioBuffer(
+                speech_clip(3 * rate, rate, rng, float(rng.uniform(110, 260))), rate
+            )
+            expected = reference_active_frame_energies(buf)
+            got = _active_frame_energies(buf)
+            assert np.array_equal(active_mask(got), active_mask(expected))
+            reference_db = 10.0 * math.log10(float(expected[active_mask(expected)].mean()))
+            assert active_speech_level(buf).level_db == pytest.approx(reference_db, abs=1e-9)
+
+    def test_remeasured_sbr_at_48k(self):
+        # Criterion 7's check at 48 kHz, where the taps are F=480 and L=768.
+        rng = np.random.default_rng(48)
+        rate = 48000
+        for i in range(10):
+            bg = AudioBuffer(scene_clip(int(rng.integers(0, 4)), 2 * rate, rate, rng), rate)
+            sp = AudioBuffer(speech_clip(2 * rate, rate, rng, float(rng.uniform(110, 260))), rate)
+            target = float(rng.uniform(-10.0, 25.0))
+            _, spec = mix_at_sbr(bg, sp, target, rng_seed=i)
+            assert remeasured_sbr(bg, sp, spec) == pytest.approx(target, abs=0.2)
+
+
 class TestMixAtSbr:
     def test_equal_levels_target_zero(self):
         buf = tone(440.0, 1.0, RATE, amplitude=0.2)
@@ -91,14 +203,8 @@ class TestMixAtSbr:
         background = scene_buffer(seconds=3.0)
         speech = speech_buffer(seconds=3.0)
         for target in (-5.0, 0.0, 20.0):
-            mixed, spec = mix_at_sbr(background, speech, target, rng_seed=7)
-            aligned = align_speech(
-                speech.samples, background.samples.size, spec.speech_offset
-            )
-            comp = AudioBuffer(spec.headroom_gain * spec.speech_gain * aligned, RATE)
-            bg = AudioBuffer(spec.headroom_gain * background.samples, RATE)
-            sbr = active_speech_level(comp).level_db - rms_level(bg).level_db
-            assert sbr == pytest.approx(target, abs=0.2)
+            _, spec = mix_at_sbr(background, speech, target, rng_seed=7)
+            assert remeasured_sbr(background, speech, spec) == pytest.approx(target, abs=0.2)
 
     def test_linearity_sample_exact(self):
         background = scene_buffer(seconds=1.0)
@@ -115,11 +221,7 @@ class TestMixAtSbr:
         mixed, spec = mix_at_sbr(background, speech, 35.0, rng_seed=3)
         assert spec.headroom_gain < 1.0
         assert np.max(np.abs(mixed.samples)) <= 1.0 + 1e-12
-        aligned = align_speech(speech.samples, background.samples.size, spec.speech_offset)
-        comp = AudioBuffer(spec.headroom_gain * spec.speech_gain * aligned, RATE)
-        bg = AudioBuffer(spec.headroom_gain * background.samples, RATE)
-        sbr = active_speech_level(comp).level_db - rms_level(bg).level_db
-        assert sbr == pytest.approx(35.0, abs=0.2)
+        assert remeasured_sbr(background, speech, spec) == pytest.approx(35.0, abs=0.2)
 
     def test_speech_looped_to_cover_background(self):
         background = scene_buffer(seconds=3.0)
