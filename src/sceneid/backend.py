@@ -170,7 +170,7 @@ def backend_to_bytes(model: BackendModel) -> bytes:
     return buf.getvalue()
 
 
-def backend_from_bytes(raw: bytes) -> BackendModel:
+def backend_from_bytes(raw) -> BackendModel:
     fh = serialize.open_container(raw, _BACKEND_MAGIC, _BACKEND_VERSION)
     n_classes = serialize.unpack_u32(fh)
     labels = [serialize.unpack_str(fh) for _ in range(n_classes)]
@@ -178,6 +178,7 @@ def backend_from_bytes(raw: bytes) -> BackendModel:
     mu = serialize.unpack_array(fh)
     sigma_c = serialize.unpack_array(fh)
     counts = serialize.unpack_array(fh)
+    serialize.close_container(fh)
     rank = mu.shape[-1] if mu.ndim == 2 else -1
     if (mu.shape, sigma_c.shape, counts.shape) != (
         (n_classes, rank), (n_classes, rank, rank), (n_classes,)

@@ -94,10 +94,11 @@ class PipelineConfig:
         return cfg._validated()
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "PipelineConfig":
-        """Parse the `key = value` text of a config file."""
+    def from_bytes(cls, raw) -> "PipelineConfig":
+        """Parse the `key = value` UTF-8 text of a config file (any bytes-like
+        object)."""
         cfg = cls()
-        for lineno, line in enumerate(raw.decode("utf-8").splitlines(), 1):
+        for lineno, line in enumerate(str(raw, "utf-8").splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

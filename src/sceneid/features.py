@@ -24,6 +24,10 @@ MEL_LOG_FLOOR = 1e-10  # added to band energies before log; keeps silence finite
 # Widest feature row a config may ask for: n_ceps + (2k+1)n is 76 in the paper.
 MAX_FEATURE_DIM = 1024
 
+# Longest analysis frame, in samples: 21.8 s at 48 kHz. The config check
+# builds arrays over the frame's FFT bins before any audio is read.
+MAX_FRAME_LEN = 1 << 20
+
 # Largest SDC spread m or block step p, in frames. Shifts only move clamped
 # frame indices, so larger ones change nothing on any real clip.
 MAX_SDC_SHIFT = 10_000
@@ -247,6 +251,9 @@ class FeatureConfig:
 
     def __post_init__(self) -> None:
         self.frame.hop(self.sample_rate)
+        frame_len = self.frame.frame_len(self.sample_rate)
+        if frame_len > MAX_FRAME_LEN:
+            raise ValueError(f"a frame of {frame_len} samples exceeds {MAX_FRAME_LEN}")
         _check_mel_bank(self.n_mels, self.fft_size(), self.sample_rate, self.fmin_hz, self.fmax_hz)
         if not 1 <= self.n_ceps <= self.n_mels:
             raise ValueError(f"need 1 <= n_ceps <= n_mels={self.n_mels}, got {self.n_ceps}")

@@ -283,7 +283,7 @@ def gmm_checksum(model: GmmModel) -> str:
     return serialize.sha256_hex(memoryview(gmm_to_bytes(model))[serialize.HEADER_BYTES:])
 
 
-def gmm_from_bytes(raw: bytes) -> GmmModel:
+def gmm_from_bytes(raw) -> GmmModel:
     fh = serialize.open_container(raw, _GMM_MAGIC, _GMM_VERSION)
     n_components = serialize.unpack_u32(fh)
     n_features = serialize.unpack_u32(fh)
@@ -292,6 +292,7 @@ def gmm_from_bytes(raw: bytes) -> GmmModel:
     variances = serialize.unpack_array(fh)
     floor = serialize.unpack_array(fh)
     seed = serialize.unpack_u64(fh)
+    serialize.close_container(fh)
     if means.shape != (n_components, n_features):
         raise serialize.ContainerError("inconsistent GMM dimensions")
     return GmmModel(weights, means, variances, floor, seed=seed)

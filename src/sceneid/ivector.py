@@ -310,13 +310,14 @@ def tv_to_bytes(tv: TvMatrix) -> bytes:
     return buf.getvalue()
 
 
-def tv_from_bytes(raw: bytes) -> TvMatrix:
+def tv_from_bytes(raw) -> TvMatrix:
     fh = serialize.open_container(raw, _TV_MAGIC, _TV_VERSION)
     c = serialize.unpack_u32(fh)
     f = serialize.unpack_u32(fh)
     r = serialize.unpack_u32(fh)
     checksum = serialize.unpack_str(fh)
     t = serialize.unpack_array(fh)
+    serialize.close_container(fh)
     if t.shape != (c, f, r):
         raise serialize.ContainerError("inconsistent T dimensions")
     return TvMatrix(t, checksum)
@@ -336,11 +337,12 @@ def ivectors_to_bytes(ids, w_matrix: np.ndarray) -> bytes:
     return buf.getvalue()
 
 
-def ivectors_from_bytes(raw: bytes) -> tuple[list[str], np.ndarray]:
+def ivectors_from_bytes(raw) -> tuple[list[str], np.ndarray]:
     fh = serialize.open_container(raw, _IVEC_MAGIC, _IVEC_VERSION)
     count = serialize.unpack_u32(fh)
     ids = [serialize.unpack_str(fh) for _ in range(count)]
     w = serialize.unpack_array(fh)
+    serialize.close_container(fh)
     if w.ndim != 2 or w.shape[0] != count:
         raise serialize.ContainerError("iVector count mismatch")
     return ids, w

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -184,14 +185,15 @@ class ModelBundle:
     def load(cls, bundle_dir) -> "ModelBundle":
         """Load a bundle whose index lists, and checksums, exactly its files.
 
-        Every file is read before any is parsed. Every failure to read a
+        Every file is read once, by `read_model_file`, and every checksum
+        is checked before any file is parsed. Every failure to read a
         bundle file is a config-stage error naming it.
         """
         bundle_dir = Path(bundle_dir)
         for name in _BUNDLE_FILES + ("bundle.json",):
             if not (bundle_dir / name).exists():
                 raise PipelineStageError(STAGE_CONFIG, f"bundle file missing: {name}")
-        index = read_model_file(json.loads, bundle_dir / "bundle.json")
+        index = read_model_file(lambda raw: json.loads(bytes(raw)), bundle_dir / "bundle.json")
         files = index.get("files") if isinstance(index, dict) else None
         if not isinstance(files, dict) or sorted(files) != sorted(_BUNDLE_FILES):
             raise PipelineStageError(
@@ -222,9 +224,27 @@ def _file_errors(path):
 
 
 def read_model_file(decode, path):
-    """Read a model, config or iVector file and decode its bytes with `decode`."""
+    """Read a model, config, index or iVector file and decode it with `decode`.
+
+    This is the one reader of these files. It opens the file once and reads
+    it straight into an owned float64 buffer, placed so that the file ends on
+    an 8-byte boundary, and `decode` gets a writeable memoryview of its bytes.
+    A container's last array (T in `tv.tvm`) is then aligned, and
+    `serialize.unpack_array` keeps it as a view of the buffer: the file's
+    bytes are copied once, from disk, and never again.
+    """
     with _file_errors(path):
-        return decode(Path(path).read_bytes())
+        with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                raise OSError("not a regular file")
+            size = st.st_size
+            words = np.empty(-(-size // 8), dtype=np.float64)
+            raw = memoryview(words).cast("B")[words.nbytes - size:]
+            got = fh.readinto(raw)
+        if got != size:
+            raise OSError(f"read {got} of {size} bytes")
+        return decode(raw)
 
 
 def write_output(path, data: bytes) -> None:

@@ -9,7 +9,9 @@ Nothing here touches a file: the pipeline reads and writes the bytes.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
+from dataclasses import dataclass
 from io import BytesIO
 
 import numpy as np
@@ -22,6 +24,14 @@ HEADER_BYTES = 6  # magic and version
 
 class ContainerError(SceneidError):
     pass
+
+
+@dataclass
+class ContainerReader:
+    """A cursor over a container's bytes, which it never copies."""
+
+    raw: memoryview
+    pos: int
 
 
 def pack_u32(fh, value: int) -> None:
@@ -64,30 +74,30 @@ def unpack_f64(fh) -> float:
 
 def unpack_str(fh) -> str:
     n = unpack_u32(fh)
-    return _take(fh, n).decode("utf-8")
+    return str(_take(fh, n), "utf-8")
 
 
-def unpack_array(fh: BytesIO) -> np.ndarray:
-    """Read an array written by pack_array, copying its payload once out of
-    the container's bytes."""
+def unpack_array(fh: ContainerReader) -> np.ndarray:
+    """Read an array written by pack_array.
+
+    The array is a view of the container's buffer when that buffer is
+    writeable and the payload 8-byte aligned, as `pipeline.read_model_file`
+    arranges for a container's last array (T in `tv.tvm`). Otherwise, for
+    example from a `bytes` object, the payload is copied once into an owned
+    array."""
     ndim = struct.unpack("<B", _take(fh, 1))[0]
     shape = tuple(unpack_u32(fh) for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    start = fh.tell()
-    # The bytes open_container wrapped, returned without a copy while fh
-    # shares them; getbuffer() would copy them first.
-    raw = fh.getvalue()
-    if len(raw) - start < 8 * count:
-        raise ContainerError("container truncated")
-    view = np.frombuffer(raw, dtype="<f8", count=count, offset=start)
-    fh.seek(start + 8 * count)
-    return view.reshape(shape).astype(np.float64)
+    payload = np.frombuffer(_take(fh, 8 * math.prod(shape)), dtype="<f8").reshape(shape)
+    in_place = payload.flags.writeable and payload.flags.aligned
+    return payload.astype(np.float64, copy=not in_place)
 
 
-def _take(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+def _take(fh: ContainerReader, n: int) -> memoryview:
+    end = fh.pos + n
+    if end > len(fh.raw):
         raise ContainerError("container truncated")
+    data = fh.raw[fh.pos:end]
+    fh.pos = end
     return data
 
 
@@ -99,16 +109,23 @@ def new_container(magic: bytes, version: int) -> BytesIO:
     return fh
 
 
-def open_container(raw: bytes, magic: bytes, version: int) -> BytesIO:
-    """Check magic and version and return a reader positioned at the payload."""
+def open_container(raw, magic: bytes, version: int) -> ContainerReader:
+    """Check magic and version of a container's bytes (any bytes-like
+    object) and return a reader positioned at the payload."""
+    raw = memoryview(raw)
     if len(raw) < HEADER_BYTES or raw[:4] != magic:
         raise ContainerError(f"wrong or missing magic (expected {magic!r})")
     (found,) = struct.unpack("<H", raw[4:HEADER_BYTES])
     if found != version:
         raise ContainerError(f"container version {found}, expected {version}")
-    fh = BytesIO(raw)  # shares raw's buffer; slicing would copy the payload
-    fh.seek(HEADER_BYTES)
-    return fh
+    return ContainerReader(raw, HEADER_BYTES)
+
+
+def close_container(fh: ContainerReader) -> None:
+    """Check that the container ends after its last field."""
+    extra = len(fh.raw) - fh.pos
+    if extra:
+        raise ContainerError(f"trailing bytes after the last field ({extra})")
 
 
 def sha256_hex(payload: bytes) -> str:

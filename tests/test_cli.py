@@ -449,7 +449,7 @@ class TestExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize("override", [
-        "overlap=1.0", "window=bogus", "frame_ms=inf", "frame_ms=1e308",
+        "overlap=1.0", "window=bogus", "frame_ms=inf", "frame_ms=1e308", "frame_ms=97838919",
         "fmin_hz=9000", "fmin_hz=7999", "fmax_hz=20000", "n_mels=0", "n_mels=100000000", "n_ceps=0",
         "n_ceps=50", "sdc_n=30", "nf_init_frames=0", "psd_floor=nan", "psd_floor=inf",
         "spp_xi_h1_db=1e308", "seed=-1", "sdc_k=1000", "sdc_k=100000000",
@@ -788,6 +788,38 @@ def _damage_ubm_replaced_by_directory(d):
     (d / "ubm.gmm").mkdir()
 
 
+def _damage_tv_truncated_in_header_rehashed(d):
+    data = (d / "tv.tvm").read_bytes()
+    (d / "tv.tvm").write_bytes(data[:40])  # inside the UBM checksum string
+    _rehash(d, "tv.tvm")
+
+
+def _damage_tv_truncated_mid_payload_rehashed(d):
+    data = (d / "tv.tvm").read_bytes()
+    (d / "tv.tvm").write_bytes(data[: len(data) // 2 // 8 * 8])
+    _rehash(d, "tv.tvm")
+
+
+def _damage_tv_payload_not_whole_doubles_rehashed(d):
+    data = (d / "tv.tvm").read_bytes()
+    (d / "tv.tvm").write_bytes(data[:-5])
+    _rehash(d, "tv.tvm")
+
+
+def _trailing_bytes_rehashed(name):
+    def damage(d):
+        (d / name).write_bytes((d / name).read_bytes() + bytes(16))
+        _rehash(d, name)
+    damage.__name__ = f"_damage_trailing_bytes_on_{name.replace('.', '_')}_rehashed"
+    return damage
+
+
+def _damage_tv_header_byte_flipped(d):
+    data = bytearray((d / "tv.tvm").read_bytes())
+    data[10] ^= 0xFF
+    (d / "tv.tvm").write_bytes(bytes(data))
+
+
 @pytest.mark.parametrize("damage, named", [
     (_damage_malformed_index, "bundle.json"),
     (_damage_index_omits_ubm, "bundle.json"),
@@ -797,6 +829,13 @@ def _damage_ubm_replaced_by_directory(d):
     (_damage_backend_magic_rehashed, "backend.gbe"),
     (_damage_backend_version_1_rehashed, "backend.gbe: container version 1, expected 2"),
     (_damage_ubm_replaced_by_directory, "ubm.gmm"),
+    (_damage_tv_truncated_in_header_rehashed, "tv.tvm: container truncated"),
+    (_damage_tv_truncated_mid_payload_rehashed, "tv.tvm: container truncated"),
+    (_damage_tv_payload_not_whole_doubles_rehashed, "tv.tvm: container truncated"),
+    (_trailing_bytes_rehashed("tv.tvm"), "tv.tvm: trailing bytes"),
+    (_trailing_bytes_rehashed("ubm.gmm"), "ubm.gmm: trailing bytes"),
+    (_trailing_bytes_rehashed("backend.gbe"), "backend.gbe: trailing bytes"),
+    (_damage_tv_header_byte_flipped, "bundle file corrupted: tv.tvm"),
 ])
 def test_bad_bundle_is_config_code(workspace, bundle, tmp_path, capsys, damage, named):
     damaged = tmp_path / "bundle"

@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +9,11 @@ import pytest
 
 from sceneid import pipeline
 from sceneid.audio import AudioBuffer
+from sceneid.backend import train_backend
 from sceneid.config import PipelineConfig
 from sceneid.features import extract_features
+from sceneid.gmm import GmmModel, gmm_checksum
+from sceneid.ivector import TvMatrix
 from sceneid.manifest import CorpusManifest, ManifestEntry
 from sceneid.pipeline import (
     FEATURE_CHUNK,
@@ -109,6 +114,29 @@ class TestRunTraining:
         with pytest.raises(PipelineStageError) as err:
             run_training(tiny_config(), CorpusManifest([], tmp_path))
         assert err.value.stage == "manifest"
+
+    def test_bundle_load_holds_one_t_sized_buffer(self, tiny_bundle, tmp_path, rng):
+        # T (128 components x 100 ranks, 8 MB) dominates the files, so a
+        # second T-sized copy during the load would show in the peak.
+        c, f, r = 128, tiny_bundle.ubm.n_features, 100
+        ubm = GmmModel(np.full(c, 1.0 / c), rng.normal(0, 1, (c, f)),
+                       rng.uniform(0.5, 2.0, (c, f)), np.full(f, 1e-10))
+        tv = TvMatrix(rng.normal(0, 1, (c, f, r)), gmm_checksum(ubm))
+        labels = [label for label in "ab" for _ in range(120)]
+        backend = train_backend(rng.normal(0, 1, (len(labels), r)), labels, alpha=0.5)
+        d = tmp_path / "b"
+        ModelBundle(tiny_config(ubm_components=c, tv_rank=r), ubm, tv, backend).save(d)
+        tracemalloc.start()
+        try:
+            loaded = ModelBundle.load(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * (d / "tv.tvm").stat().st_size
+        t = loaded.tv.t
+        assert t.dtype == np.float64
+        assert t.flags.c_contiguous and t.flags.aligned and t.flags.writeable
+        assert t.tobytes() == tv.t.tobytes()
 
     def test_config_snapshot_roundtrip(self, tiny_bundle, tmp_path):
         d = tmp_path / "b"
@@ -322,6 +350,22 @@ def test_wav_files_are_read_only_by_load_audio():
     # A third way of reading audio, with its own errors, fails here.
     uses = [scope for path in SOURCES for scope in _references(path, {"read_wav"})]
     assert uses == ["pipeline.load_audio"]
+
+
+def test_model_files_are_read_only_by_read_model_file():
+    # A second read path for model files, with its own copies, fails here.
+    reads = {"open", "read_bytes", "readinto"}
+    package = Path(pipeline.__file__).parent
+    for codec in ("serialize", "gmm", "ivector", "backend", "config"):
+        assert _references(package / f"{codec}.py", reads) == [], codec
+    assert set(_references(package / "pipeline.py", reads)) == {"pipeline.read_model_file"}
+
+
+def test_model_file_must_be_a_regular_file():
+    # Its size, known before the read, sizes the one buffer it is read into.
+    with pytest.raises(PipelineStageError, match="not a regular file") as err:
+        pipeline.read_model_file(bytes, os.devnull)
+    assert err.value.stage == "config"
 
 
 def test_mixer_does_no_file_io():
