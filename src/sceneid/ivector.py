@@ -240,37 +240,65 @@ def train_tv(stats_list, ubm: GmmModel, rank: int, n_iters: int = 5) -> TvMatrix
     E-step: posterior mean and correlation E[ww'] per recording. M-step:
     per component solve T_c from sum_r f w' = T_c sum_r n_c E[ww']. A
     component with no occupancy anywhere keeps its current block.
+
+    E[ww'] is symmetric, so each recording's E[ww'] and each component's sum
+    sum_i n_ic E[ww']_i are kept as packed upper triangles: the R(R+1)/2
+    entries (i, j), i <= j, in row-major order (11,325 values at R=150, not
+    22,500). A component's sum is unpacked into the lower triangle of one
+    (R, R) scratch matrix only for its own Cholesky solve.
+
+    Arrays alive at once, beyond `stats_list`, the (N, C) counts and the
+    (N, R) iVectors:
+    - E-step: T, the operator's Gram store and the (N, R(R+1)/2) packed
+      E[ww'] stack; the statistics are stacked one tile at a time;
+    - M-step: the packed stack, an (N, C*F) stack of f and the (C, F, R)
+      sum sum_i f_i w_i', which the solves turn into the new T in place;
+      once f is freed, the (C, R(R+1)/2) packed sums replace the packed
+      stack.
+    Of the old T only the blocks of never-occupied components outlive the
+    E-step.
     """
     stats_list = list(stats_list)
     tv = init_tv_pca(stats_list, ubm, rank)
-    n, f = _stats_arrays(stats_list)
-    c, fdim = ubm.means.shape
+    checksum = tv.ubm_checksum
+    n = np.stack([s.n for s in stats_list])  # (N, C)
+    count, (c, fdim) = len(stats_list), ubm.means.shape
+    unoccupied = n.sum(axis=0) <= 1e-12
+    upper_rows, upper_cols = np.triu_indices(rank)
+    # Flat index of (j, i) for each packed position (i, j): the same entry of
+    # a symmetric matrix, read from or written to its lower triangle.
+    lower_flat = upper_cols * rank + upper_rows
+    unpacked = np.zeros((rank, rank))  # its upper triangle stays 0
 
     for _ in range(n_iters):
         op = _TvOperator(tv, ubm)
-        w = np.empty((len(stats_list), rank))
-        eww = np.empty((len(stats_list), rank, rank))
-        for rows in _chunks(len(stats_list)):
-            w[rows], chol = op.posterior(n[rows], f[rows])
+        w = np.empty((count, rank))
+        eww = np.empty((count, upper_rows.size))
+        for rows in _chunks(count):
+            w[rows], chol = op.posterior(*_stats_arrays(stats_list[rows]))
             for i, low in enumerate(chol, rows.start):
                 cov = dpotri(low, lower=1)[0]  # lower triangle of (L L')^-1; upper stays 0
-                cov += np.tril(cov, -1).T
-                np.add(cov, np.outer(w[i], w[i]), out=eww[i])
-        del op  # frees the Gram stack before the M-step allocates its sums
-        # Sums over recordings, so one GEMM each: sum_i n_ic E[ww']_i and sum_i f_i w_i'.
-        acc_a = (n.T @ eww.reshape(len(w), rank * rank)).reshape(c, rank, rank)
-        acc_c = (f.reshape(len(w), c * fdim).T @ w).reshape(c, fdim, rank)
-        t_new = acc_c  # each block is solved in place
+                ww = w[i].take(upper_rows) * w[i].take(upper_cols)
+                np.add(cov.take(lower_flat), ww, out=eww[i])
+        kept = tv.t[unoccupied]
+        del op, tv  # frees the Gram store and the old T before the M-step's sums
+        # Sums over recordings, so one GEMM each: sum_i f_i w_i' and sum_i n_ic E[ww']_i.
+        f = np.stack([s.f for s in stats_list]).reshape(count, c * fdim)
+        t_new = (f.T @ w).reshape(c, fdim, rank)  # each block is solved in place
+        del f
+        acc_a = n.T @ eww  # (C, R(R+1)/2)
+        del eww
         for comp in range(c):
-            if n[:, comp].sum() <= 1e-12:
+            if unoccupied[comp]:
                 warnings.warn(
                     f"component {comp} has no occupancy; keeping its T block", RuntimeWarning
                 )
-                t_new[comp] = tv.t[comp]
                 continue
-            chol = cho_factor(acc_a[comp], lower=True)
-            t_new[comp] = cho_solve(chol, acc_c[comp].T).T
-        tv = TvMatrix(t_new, tv.ubm_checksum)
+            np.put(unpacked, lower_flat, acc_a[comp])
+            chol = cho_factor(unpacked, lower=True)
+            t_new[comp] = cho_solve(chol, t_new[comp].T).T
+        t_new[unoccupied] = kept
+        tv = TvMatrix(t_new, checksum)
     return tv
 
 

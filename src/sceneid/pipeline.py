@@ -356,6 +356,7 @@ def run_training(config: PipelineConfig, manifest: CorpusManifest) -> ModelBundl
     feats = manifest_features(manifest, config)
     ubm = train_ubm(config, feats)
     stats = collect_stats(ubm, feats)
+    del feats  # the frames are not needed past the statistics
     tv = train_tv(config, ubm, stats)
     w_matrix = extract_ivectors(tv, ubm, stats)
     gb = train_backend(config, w_matrix, [e.label for e in manifest.entries])

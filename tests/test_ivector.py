@@ -268,17 +268,35 @@ class TestBatchInvariance:
         for lo, hi in zip(bounds, bounds[1:]):
             assert np.array_equal(whole[lo:hi], extract_ivectors(tv, ubm, stats[lo:hi]))
 
-    @pytest.mark.parametrize("c, f_dim, rank", [(3, 2, 2), (6, 4, 5), (4, 8, 24)])
-    def test_train_tv_matches_per_recording_loop(self, rng, c, f_dim, rank):
+    @pytest.mark.parametrize(
+        "c, f_dim, rank, never_occupied",
+        [
+            pytest.param(3, 2, 2, None, id="3-2-2"),
+            pytest.param(6, 4, 5, None, id="6-4-5"),
+            pytest.param(4, 8, 24, None, id="4-8-24"),
+            pytest.param(6, 4, 5, 3, id="6-4-5-component-3-never-occupied"),
+        ],
+    )
+    def test_train_tv_matches_per_recording_loop(self, rng, c, f_dim, rank, never_occupied):
+        # Five E-step tiles of recordings.
         ubm = make_ubm(rng, c, f_dim)
         tv_true = make_tv(rng, ubm, rank, scale=0.8)
         stats, _ = synthetic_stats(rng, ubm, tv_true, 4 * IVECTOR_CHUNK + 5)
         for s in stats[::4]:  # component 0 unoccupied in some recordings
             s.n[0] = 0.0
             s.f[0] = 0.0
-        got = train_tv(stats, ubm, rank, n_iters=2)
+        if never_occupied is None:
+            got = train_tv(stats, ubm, rank, n_iters=2)
+        else:
+            for s in stats:
+                s.n[never_occupied] = 0.0
+                s.f[never_occupied] = 0.0
+            with pytest.warns(RuntimeWarning, match=f"component {never_occupied} has no occupancy"):
+                got = train_tv(stats, ubm, rank, n_iters=2)
         want = reference_train_tv(stats, ubm, rank, n_iters=2)
         np.testing.assert_allclose(got.t, want.t, rtol=0, atol=1e-10)
+        if never_occupied is not None:  # the PCA block, kept bit for bit
+            assert np.array_equal(got.t[never_occupied], want.t[never_occupied])
 
 
 # Paper shape: C=256, F=76, R=150 over about three tiles of recordings.
@@ -479,6 +497,29 @@ class TestTrainTv:
         w_est = extract_ivectors(learned, ubm, stats)[:, 0]
         r = np.corrcoef(w_est, w_true[:, 0])[0, 1]
         assert abs(r) > 0.95
+
+    def test_em_iteration_peak_stays_near_pca_init(self, rng):
+        # The PCA init stacks the statistics once. An EM iteration that kept
+        # a second stack of them beside its E[ww'] stack, or kept E[ww']
+        # unpacked as an (N, R, R) stack, would peak far above it.
+        c, f_dim, rank, n_rec = 64, 24, 48, 120
+        ubm = make_ubm(rng, c, f_dim)
+        stats = [
+            SufficientStats(rng.uniform(0.1, 20.0, c), rng.normal(0, 3.0, (c, f_dim)))
+            for _ in range(n_rec)
+        ]
+        peaks = []
+        for call in (
+            lambda: init_tv_pca(stats, ubm, rank),
+            lambda: train_tv(stats, ubm, rank, n_iters=1),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_unoccupied_component_warns_and_keeps_block(self, rng):
         ubm = make_ubm(rng, 3, 2)

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import os
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,22 @@ class TestRunTraining:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
         loaded = ModelBundle.load(d1)
         assert loaded.backend.class_labels == tiny_bundle.backend.class_labels
+
+    def test_feature_matrices_are_freed_before_t_training(self, tiny_corpus, monkeypatch):
+        refs = []
+        train_ubm, train_tv = pipeline.train_ubm, pipeline.train_tv
+
+        def keep_refs(config, feats):
+            refs.extend(weakref.ref(f) for f in feats)
+            return train_ubm(config, feats)
+
+        def check_freed(config, ubm, stats):
+            assert refs and all(ref() is None for ref in refs)
+            return train_tv(config, ubm, stats)
+
+        monkeypatch.setattr(pipeline, "train_ubm", keep_refs)
+        monkeypatch.setattr(pipeline, "train_tv", check_freed)
+        run_training(tiny_config(tv_iters=0), tiny_corpus["train"])
 
     def test_missing_audio_aborts_in_audio_stage(self, tmp_path):
         manifest = CorpusManifest([ManifestEntry("ghost.wav", "x")], tmp_path)
