@@ -9,8 +9,6 @@ multi-condition training and a CLI (`sceneid`) over the whole workflow.
 from .audio import (
     AudioBuffer,
     FrameConfig,
-    Frames,
-    downmix_mono,
     frame_signal,
     read_wav,
     resample,

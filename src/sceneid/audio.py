@@ -1,8 +1,10 @@
-"""WAV ingestion, channel downmix, resampling and frame slicing.
+"""WAV ingestion, resampling and frame slicing.
 
-Everything downstream works on mono float64 waveforms with amplitudes in
-[-1, 1]; this module is the only place that touches sample formats. All
-operations are pure functions over immutable buffers.
+Audio is one channel from the decoder on: `read_wav` averages the channels
+of a multichannel file as it decodes, so everything downstream works on
+mono float64 waveforms with amplitudes in [-1, 1]. This module is the only
+place that touches sample formats. All operations are pure functions over
+immutable buffers.
 """
 
 from __future__ import annotations
@@ -38,39 +40,19 @@ class WavCodecError(WavError):
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Sampled waveform; multichannel data is interleaved."""
+    """Mono waveform: one float64 sample per instant, at `sample_rate` Hz."""
 
     samples: np.ndarray
     sample_rate: int
-    channel_count: int = 1
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
-            raise ValueError("samples must be a 1-D interleaved array")
+            raise ValueError("samples must be a 1-D array")
         object.__setattr__(self, "samples", samples)
         if int(self.sample_rate) <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
-        if self.channel_count < 1:
-            raise ValueError(f"channel_count must be >= 1, got {self.channel_count}")
-        if samples.size % self.channel_count != 0:
-            raise ValueError(
-                f"{samples.size} samples not divisible by {self.channel_count} channels"
-            )
-
-    @property
-    def frame_count(self) -> int:
-        """Number of per-channel sample frames."""
-        return self.samples.size // self.channel_count
-
-    @property
-    def duration_s(self) -> float:
-        return self.frame_count / self.sample_rate
-
-    def channels(self) -> np.ndarray:
-        """De-interleaved (frame_count, channel_count) view."""
-        return self.samples.reshape(-1, self.channel_count)
 
 
 @dataclass(frozen=True)
@@ -106,23 +88,11 @@ class FrameConfig:
         return hop
 
 
-@dataclass(frozen=True)
-class Frames:
-    """Windowed analysis frames plus the timing metadata downstream needs."""
-
-    data: np.ndarray  # (n_frames, frame_len), window already applied
-    sample_rate: int
-    hop: int
-
-    @property
-    def frame_len(self) -> int:
-        return self.data.shape[1]
-
-
 def read_wav(path) -> AudioBuffer:
-    """Read a PCM WAV file (16/24/32-bit integer or 32-bit float).
+    """Read a PCM WAV file (16/24/32-bit integer or 32-bit float) as mono.
 
-    Integer samples are normalized by 2^(bits-1). Raises FileNotFoundError,
+    Integer samples are normalized by 2^(bits-1); the channels of a
+    multichannel file are averaged frame by frame. Raises FileNotFoundError,
     WavCodecError (compressed/unsupported format) or WavCorruptError
     (malformed or truncated file, or non-finite float samples) so callers
     can tell the cases apart. The messages leave naming the file to the caller.
@@ -188,31 +158,26 @@ def read_wav(path) -> AudioBuffer:
 
     if samples.size % channels != 0:
         raise WavCorruptError("payload length inconsistent with channel count")
-    return AudioBuffer(samples, rate, channels)
+    if channels > 1:
+        samples = samples.reshape(-1, channels).mean(axis=1)
+    return AudioBuffer(samples, rate)
 
 
-def write_wav(path, buf: AudioBuffer, bits: int = 16) -> None:
+def write_wav(path, buf: AudioBuffer) -> None:
     with open(path, "wb") as fh:
-        fh.write(wav_bytes(buf, bits))
+        fh.write(wav_bytes(buf))
 
 
-def wav_bytes(buf: AudioBuffer, bits: int = 16) -> bytes:
-    """Encode PCM WAV (16-bit integer or 32-bit float).
+def wav_bytes(buf: AudioBuffer) -> bytes:
+    """Encode 16-bit mono PCM WAV.
 
     Amplitudes outside [-1, 1] are rejected rather than wrapped.
     """
     peak = float(np.max(np.abs(buf.samples))) if buf.samples.size else 0.0
     if peak > 1.0 + 1e-12:
         raise ValueError(f"samples exceed full scale (peak {peak:.6f}); refusing to clip")
-    if bits == 16:
-        scaled = np.round(buf.samples * 32768.0)
-        payload = np.clip(scaled, -32768, 32767).astype("<i2").tobytes()
-        format_tag, block = _WAVE_FORMAT_PCM, 2 * buf.channel_count
-    elif bits == 32:
-        payload = buf.samples.astype("<f4").tobytes()
-        format_tag, block = _WAVE_FORMAT_IEEE_FLOAT, 4 * buf.channel_count
-    else:
-        raise ValueError(f"unsupported output width {bits} bits")
+    scaled = np.round(buf.samples * 32768.0)
+    payload = np.clip(scaled, -32768, 32767).astype("<i2").tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
@@ -220,39 +185,29 @@ def wav_bytes(buf: AudioBuffer, bits: int = 16) -> bytes:
         b"WAVE",
         b"fmt ",
         16,
-        format_tag,
-        buf.channel_count,
+        _WAVE_FORMAT_PCM,
+        1,  # one channel, two bytes a sample
         buf.sample_rate,
-        buf.sample_rate * block,
-        block,
-        bits,
+        buf.sample_rate * 2,
+        2,
+        16,
         b"data",
         len(payload),
     )
     return header + payload
 
 
-def downmix_mono(buf: AudioBuffer) -> AudioBuffer:
-    """Average all channels into one; mono input passes through unchanged."""
-    if buf.channel_count == 1:
-        return AudioBuffer(buf.samples.copy(), buf.sample_rate, 1)
-    mono = buf.channels().mean(axis=1)
-    return AudioBuffer(mono, buf.sample_rate, 1)
-
-
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
-    """Band-limited polyphase resampling of a mono buffer.
+    """Band-limited polyphase resampling.
 
     Windowed-sinc anti-aliasing filter with cutoff at 0.45x the lower of the
     two rates; output length is round(n * target_rate / source_rate).
     """
-    if buf.channel_count != 1:
-        raise ValueError("resample expects a mono buffer; downmix first")
     if int(target_rate) <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     target_rate = int(target_rate)
     if target_rate == buf.sample_rate:
-        return AudioBuffer(buf.samples.copy(), target_rate, 1)
+        return AudioBuffer(buf.samples.copy(), target_rate)
 
     g = math.gcd(buf.sample_rate, target_rate)
     up, down = target_rate // g, buf.sample_rate // g
@@ -265,7 +220,7 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     h = firwin(2 * half_len + 1, cutoff_hz, fs=hi_rate, window=("kaiser", 8.0))
     # resample_poly scales h by `up` and rounds the output length up.
     y = resample_poly(x, up, down, window=h)[:out_len]
-    return AudioBuffer(y, target_rate, 1)
+    return AudioBuffer(y, target_rate)
 
 
 @functools.lru_cache(maxsize=16)
@@ -279,13 +234,12 @@ def window_values(name: str, n: int) -> np.ndarray:
     return win
 
 
-def frame_signal(buf: AudioBuffer, cfg: FrameConfig) -> Frames:
-    """Slice a mono buffer into overlapping windowed frames.
+def frame_signal(buf: AudioBuffer, cfg: FrameConfig) -> np.ndarray:
+    """Slice a buffer into overlapping frames, window applied: the
+    (n_frames, frame_len) matrix.
 
     hop = frame_len * (1 - overlap); a trailing partial frame is dropped.
     """
-    if buf.channel_count != 1:
-        raise ValueError("frame_signal expects a mono buffer")
     flen = cfg.frame_len(buf.sample_rate)
     hop = cfg.hop(buf.sample_rate)
     if buf.samples.size < flen:
@@ -293,5 +247,4 @@ def frame_signal(buf: AudioBuffer, cfg: FrameConfig) -> Frames:
             f"buffer of {buf.samples.size} samples is shorter than one {flen}-sample frame"
         )
     views = np.lib.stride_tricks.sliding_window_view(buf.samples, flen)[::hop]
-    data = views * window_values(cfg.window, flen)
-    return Frames(np.ascontiguousarray(data), buf.sample_rate, hop)
+    return np.ascontiguousarray(views * window_values(cfg.window, flen))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft
 
-from .audio import AudioBuffer, FrameConfig, Frames, frame_signal
+from .audio import AudioBuffer, FrameConfig, frame_signal
 from .errors import SceneidError
 from .noisefloor import SppParams, check_tracker_length, track_noise_floor
 
@@ -42,8 +42,6 @@ class Spectrogram:
     """Per-frame one-sided power spectra (T x B, B = fft_size/2 + 1)."""
 
     frames: np.ndarray
-    bin_hz: float
-    frame_hop_s: float
 
     def __post_init__(self) -> None:
         frames = np.asarray(self.frames, dtype=np.float64)
@@ -124,21 +122,24 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def power_spectrogram(frames: Frames) -> Spectrogram:
-    """Squared FFT magnitudes of windowed frames, bins 0..fft/2.
+def fft_size_for(frame_len: int) -> int:
+    """FFT size for a frame: the next power of two at or above its length."""
+    return 1 << (frame_len - 1).bit_length()
 
-    fft size is the next power of two at or above the frame length.
-    """
-    if frames.data.shape[0] == 0:
+
+def power_spectrogram(frames: np.ndarray) -> Spectrogram:
+    """Squared FFT magnitudes of a (n_frames, frame_len) matrix of windowed
+    frames (see `frame_signal`), bins 0..fft/2 of an `fft_size_for` FFT."""
+    if frames.shape[0] == 0:
         raise ValueError("no frames to transform")
-    fft_size = 1 << (frames.frame_len - 1).bit_length()
-    power = np.empty((frames.data.shape[0], fft_size // 2 + 1))
+    fft_size = fft_size_for(frames.shape[1])
+    power = np.empty((frames.shape[0], fft_size // 2 + 1))
     _power_into(frames, fft_size, power)
-    return Spectrogram(power, frames.sample_rate / fft_size, frames.hop / frames.sample_rate)
+    return Spectrogram(power)
 
 
-def _power_into(frames: Frames, fft_size: int, out: np.ndarray) -> None:
-    spectrum = np.fft.rfft(frames.data, n=fft_size, axis=1)
+def _power_into(frames: np.ndarray, fft_size: int, out: np.ndarray) -> None:
+    spectrum = np.fft.rfft(frames, n=fft_size, axis=1)
     np.square(spectrum.real, out=out)
     out += spectrum.imag**2
 
@@ -270,7 +271,7 @@ class FeatureConfig:
             )
 
     def fft_size(self) -> int:
-        return 1 << (self.frame.frame_len(self.sample_rate) - 1).bit_length()
+        return fft_size_for(self.frame.frame_len(self.sample_rate))
 
 
 def extract_features(
@@ -320,13 +321,11 @@ def extract_features_many(
                 )
             frames = frame_signal(buf, config.frame)
             if config.noise_floor is not None:
-                check_tracker_length(len(frames.data), config.noise_floor)
+                check_tracker_length(len(frames), config.noise_floor)
         framed.append(frames)
-        by_length.setdefault(len(frames.data), []).append(i)
+        by_length.setdefault(len(frames), []).append(i)
 
     fft_size = config.fft_size()
-    bin_hz = config.sample_rate / fft_size
-    hop_s = framed[0].hop / config.sample_rate
     bank = make_mel_bank(
         config.n_mels, fft_size, config.sample_rate, config.fmin_hz, config.fmax_hz
     )
@@ -340,7 +339,7 @@ def extract_features_many(
             track_noise_floor(stack, config.noise_floor)
         for j, i in enumerate(members):
             with _naming(ids[i]):
-                feats = mfcc(Spectrogram(stack[j], bin_hz, hop_s), bank, config.n_ceps)
+                feats = mfcc(Spectrogram(stack[j]), bank, config.n_ceps)
                 if config.sdc is not None:
                     feats = append_sdc(feats, config.sdc)
             out[i] = replace(feats, recording_id=ids[i])

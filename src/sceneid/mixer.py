@@ -154,8 +154,6 @@ def mix_at_sbr(
         raise RateMismatchError(
             f"background at {background.sample_rate} Hz, speech at {speech.sample_rate} Hz"
         )
-    if background.channel_count != 1 or speech.channel_count != 1:
-        raise ValueError("mix_at_sbr expects mono buffers")
     bg_rms = rms_level(background)  # SilentSignalError for silent backgrounds
     if not np.any(speech.samples):
         raise SilentSignalError("speech signal is silent")

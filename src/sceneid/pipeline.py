@@ -21,7 +21,7 @@ import numpy as np
 from . import backend as backend_mod
 from . import gmm as gmm_mod
 from . import ivector as ivector_mod
-from .audio import AudioBuffer, downmix_mono, read_wav, resample, wav_bytes
+from .audio import AudioBuffer, read_wav, resample, wav_bytes
 from .config import PipelineConfig
 from .errors import SceneidError
 from .features import FeatureMatrix, extract_features_many
@@ -254,10 +254,10 @@ def write_output(path, data: bytes) -> None:
 
 
 def load_audio(path, sample_rate: int | None) -> AudioBuffer:
-    """Read and downmix one recording, resampled to `sample_rate` (None keeps
-    the file's rate). The one place a WAV file is read."""
+    """Read one recording (`read_wav` downmixes it), resampled to
+    `sample_rate` (None keeps the file's rate). The one place a WAV file is read."""
     with stage(STAGE_AUDIO, OSError, SceneidError, ValueError, item=path):
-        buf = downmix_mono(read_wav(path))
+        buf = read_wav(path)
         return buf if sample_rate is None else resample(buf, sample_rate)
 
 

@@ -53,11 +53,13 @@ def pack_str(fh, value: str) -> None:
 
 
 def pack_array(fh, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    """Write ndim, the dims and the little-endian float64 payload; a C-ordered
+    float64 array's memory goes into `fh` with no intermediate copy."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
     fh.write(struct.pack("<B", arr.ndim))
     for dim in arr.shape:
         fh.write(struct.pack("<I", dim))
-    fh.write(arr.astype("<f8").tobytes())
+    fh.write(arr.data)
 
 
 def unpack_u32(fh) -> int:

@@ -10,7 +10,6 @@ from sceneid.audio import (
     WavCodecError,
     WavCorruptError,
     WavError,
-    downmix_mono,
     frame_signal,
     read_wav,
     resample,
@@ -38,7 +37,6 @@ class TestReadWav:
         path.write_bytes(pcm16_wav_bytes(np.zeros(16000, dtype=np.int16)))
         buf = read_wav(path)
         assert buf.sample_rate == 16000
-        assert buf.channel_count == 1
         assert buf.samples.size == 16000
         assert np.all(buf.samples == 0.0)
 
@@ -83,11 +81,11 @@ class TestReadWav:
             read_wav(path)
 
     def test_stereo_interleaved(self, tmp_path):
+        # Interleaved L/R sample pairs come back as one mono sample each.
         path = tmp_path / "st.wav"
-        path.write_bytes(pcm16_wav_bytes([100, -100, 200, -200], channels=2))
+        path.write_bytes(pcm16_wav_bytes([100, 300, 200, -200], channels=2))
         buf = read_wav(path)
-        assert buf.channel_count == 2
-        assert buf.frame_count == 2
+        assert np.array_equal(buf.samples, [200 / 32768, 0.0])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -163,6 +161,7 @@ class TestReadWav:
         except WavError:
             return
         assert isinstance(buf, AudioBuffer)
+        assert buf.samples.ndim == 1
 
     def test_roundtrip_16bit_exact(self, tmp_path, rng):
         values = rng.integers(-32768, 32768, size=4000).astype(np.int16)
@@ -181,28 +180,42 @@ class TestReadWav:
 
 
 class TestDownmix:
-    def test_mono_identity(self):
-        buf = AudioBuffer(np.array([0.1, -0.2, 0.3]), 8000)
-        out = downmix_mono(buf)
-        assert np.array_equal(out.samples, buf.samples)
-        assert out.channel_count == 1
+    """`read_wav` averages a multichannel file's channels as it decodes."""
 
-    def test_symmetric_stereo_cancels(self):
-        interleaved = np.array([0.5, -0.5] * 100)
-        out = downmix_mono(AudioBuffer(interleaved, 16000, 2))
+    def test_symmetric_stereo_cancels(self, tmp_path):
+        path = tmp_path / "st.wav"
+        path.write_bytes(pcm16_wav_bytes([16384, -16384] * 100, channels=2))
+        out = read_wav(path)
         assert np.all(out.samples == 0.0)
-        assert out.frame_count == 100
+        assert out.samples.size == 100
 
-    def test_mean_of_channels(self):
-        interleaved = np.array([1.0, 0.0] * 50)
-        out = downmix_mono(AudioBuffer(interleaved, 16000, 2))
-        assert np.all(out.samples == 0.5)
+    def test_mean_of_channels(self, tmp_path):
+        path = tmp_path / "st.wav"
+        path.write_bytes(pcm16_wav_bytes([16384, 0] * 50, channels=2))
+        out = read_wav(path)
+        assert np.all(out.samples == 0.25)
 
-    def test_idempotent_on_mono(self, rng):
-        buf = AudioBuffer(rng.uniform(-1, 1, 256), 16000)
-        once = downmix_mono(buf)
-        twice = downmix_mono(once)
-        assert np.array_equal(once.samples, twice.samples)
+    @pytest.mark.parametrize(
+        "format_tag, bits, channels",
+        [(1, 16, 2), (1, 24, 2), (1, 32, 2), (3, 32, 2), (1, 16, 3)],
+        ids=["pcm16", "pcm24", "pcm32", "float32", "pcm16-3ch"],
+    )
+    def test_frame_wise_channel_mean(self, tmp_path, rng, format_tag, bits, channels):
+        # The same payload read as one channel gives the interleaved samples.
+        n = 12 * channels
+        if format_tag == 3:
+            payload = rng.uniform(-1, 1, n).astype("<f4").tobytes()
+        else:
+            payload = rng.integers(0, 256, n * bits // 8, dtype=np.uint8).tobytes()
+        interleaved_path, multi_path = tmp_path / "interleaved.wav", tmp_path / "multi.wav"
+        interleaved_path.write_bytes(make_wav_bytes(payload, format_tag=format_tag, bits=bits))
+        multi_path.write_bytes(
+            make_wav_bytes(payload, format_tag=format_tag, channels=channels, bits=bits)
+        )
+        interleaved = read_wav(interleaved_path).samples
+        assert interleaved.size == n
+        got = read_wav(multi_path).samples
+        assert np.array_equal(got, interleaved.reshape(-1, channels).mean(axis=1))
 
 
 class TestResample:
@@ -255,13 +268,12 @@ class TestFrameSignal:
     def test_frame_count_example(self):
         buf = AudioBuffer(np.zeros(16000), 16000)
         frames = frame_signal(buf, FrameConfig(40.0, 0.5, "hann"))
-        assert frames.data.shape == (49, 640)
-        assert frames.hop == 320
+        assert frames.shape == (49, 640)
 
     def test_rect_constant_passthrough(self):
         buf = AudioBuffer(np.ones(2000), 16000)
         frames = frame_signal(buf, FrameConfig(40.0, 0.5, "rect"))
-        assert np.all(frames.data == 1.0)
+        assert np.all(frames == 1.0)
 
     def test_too_short_buffer(self):
         buf = AudioBuffer(np.zeros(100), 16000)
@@ -271,9 +283,9 @@ class TestFrameSignal:
     def test_window_applied(self):
         buf = AudioBuffer(np.ones(640), 16000)
         frames = frame_signal(buf, FrameConfig(40.0, 0.5, "hann"))
-        assert frames.data.shape == (1, 640)
-        assert frames.data[0, 0] == pytest.approx(0.0)
-        assert frames.data[0].max() == pytest.approx(1.0, abs=1e-6)
+        assert frames.shape == (1, 640)
+        assert frames[0, 0] == pytest.approx(0.0)
+        assert frames[0].max() == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("name", ["hann", "hamming", "blackman"])
     @pytest.mark.parametrize("n", [441, 640, 1024])
@@ -303,4 +315,4 @@ class TestFrameSignal:
         hop = cfg.hop(rate)
         total = flen + extra
         frames = frame_signal(AudioBuffer(np.zeros(total), rate), cfg)
-        assert frames.data.shape[0] == (total - flen) // hop + 1
+        assert frames.shape[0] == (total - flen) // hop + 1

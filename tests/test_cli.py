@@ -267,6 +267,23 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "bundle_mct" / "bundle.json").is_file()
 
 
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    """README's Library use code blocks run as written, in the working
+    directory of a tiny synthetic corpus, with `samples` bound to a clip."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in section.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "corpus", "--seed", "5"] + TINY_ARGS) == 0
+    namespace = {"samples": scene_clip(0, 16000, 16000, np.random.default_rng(2))}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    capsys.readouterr()
+    assert (tmp_path / "bundle" / "bundle.json").is_file()
+    assert (namespace["nf"].dim, namespace["static"].dim) == (76, 21)
+
+
 def test_module_runs_cli(tmp_path):
     """`python -m sceneid` is the CLI, exit code included."""
     src = Path(sceneid.__file__).resolve().parent.parent
@@ -307,22 +324,22 @@ def test_build_corpus_command(workspace, tmp_path, capsys):
 
 
 def _mono_and_stereo(x, rng):
-    """16-bit-exact (mono, interleaved stereo) samples of `x`; the stereo
+    """(mono, interleaved stereo) 16-bit PCM values of `x`; the stereo
     channels differ, and their average is exactly the mono clip."""
     ints = np.round(np.asarray(x) * 16384.0)
     diff = rng.integers(-4096, 4097, size=ints.size)
     stereo = np.stack([ints + diff, ints - diff], axis=1).reshape(-1)
-    return ints / 32768.0, stereo / 32768.0
+    return ints, stereo
 
 
 def _write_pair(directory, name, x, rate, rng):
     """Write `x` as a mono and a stereo WAV of the same name, in directory/mono
     and directory/stereo; returns the two paths."""
     paths = []
-    for layout, samples in zip(("mono", "stereo"), _mono_and_stereo(x, rng)):
-        path = directory / layout / name
+    for channels, values in enumerate(_mono_and_stereo(x, rng), start=1):
+        path = directory / ("mono", "stereo")[channels - 1] / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_wav(path, AudioBuffer(samples, rate, 1 if layout == "mono" else 2))
+        path.write_bytes(pcm16_wav_bytes(values, channels=channels, rate=rate))
         paths.append(path)
     return paths
 
@@ -382,8 +399,8 @@ def test_build_corpus_mixes_are_reproduced_by_mix(tmp_path, capsys, mixed_format
     backgrounds = []
     for i, (rate, channels) in enumerate(layouts):
         name = f"bg{i}.wav"
-        samples = _mono_and_stereo(scene_clip(i, rate, rate, rng), rng)[channels - 1]
-        write_wav(tmp_path / name, AudioBuffer(samples, rate, channels))
+        values = _mono_and_stereo(scene_clip(i, rate, rate, rng), rng)[channels - 1]
+        (tmp_path / name).write_bytes(pcm16_wav_bytes(values, channels=channels, rate=rate))
         backgrounds.append({"path": name, "label": f"c{i}"})
     speech = []
     for i in range(3):

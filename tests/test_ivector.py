@@ -563,6 +563,17 @@ class TestSerialization:
         assert np.array_equal(back.t, t)
         assert t.nbytes <= peak < 1.5 * t.nbytes
 
+    def test_encoding_copies_the_payload_once(self):
+        t = np.arange(64 * 64 * 256, dtype=np.float64).reshape(64, 64, 256)
+        tracemalloc.start()
+        try:
+            raw = tv_to_bytes(TvMatrix(t, "0" * 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert raw.endswith(t.astype("<f8").tobytes())
+        assert t.nbytes <= peak < 1.5 * t.nbytes
+
     def test_truncated_tv_rejected(self, rng):
         ubm = make_ubm(rng)
         raw = tv_to_bytes(make_tv(rng, ubm, rank=2))

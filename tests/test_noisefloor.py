@@ -167,14 +167,14 @@ class TestTrackingAccuracy:
 
 class TestNoiseFloorSpectrogram:
     def test_all_zero_input(self):
-        spec = Spectrogram(np.zeros((20, 8)), 15.625, 0.02)
+        spec = Spectrogram(np.zeros((20, 8)))
         out = noise_floor_spectrogram(spec, SppParams())
         np.testing.assert_array_equal(out.frames, 1e-12)
         assert out.frames.shape == spec.frames.shape
 
     def test_init_rows_emit_initial_estimate(self, rng):
         frames = rng.uniform(0.5, 2.0, (30, 8))
-        out = noise_floor_spectrogram(Spectrogram(frames, 15.625, 0.02), SppParams())
+        out = noise_floor_spectrogram(Spectrogram(frames), SppParams())
         expected = frames[:5].mean(axis=0)
         for t in range(5):
             np.testing.assert_allclose(out.frames[t], expected)
@@ -182,13 +182,13 @@ class TestNoiseFloorSpectrogram:
     def test_stationary_noise_final_rows(self):
         rng = np.random.default_rng(11)
         frames = rng.exponential(1.0, (500, 64))
-        out = noise_floor_spectrogram(Spectrogram(frames, 15.625, 0.02), SppParams())
+        out = noise_floor_spectrogram(Spectrogram(frames), SppParams())
         final = out.frames[-100:].mean(axis=0)
         dev_db = 10 * np.log10(final / 1.0)
         assert np.mean(np.abs(dev_db) <= 1.5) >= 0.9
 
     def test_too_few_frames(self):
-        spec = Spectrogram(np.ones((4, 8)), 15.625, 0.02)
+        spec = Spectrogram(np.ones((4, 8)))
         with pytest.raises(NoiseFloorError):
             noise_floor_spectrogram(spec, SppParams())
 
@@ -222,7 +222,7 @@ class TestTrackNoiseFloor:
         stack = rows[None].copy()
         track_noise_floor(stack)
         assert np.array_equal(stack[0], update_loop(rows))
-        spec = noise_floor_spectrogram(Spectrogram(rows, 15.625, 0.02), SppParams())
+        spec = noise_floor_spectrogram(Spectrogram(rows), SppParams())
         assert np.array_equal(spec.frames, update_loop(rows))
 
     @pytest.mark.parametrize("n_init", [1, 5, 12])
