@@ -12,7 +12,6 @@ from .audio import (
     frame_signal,
     read_wav,
     resample,
-    write_wav,
 )
 from .backend import BackendModel, score, train_backend
 from .config import PipelineConfig
@@ -20,7 +19,6 @@ from .errors import SceneidError
 from .features import (
     FeatureConfig,
     FeatureMatrix,
-    MelFilterBank,
     SdcConfig,
     Spectrogram,
     append_sdc,
@@ -34,7 +32,6 @@ from .gmm import GmmModel, SufficientStats, accumulate_stats, log_likelihood, tr
 from .ivector import IVector, TvMatrix, extract_ivector, init_tv_pca, train_tv
 from .manifest import CorpusManifest, ManifestEntry
 from .mixer import (
-    LevelMeasurement,
     MixSpec,
     active_speech_level,
     mix_at_sbr,

@@ -163,11 +163,6 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(samples, rate)
 
 
-def write_wav(path, buf: AudioBuffer) -> None:
-    with open(path, "wb") as fh:
-        fh.write(wav_bytes(buf))
-
-
 def wav_bytes(buf: AudioBuffer) -> bytes:
     """Encode 16-bit mono PCM WAV.
 

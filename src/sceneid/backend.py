@@ -3,9 +3,9 @@
 Each class gets a mean and a full covariance; the shared covariance is the
 unweighted average of the class covariances and the operating covariance is
 the blend alpha * shared + (1 - alpha) * class. Scoring is the Gaussian
-log-likelihood up to a class-independent constant; the shared mode drops the
-log-determinant term (it cancels) and uses the shared covariance for all
-classes.
+log-likelihood up to a class-independent constant. At alpha = 1 every class
+operates on the shared covariance, so the decisions are those of the
+shared-covariance (LDA-style) backend.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ _BACKEND_MAGIC = b"SCNB"
 _BACKEND_VERSION = 2  # 1 also stored the derived covariances and ridges
 
 _RIDGE_ATTEMPTS = 12
-
-MODE_CLASS = "class_dependent"
-MODE_SHARED = "shared"
 
 
 class BackendError(SceneidError):
@@ -50,8 +47,8 @@ def _chol_with_ridge(matrix: np.ndarray) -> tuple[tuple, float]:
 class BackendModel:
     """What training fits: per-class means and covariances, and alpha.
 
-    The shared and blended covariances, their ridges and Cholesky factors
-    are derived from these once, in __post_init__.
+    The shared and blended covariances, the blends' ridges and Cholesky
+    factors are derived from these once, in __post_init__.
     """
 
     class_labels: list
@@ -62,10 +59,8 @@ class BackendModel:
     sigma_s: np.ndarray = field(init=False, repr=False)  # (R, R) mean of sigma_c
     sigma_tilde: np.ndarray = field(init=False, repr=False)  # (L, R, R) blends
     ridge: np.ndarray = field(init=False, repr=False)  # (L,) ridge of each blend
-    shared_ridge: float = field(init=False, repr=False)
     _chol_tilde: list = field(init=False, compare=False, repr=False)
     _logdet_tilde: np.ndarray = field(init=False, compare=False, repr=False)
-    _chol_shared: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         """Blend the covariances and factor each once, adding a ridge only
@@ -78,7 +73,6 @@ class BackendModel:
         self._logdet_tilde = np.array(
             [2.0 * float(np.log(np.diag(chol[0])).sum()) for chol in self._chol_tilde]
         )
-        self._chol_shared, self.shared_ridge = _chol_with_ridge(self.sigma_s)
 
     @property
     def rank(self) -> int:
@@ -124,37 +118,27 @@ def train_backend(ivectors: np.ndarray, labels, alpha: float) -> BackendModel:
     )
 
 
-def score(model: BackendModel, w, mode: str = MODE_CLASS) -> np.ndarray:
-    """Per-class scores for one iVector.
-
-    class_dependent: -1/2 log|sigma_tilde_c| - 1/2 (w-mu)' sigma_tilde_c^-1 (w-mu)
-    shared:          -1/2 (w-mu)' sigma_s^-1 (w-mu)
-    """
-    return score_many(model, np.asarray(w, dtype=np.float64).reshape(1, -1), mode)[0]
+def score(model: BackendModel, w) -> np.ndarray:
+    """Per-class scores for one iVector:
+    -1/2 log|sigma_tilde_c| - 1/2 (w-mu_c)' sigma_tilde_c^-1 (w-mu_c)."""
+    return score_many(model, np.asarray(w, dtype=np.float64).reshape(1, -1))[0]
 
 
-def score_many(model: BackendModel, w_matrix: np.ndarray, mode: str = MODE_CLASS) -> np.ndarray:
+def score_many(model: BackendModel, w_matrix: np.ndarray) -> np.ndarray:
     x = np.asarray(w_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.rank:
         raise BackendError(f"iVectors must be (n, {model.rank})")
-    n_classes = len(model.class_labels)
-    if mode == MODE_CLASS:
-        factors, logdets = model._chol_tilde, model._logdet_tilde
-    elif mode == MODE_SHARED:  # one covariance: its log-determinant cancels
-        factors, logdets = [model._chol_shared] * n_classes, np.zeros(n_classes)
-    else:
-        raise BackendError(f"unknown scoring mode {mode!r}")
-    out = np.empty((x.shape[0], n_classes))
-    for c in range(n_classes):
+    out = np.empty((x.shape[0], len(model.class_labels)))
+    for c, (chol, logdet) in enumerate(zip(model._chol_tilde, model._logdet_tilde)):
         d = x - model.mu[c]
-        quad = (d * cho_solve(factors[c], d.T).T).sum(axis=1)
-        out[:, c] = -0.5 * logdets[c] - 0.5 * quad
+        quad = (d * cho_solve(chol, d.T).T).sum(axis=1)
+        out[:, c] = -0.5 * logdet - 0.5 * quad
     return out
 
 
-def classify_many(model: BackendModel, w_matrix: np.ndarray, mode: str = MODE_CLASS) -> list:
+def classify_many(model: BackendModel, w_matrix: np.ndarray) -> list:
     """Label of the maximal score per row; ties go to the earlier class label."""
-    scores = score_many(model, w_matrix, mode)
+    scores = score_many(model, w_matrix)
     return [model.class_labels[i] for i in scores.argmax(axis=1)]
 
 

@@ -23,6 +23,7 @@ from .config import ConfigError, PipelineConfig, finite_sbr, parse_sbr_token
 from .errors import SceneidError
 from .features import FeatureMatrix, feature_csv, power_spectrogram
 from .manifest import CorpusManifest, ManifestError
+from .mixer import condition_tag
 from .noisefloor import NoiseFloorError, noise_floor_spectrogram
 from .synth import generate_corpus
 
@@ -60,8 +61,15 @@ def _load_manifest(path, fold=None, exclude_fold=None) -> CorpusManifest:
 
 
 def _parse_sbrs(text) -> list:
+    """The conditions of an --sbrs list; two that share a condition tag (and
+    so output names and a report row) are a config error."""
     with pipe.stage(pipe.STAGE_CONFIG, ConfigError):
-        return [parse_sbr_token(t) for t in text.split(",")]
+        sbrs = [parse_sbr_token(t) for t in text.split(",")]
+        tags = [condition_tag(sbr) for sbr in sbrs]
+        for tag in tags:
+            if tags.count(tag) > 1:
+                raise ConfigError(f"--sbrs {text!r} repeats the condition {tag}")
+        return sbrs
 
 
 def _add_config_args(parser):

@@ -57,22 +57,6 @@ class Spectrogram:
 
 
 @dataclass(frozen=True)
-class MelFilterBank:
-    """Triangular unit-peak filters, centers equally spaced on the mel scale."""
-
-    weights: np.ndarray  # (M, B)
-    center_freqs_hz: np.ndarray  # (M,) strictly increasing
-
-    @property
-    def n_filters(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def row_sums(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     """Per-frame feature vectors with source metadata."""
 
@@ -150,8 +134,9 @@ def make_mel_bank(
     sample_rate: int,
     fmin_hz: float = 0.0,
     fmax_hz: float | None = None,
-) -> MelFilterBank:
-    """Triangular filters with M+2 vertices equally spaced in mel.
+) -> np.ndarray:
+    """(M, B) weights of M triangular filters over B FFT bins, with M+2
+    vertices equally spaced in mel.
 
     Uses the HTK mel map mel(f) = 2595*log10(1 + f/700). Triangles have unit
     peak; adjacent filters overlap so interior bins are covered with total
@@ -163,8 +148,7 @@ def make_mel_bank(
     upper = hz_pts[2:, None]
     rising = (bin_freqs - lower) / (center - lower)
     falling = (upper - bin_freqs) / (upper - center)
-    weights = np.maximum(0.0, np.minimum(rising, falling))
-    return MelFilterBank(weights, hz_pts[1:-1].copy())
+    return np.maximum(0.0, np.minimum(rising, falling))
 
 
 def _check_mel_bank(n_filters, fft_size, sample_rate, fmin_hz, fmax_hz):
@@ -190,21 +174,21 @@ def _check_mel_bank(n_filters, fft_size, sample_rate, fmin_hz, fmax_hz):
     return hz_pts, bin_freqs
 
 
-def mfcc(spec: Spectrogram, bank: MelFilterBank, n_ceps: int) -> FeatureMatrix:
+def mfcc(spec: Spectrogram, bank: np.ndarray, n_ceps: int) -> FeatureMatrix:
     """Orthonormal DCT-II of log mel band powers, coefficients 0..n_ceps-1.
 
-    Band powers are normalized by each filter's total weight so that a flat
-    spectrum maps to a flat mel vector (all information about flat gain ends
-    up in c0 only). c0 is kept and not normalized.
+    `bank` is the (M, B) weight array of `make_mel_bank`. Band powers are
+    normalized by each filter's total weight so that a flat spectrum maps to
+    a flat mel vector (all information about flat gain ends up in c0 only).
+    c0 is kept and not normalized.
     """
-    if bank.weights.shape[1] != spec.n_bins:
-        raise FeatureDimError(
-            f"bank built for {bank.weights.shape[1]} bins, spectrogram has {spec.n_bins}"
-        )
-    if n_ceps > bank.n_filters:
-        raise ValueError(f"n_ceps={n_ceps} exceeds n_filters={bank.n_filters}")
+    n_filters, n_bins = bank.shape
+    if n_bins != spec.n_bins:
+        raise FeatureDimError(f"bank built for {n_bins} bins, spectrogram has {spec.n_bins}")
+    if n_ceps > n_filters:
+        raise ValueError(f"n_ceps={n_ceps} exceeds n_filters={n_filters}")
     with np.errstate(over="ignore"):  # reported below as one error
-        band_power = spec.frames @ bank.weights.T / bank.row_sums
+        band_power = spec.frames @ bank.T / bank.sum(axis=1)
     log_mel = np.log(band_power + MEL_LOG_FLOOR)
     if not np.isfinite(log_mel).all():
         raise ValueError("log mel band powers are not finite")

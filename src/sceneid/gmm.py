@@ -6,11 +6,10 @@ model then serves as the reference for per-recording Baum-Welch statistics
 variability extractor.
 
 One E-step (`_e_step`) makes every posterior. It walks the frames in fixed
-blocks of `_FRAME_BLOCK`, and the EM, the statistics, `responsibilities` and
-`log_likelihood` each consume its blocks, so no (frames, components) matrix
-is kept whole unless a caller asks for one. The block size is a constant,
-not a setting: sums are added in the same order on every run, so reruns stay
-byte-identical.
+blocks of `_FRAME_BLOCK`, and the EM, the statistics and `log_likelihood`
+each consume its blocks, so no (frames, components) matrix is kept whole.
+The block size is a constant, not a setting: sums are added in the same
+order on every run, so reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -134,15 +133,6 @@ def log_likelihood(model: GmmModel, frame) -> float:
         raise GmmError(f"frame has {x.shape[1]} dims, model expects {model.n_features}")
     ((_, _, _, per_frame),) = _e_step(model, x)
     return float(per_frame[0])
-
-
-def responsibilities(model: GmmModel, x: np.ndarray) -> np.ndarray:
-    """Posterior gamma_t(c), rows summing to one."""
-    x = np.asarray(x, dtype=np.float64)
-    gamma = np.empty((x.shape[0], model.n_components))
-    for rows, _, block, _ in _e_step(model, x):
-        gamma[rows] = block
-    return gamma
 
 
 def _seed_distances(x: np.ndarray, x_sq: np.ndarray, i: int) -> np.ndarray:

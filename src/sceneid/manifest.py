@@ -53,12 +53,6 @@ class CorpusManifest:
         self.entries: list[ManifestEntry] = list(entries)
         self.base_dir = Path(base_dir) if base_dir is not None else Path(".")
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
     def resolve(self, entry: ManifestEntry) -> Path:
         p = Path(entry.path)
         return p if p.is_absolute() else self.base_dir / p
@@ -120,6 +114,3 @@ class CorpusManifest:
         """The JSON-lines file `load` reads: one sorted-key record per line."""
         lines = (json.dumps(e.to_record(), sort_keys=True) + "\n" for e in self.entries)
         return "".join(lines).encode("utf-8")
-
-    def save(self, path) -> None:
-        Path(path).write_bytes(self.to_bytes())

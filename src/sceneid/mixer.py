@@ -43,12 +43,6 @@ class RateMismatchError(SceneidError):
 
 
 @dataclass(frozen=True)
-class LevelMeasurement:
-    level_db: float
-    method: str  # "rms" | "active_speech"
-
-
-@dataclass(frozen=True)
 class MixSpec:
     """Provenance of one mix; enough to rebuild it bit for bit."""
 
@@ -66,15 +60,15 @@ def _require_finite(buf: AudioBuffer) -> None:
         raise NonFiniteSignalError("signal has NaN or infinite samples: its level is undefined")
 
 
-def rms_level(buf: AudioBuffer) -> LevelMeasurement:
-    """20*log10 of the root-mean-square amplitude."""
+def rms_level(buf: AudioBuffer) -> float:
+    """20*log10 of the root-mean-square amplitude, in dB."""
     if buf.samples.size == 0:
         raise SilentSignalError("empty signal has no RMS level")
     _require_finite(buf)
     mean_sq = float(np.mean(buf.samples**2))
     if mean_sq == 0.0:
         raise SilentSignalError("all-zero signal has no defined level")
-    return LevelMeasurement(10.0 * math.log10(mean_sq), "rms")
+    return 10.0 * math.log10(mean_sq)
 
 
 def _active_frame_energies(buf: AudioBuffer) -> np.ndarray:
@@ -112,8 +106,8 @@ def _active_frame_energies(buf: AudioBuffer) -> np.ndarray:
     return windows @ taps
 
 
-def active_speech_level(buf: AudioBuffer) -> LevelMeasurement:
-    """RMS level over active frames only.
+def active_speech_level(buf: AudioBuffer) -> float:
+    """RMS level over active frames only, in dB.
 
     A 10 ms frame is active when its smoothed energy is within 40 dB of the
     loudest frame; smoothing is a 16 ms moving average of the squared signal.
@@ -126,7 +120,7 @@ def active_speech_level(buf: AudioBuffer) -> LevelMeasurement:
     if peak <= 0.0:
         raise NoActivityError("no active frames: signal is silent")
     active = energies >= peak * 10.0 ** (-ACTIVITY_MARGIN_DB / 10.0)
-    return LevelMeasurement(10.0 * math.log10(float(energies[active].mean())), "active_speech")
+    return 10.0 * math.log10(float(energies[active].mean()))
 
 
 def align_speech(speech: np.ndarray, length: int, offset: int) -> np.ndarray:
@@ -154,16 +148,16 @@ def mix_at_sbr(
         raise RateMismatchError(
             f"background at {background.sample_rate} Hz, speech at {speech.sample_rate} Hz"
         )
-    bg_rms = rms_level(background)  # SilentSignalError for silent backgrounds
+    bg_rms_db = rms_level(background)  # SilentSignalError for silent backgrounds
     if not np.any(speech.samples):
         raise SilentSignalError("speech signal is silent")
 
     rng = np.random.default_rng(rng_seed)
     offset = int(rng.integers(0, speech.samples.size))
     aligned = align_speech(speech.samples, background.samples.size, offset)
-    speech_active = active_speech_level(AudioBuffer(aligned, speech.sample_rate))
+    speech_active_db = active_speech_level(AudioBuffer(aligned, speech.sample_rate))
 
-    gain_db = target_sbr_db + bg_rms.level_db - speech_active.level_db
+    gain_db = target_sbr_db + bg_rms_db - speech_active_db
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as one error
         gain = float(np.float64(10.0) ** (gain_db / 20.0))
         mix = background.samples + gain * aligned

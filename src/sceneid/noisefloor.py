@@ -78,7 +78,6 @@ class SppParams:
 class NoiseFloorState:
     noise_psd: np.ndarray  # previous floor estimate, >= psd_floor
     smoothed_spp: np.ndarray  # stuck-detector memory, in [0, 1]
-    frame_index: int = 0
 
 
 def init_state(first_frames, params: SppParams = SppParams()) -> NoiseFloorState:
@@ -90,7 +89,7 @@ def init_state(first_frames, params: SppParams = SppParams()) -> NoiseFloorState
     if rows.shape[0] < n_init:
         raise NoiseFloorError(f"need {n_init} initialization frames, got {rows.shape[0]}")
     psd = np.maximum(rows[:n_init].mean(axis=0), params.psd_floor)
-    return NoiseFloorState(psd, np.full(psd.shape, 0.5), 0)
+    return NoiseFloorState(psd, np.full(psd.shape, 0.5))
 
 
 def speech_presence_prob(periodogram, noise_psd, params: SppParams) -> np.ndarray:
@@ -144,7 +143,7 @@ def update(
     estimate = noise_periodogram_estimate(per, state.noise_psd, p)
     psd = params.psd_smooth * state.noise_psd + (1.0 - params.psd_smooth) * estimate
     psd = np.maximum(psd, params.psd_floor)
-    return NoiseFloorState(psd, smoothed, state.frame_index + 1), psd
+    return NoiseFloorState(psd, smoothed), psd
 
 
 def check_tracker_length(n_frames: int, params: SppParams) -> None:

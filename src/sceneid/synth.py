@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer, write_wav
+from .audio import AudioBuffer, wav_bytes
 from .manifest import CorpusManifest, ManifestEntry
+from .pipeline import write_output
 
 
 def _rumble(f, jit):
@@ -170,8 +171,8 @@ def generate_corpus(
                 rng = _rng_for(seed, 0, item)
                 item += 1
                 name = f"{split}_{label}_{i:03d}.wav"
-                write_wav(scenes_dir / name, AudioBuffer(
-                    scene_clip(class_index, n_samples, sample_rate, rng), sample_rate))
+                write_output(scenes_dir / name, wav_bytes(AudioBuffer(
+                    scene_clip(class_index, n_samples, sample_rate, rng), sample_rate)))
                 entries.append(ManifestEntry(path=f"scenes/{name}", label=label))
 
     def make_pool(prefix: str, n_speakers: int, stream: int) -> list[ManifestEntry]:
@@ -182,8 +183,8 @@ def generate_corpus(
             for j in range(clips_per_speaker):
                 rng = _rng_for(seed, stream + 1, s * clips_per_speaker + j)
                 name = f"{speaker}_{j}.wav"
-                write_wav(speech_dir / name, AudioBuffer(
-                    speech_clip(n_samples, sample_rate, rng, f0), sample_rate))
+                write_output(speech_dir / name, wav_bytes(AudioBuffer(
+                    speech_clip(n_samples, sample_rate, rng, f0), sample_rate)))
                 entries.append(
                     ManifestEntry(path=f"speech/{name}", label="speech", speaker_id=speaker)
                 )
@@ -198,8 +199,6 @@ def generate_corpus(
         "speech_train": out_dir / "speech_train.jsonl",
         "speech_eval": out_dir / "speech_eval.jsonl",
     }
-    CorpusManifest(train_entries, out_dir).save(paths["train"])
-    CorpusManifest(test_entries, out_dir).save(paths["test"])
-    CorpusManifest(pool_train, out_dir).save(paths["speech_train"])
-    CorpusManifest(pool_eval, out_dir).save(paths["speech_eval"])
+    for path, entries in zip(paths.values(), (train_entries, test_entries, pool_train, pool_eval)):
+        write_output(path, CorpusManifest(entries).to_bytes())
     return paths

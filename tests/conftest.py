@@ -38,6 +38,18 @@ def tone(freq_hz, duration_s, rate, amplitude=1.0, phase=0.0) -> AudioBuffer:
     return AudioBuffer(amplitude * np.sin(2 * np.pi * freq_hz * t + phase), rate)
 
 
+def eq2_labels(model, probes) -> list:
+    """Labels of the shared-covariance backend (Eq. 2): per probe, the class
+    maximizing -1/2 (w - mu_c)' sigma_s^-1 (w - mu_c), ties to the earlier
+    label. A dense solve, independent of the backend's Cholesky factors."""
+    probes = np.asarray(probes, dtype=np.float64)
+    scores = np.empty((probes.shape[0], len(model.class_labels)))
+    for c, mu in enumerate(model.mu):
+        d = probes - mu
+        scores[:, c] = -0.5 * (d * np.linalg.solve(model.sigma_s, d.T).T).sum(axis=1)
+    return [model.class_labels[i] for i in scores.argmax(axis=1)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -13,8 +13,8 @@ from sceneid.audio import (
     frame_signal,
     read_wav,
     resample,
+    wav_bytes,
     window_values,
-    write_wav,
 )
 
 from conftest import make_wav_bytes, pcm16_wav_bytes, tone
@@ -169,14 +169,14 @@ class TestReadWav:
         src.write_bytes(pcm16_wav_bytes(values))
         buf = read_wav(src)
         dst = tmp_path / "dst.wav"
-        write_wav(dst, buf)
+        dst.write_bytes(wav_bytes(buf))
         again = read_wav(dst)
         assert np.array_equal(buf.samples, again.samples)
 
-    def test_write_rejects_clipping(self, tmp_path):
+    def test_write_rejects_clipping(self):
         buf = AudioBuffer(np.array([0.0, 1.5]), 16000)
         with pytest.raises(ValueError, match="full scale"):
-            write_wav(tmp_path / "clip.wav", buf)
+            wav_bytes(buf)
 
 
 class TestDownmix:

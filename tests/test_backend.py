@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from sceneid.backend import (
-    MODE_CLASS,
-    MODE_SHARED,
     BackendError,
     classify_many,
     backend_from_bytes,
@@ -12,6 +10,8 @@ from sceneid.backend import (
     score_many,
     train_backend,
 )
+
+from conftest import eq2_labels
 
 
 def gaussian_classes(rng, n_classes=4, rank=4, per_class=200, separation=5.0):
@@ -82,7 +82,7 @@ class TestTrainBackend:
         assert np.all(np.isfinite(score(model, np.zeros(3))))
         # The ridge is derived again, to the same bits, when the model is read.
         back = backend_from_bytes(backend_to_bytes(model))
-        assert np.array_equal(back.ridge, model.ridge) and back.shared_ridge == model.shared_ridge
+        assert np.array_equal(back.ridge, model.ridge)
         assert np.array_equal(score(back, np.ones(3)), score(model, np.ones(3)))
 
 
@@ -107,23 +107,11 @@ class TestScore:
                 want = -0.5 * logdet - 0.5 * d @ np.linalg.solve(model.sigma_tilde[c], d)
                 assert got[c] == pytest.approx(want, abs=1e-10)
 
-    def test_shared_mode_is_eq2(self, rng):
-        x, labels = gaussian_classes(rng, n_classes=3, rank=3)
-        model = train_backend(x, labels, alpha=0.7)
-        w = rng.normal(0, 2, 3)
-        got = score(model, w, mode=MODE_SHARED)
-        for c in range(3):
-            d = w - model.mu[c]
-            want = -0.5 * d @ np.linalg.solve(model.sigma_s, d)
-            assert got[c] == pytest.approx(want, abs=1e-10)
-
     def test_alpha_one_class_mode_equals_shared_decisions(self, rng):
         x, labels = gaussian_classes(rng, n_classes=4, rank=3)
         model = train_backend(x, labels, alpha=1.0)
         probes = rng.normal(0, 4, (1000, 3))
-        class_mode = classify_many(model, probes, mode=MODE_CLASS)
-        shared_mode = classify_many(model, probes, mode=MODE_SHARED)
-        assert class_mode == shared_mode
+        assert classify_many(model, probes) == eq2_labels(model, probes)
 
     def test_dimension_mismatch(self, rng):
         x, labels = gaussian_classes(rng)

@@ -19,7 +19,7 @@ import pytest
 import sceneid
 from sceneid import backend as backend_mod
 from sceneid import cli, pipeline
-from sceneid.audio import AudioBuffer, frame_signal, read_wav, write_wav
+from sceneid.audio import AudioBuffer, frame_signal, read_wav, wav_bytes
 from sceneid.backend import score
 from sceneid.cli import build_parser, main
 from sceneid.config import PipelineConfig
@@ -405,8 +405,9 @@ def test_build_corpus_mixes_are_reproduced_by_mix(tmp_path, capsys, mixed_format
     speech = []
     for i in range(3):
         name = f"sp{i}.wav"
-        write_wav(tmp_path / name, AudioBuffer(speech_clip(16000, 16000, rng, 140.0 + 30 * i),
-                                               16000))
+        (tmp_path / name).write_bytes(
+            wav_bytes(AudioBuffer(speech_clip(16000, 16000, rng, 140.0 + 30 * i), 16000))
+        )
         speech.append({"path": name, "label": "speech", "speaker_id": f"s{i}"})
     for name, records in (("bg.jsonl", backgrounds), ("sp.jsonl", speech)):
         (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -538,7 +539,8 @@ class TestExitCodes:
 
     def test_spectrogram_dump_of_short_clip_is_features_code(self, tmp_path, capsys):
         short = tmp_path / "short.wav"
-        write_wav(short, AudioBuffer(0.1 * np.ones(300), 16000))  # under one 640-sample frame
+        # under one 640-sample frame
+        short.write_bytes(wav_bytes(AudioBuffer(0.1 * np.ones(300), 16000)))
         rc = main(["extract-features", "--audio", str(short), "--out", str(tmp_path / "f.csv"),
                    "--dump-spectrogram", str(tmp_path / "s.csv")])
         err = capsys.readouterr().err
@@ -552,9 +554,27 @@ class TestExitCodes:
                    "--sbrs", "loud", "--out", str(tmp_path / "o"), "--seed", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("sbrs", ["0,0", "5,5.0", "clean,clean", "clean,10,+10"])
+    def test_repeated_sbr_condition_is_config_code(self, workspace, bundle, tmp_path, capsys,
+                                                   sbrs):
+        # Two conditions with one tag would write the same mix files and pool
+        # two mix sets in one report row.
+        corpus = workspace / "corpus"
+        rc = main(["build-corpus", "--manifest", str(corpus / "train.jsonl"),
+                   "--speech-pool", str(corpus / "speech_train.jsonl"),
+                   "--sbrs", sbrs, "--out", str(tmp_path / "o"), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: [config] ") and "repeats" in err, err
+        rc = main(["sweep", "--bundle", str(bundle), "--manifest", str(corpus / "test.jsonl"),
+                   "--speech-pool", str(corpus / "speech_eval.jsonl"),
+                   "--sbrs", sbrs, "--seed", "2", "--out", str(tmp_path / "sweep.json")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: [config] ") and "repeats" in err, err
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
     def test_silent_mix_is_mixer_code(self, tmp_path, capsys):
         silent = tmp_path / "silent.wav"
-        write_wav(silent, AudioBuffer(np.zeros(16000), 16000))
+        silent.write_bytes(wav_bytes(AudioBuffer(np.zeros(16000), 16000)))
         rc = main(["mix", "--background", str(silent), "--speech", str(silent),
                    "--sbr", "0", "--out", str(tmp_path / "m.wav")])
         assert rc == 7
@@ -564,7 +584,7 @@ class TestExitCodes:
         self, workspace, bundle, tmp_path, capsys, command
     ):
         silent = tmp_path / "silent.wav"
-        write_wav(silent, AudioBuffer(np.zeros(48000), 48000))
+        silent.write_bytes(wav_bytes(AudioBuffer(np.zeros(48000), 48000)))
         corpus = workspace / "corpus"
         listed = "test.jsonl" if command == "sweep" else "train.jsonl"
         entries = [json.loads(line) for line in (corpus / listed).read_text().splitlines()[:3]]
@@ -613,7 +633,8 @@ class TestExitCodes:
     def test_short_clip_is_noise_floor_code_naming_it(self, workspace, tmp_path, capsys):
         corpus = workspace / "corpus"
         short = tmp_path / "short.wav"
-        write_wav(short, AudioBuffer(0.1 * np.ones(2000), 16000))  # 5 frames, n_init is 5
+        # 5 frames, n_init is 5
+        short.write_bytes(wav_bytes(AudioBuffer(0.1 * np.ones(2000), 16000)))
         lines = (corpus / "train.jsonl").read_text().splitlines()[:3]
         entries = [json.loads(line) for line in lines]
         for e in entries:

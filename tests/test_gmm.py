@@ -11,9 +11,14 @@ from sceneid.gmm import (
     gmm_from_bytes,
     gmm_to_bytes,
     log_likelihood,
-    responsibilities,
     train_ubm,
 )
+
+
+def responsibilities(model: GmmModel, x) -> np.ndarray:
+    """Posterior gamma_t(c) of every frame: the gamma blocks of the E-step, stacked."""
+    blocks = gmm._e_step(model, np.asarray(x, dtype=np.float64))
+    return np.vstack([gamma for _, _, gamma, _ in blocks])
 
 
 def random_model(rng, n_components=5, n_features=3) -> GmmModel:

@@ -50,7 +50,7 @@ class TestManifest:
                           seed=42, gain=0.5),
         ]
         path = tmp_path / "m.jsonl"
-        CorpusManifest(entries, tmp_path).save(path)
+        path.write_bytes(CorpusManifest(entries, tmp_path).to_bytes())
         back = CorpusManifest.load(path)
         assert back.entries == entries
         assert back.base_dir == tmp_path
@@ -149,7 +149,7 @@ class TestManifest:
                 ManifestEntry("c.wav", "bus", fold=1),
             ]
         )
-        assert len(m.filter(lambda e: e.fold == 1)) == 2
+        assert len(m.filter(lambda e: e.fold == 1).entries) == 2
 
 
 class TestConfig:

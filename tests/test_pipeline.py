@@ -396,3 +396,48 @@ def test_mixer_does_no_file_io():
             imported |= {alias.name for alias in node.names}
     assert imported.isdisjoint({"read_wav", "write_wav", "resample", "os", "pathlib"})
     assert _references(path, {"open"}) == []
+
+
+def test_files_are_written_only_by_write_output():
+    # A second writer, with its own errors, fails here.
+    writes = {"write_bytes", "write_text"}
+    uses = [scope for path in SOURCES for scope in _references(path, writes)]
+    assert uses == ["pipeline.write_output"]
+    modes = [
+        ast.literal_eval((node.args[1:] or [ast.Constant("r")])[0])
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+    ]
+    assert modes and set(modes) == {"rb"}  # every open() reads
+
+
+# Public functions and classes that nothing in src/ uses, and why each stays.
+UNREACHED_IN_SRC = {
+    "backend.score": "the benchmark tracer wraps it (bench/spans.py LAYERS)",
+    "features.extract_features": "the benchmark tracer wraps it (bench/spans.py LAYERS)",
+    "ivector.extract_ivector": "the benchmark tracer wraps it (bench/spans.py LAYERS)",
+    "gmm.log_likelihood": "the per-recording UBM fit that diagnostics will report",
+    "ivector.tv_evidence": "the T-matrix evidence trace that diagnostics will report",
+    "noisefloor.update": "the one-frame tracker step, criterion 3's reference",
+}
+
+
+def test_every_public_name_is_used_in_src():
+    # A function or class that only tests call fails here. A use is a name
+    # or attribute of that spelling anywhere in the package but inside its
+    # own definition; package exports are not uses.
+    defined, used = set(), set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            top = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not top.startswith("_"):
+                defined.add(f"{path.stem}.{top}")
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if isinstance(sub, (ast.Name, ast.Attribute)) and name != top:
+                    used.add(name)
+    unused = {full for full in defined if full.split(".", 1)[1] not in used}
+    assert unused == set(UNREACHED_IN_SRC)
