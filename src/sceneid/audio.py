@@ -229,17 +229,24 @@ def window_values(name: str, n: int) -> np.ndarray:
     return win
 
 
+def frame_count(n_samples: int, sample_rate: int, cfg: FrameConfig) -> int:
+    """Rows of `frame_signal` for `n_samples` samples at `sample_rate`; a
+    buffer shorter than one frame raises ValueError."""
+    flen = cfg.frame_len(sample_rate)
+    hop = cfg.hop(sample_rate)
+    if n_samples < flen:
+        raise ValueError(f"buffer of {n_samples} samples is shorter than one {flen}-sample frame")
+    return (n_samples - flen) // hop + 1
+
+
 def frame_signal(buf: AudioBuffer, cfg: FrameConfig) -> np.ndarray:
     """Slice a buffer into overlapping frames, window applied: the
     (n_frames, frame_len) matrix.
 
     hop = frame_len * (1 - overlap); a trailing partial frame is dropped.
     """
+    frame_count(buf.samples.size, buf.sample_rate, cfg)  # rejects a too-short buffer
     flen = cfg.frame_len(buf.sample_rate)
     hop = cfg.hop(buf.sample_rate)
-    if buf.samples.size < flen:
-        raise ValueError(
-            f"buffer of {buf.samples.size} samples is shorter than one {flen}-sample frame"
-        )
     views = np.lib.stride_tricks.sliding_window_view(buf.samples, flen)[::hop]
     return np.ascontiguousarray(views * window_values(cfg.window, flen))

@@ -167,7 +167,7 @@ def cmd_train_tv(args) -> int:
     cfg = _load_config(args)
     manifest = _load_manifest(args.manifest, args.fold, args.exclude_fold)
     ubm = pipe.read_model_file(gmm_mod.gmm_from_bytes, args.ubm)
-    stats = pipe.collect_stats(ubm, pipe.manifest_features(manifest, cfg))
+    stats = list(pipe.collect_stats(ubm, pipe.manifest_features(manifest, cfg)))
     tv = pipe.train_tv(cfg, ubm, stats)
     pipe.write_output(args.out, ivector_mod.tv_to_bytes(tv))
     print(f"{args.out}: rank {tv.rank}")
@@ -179,7 +179,7 @@ def cmd_extract_ivectors(args) -> int:
     manifest = _load_manifest(args.manifest, args.fold, args.exclude_fold)
     ubm = pipe.read_model_file(gmm_mod.gmm_from_bytes, args.ubm)
     tv = pipe.read_model_file(ivector_mod.tv_from_bytes, args.tv)
-    stats = pipe.collect_stats(ubm, pipe.manifest_features(manifest, cfg))
+    stats = list(pipe.collect_stats(ubm, pipe.manifest_features(manifest, cfg)))
     w = pipe.extract_ivectors(tv, ubm, stats)
     ids = [e.path for e in manifest.entries]
     pipe.write_output(args.out, ivector_mod.ivectors_to_bytes(ids, w))
@@ -222,7 +222,7 @@ def cmd_classify(args) -> int:
         items = [(a, a) for a in args.audio]
     rate = bundle.config.sample_rate
     buffers = ((rec_id, pipe.load_audio(path, rate)) for rec_id, path in items)
-    scores = pipe.score_ivectors(bundle, pipe.ivectors_for_buffers(bundle, buffers))
+    scores = pipe.score_ivectors(bundle, pipe.ivectors_for_buffers(bundle, buffers, len(items)))
     labels = bundle.backend.class_labels
     lines = [
         json.dumps({

@@ -145,10 +145,11 @@ def _format_value(value) -> str:
 
 
 def finite_sbr(text) -> float:
-    """An SBR in dB; also the argparse type of `mix --sbr`."""
+    """An SBR in dB; also the argparse type of `mix --sbr`. `-0` reads as 0,
+    so it shares the condition tag of `0`."""
     if not math.isfinite(value := float(text)):
         raise ValueError(f"SBR must be finite, got {text}")
-    return value
+    return value + 0.0
 
 
 def parse_sbr_token(token: str):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft
 
-from .audio import AudioBuffer, FrameConfig, frame_signal
+from .audio import AudioBuffer, FrameConfig, frame_count, frame_signal
 from .errors import SceneidError
 from .noisefloor import SppParams, check_tracker_length, track_noise_floor
 
@@ -284,9 +284,11 @@ def extract_features_many(
 
     Power spectra of recordings with the same frame count share one (N, T, B)
     stack, and the noise tracker runs over each stack in place, one step per
-    frame for all of its recordings. The output equals per-recording
-    `extract_features` bit for bit. An error raised for one recording names
-    its id.
+    frame for all of its recordings. Every recording is checked (rate, length,
+    tracker length) before any is transformed, and each is framed only just
+    before its row of the stack is filled, so one framed matrix is alive at a
+    time. The output equals per-recording `extract_features` bit for bit. An
+    error raised for one recording names its id.
     """
     bufs = list(bufs)
     ids = [""] * len(bufs) if recording_ids is None else list(recording_ids)
@@ -295,7 +297,6 @@ def extract_features_many(
     if not bufs:
         return []
 
-    framed = []
     by_length: dict[int, list[int]] = {}
     for i, (buf, rid) in enumerate(zip(bufs, ids)):
         with _naming(rid):
@@ -303,11 +304,10 @@ def extract_features_many(
                 raise ValueError(
                     f"buffer rate {buf.sample_rate} differs from configured {config.sample_rate}"
                 )
-            frames = frame_signal(buf, config.frame)
+            n_frames = frame_count(buf.samples.size, buf.sample_rate, config.frame)
             if config.noise_floor is not None:
-                check_tracker_length(len(frames), config.noise_floor)
-        framed.append(frames)
-        by_length.setdefault(len(frames), []).append(i)
+                check_tracker_length(n_frames, config.noise_floor)
+        by_length.setdefault(n_frames, []).append(i)
 
     fft_size = config.fft_size()
     bank = make_mel_bank(
@@ -317,8 +317,7 @@ def extract_features_many(
     for n_frames, members in by_length.items():
         stack = np.empty((len(members), n_frames, fft_size // 2 + 1))
         for j, i in enumerate(members):
-            _power_into(framed[i], fft_size, stack[j])
-            framed[i] = None
+            _power_into(frame_signal(bufs[i], config.frame), fft_size, stack[j])
         if config.noise_floor is not None:
             track_noise_floor(stack, config.noise_floor)
         for j, i in enumerate(members):

@@ -8,6 +8,7 @@ supervector residuals and refined by EM.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -177,15 +178,21 @@ def extract_ivector(tv: TvMatrix, ubm: GmmModel, stats: SufficientStats) -> IVec
     return IVector(w[0], _chol_logdet(chol[0]))
 
 
-def extract_ivectors(tv: TvMatrix, ubm: GmmModel, stats_list) -> np.ndarray:
-    """Batch extraction, IVECTOR_CHUNK recordings at a time; returns an
-    (n_recordings, R) matrix whose rows equal single-recording extractions."""
-    stats_list = list(stats_list)
+def extract_ivectors(tv: TvMatrix, ubm: GmmModel, stats) -> np.ndarray:
+    """Batch extraction: an (n_recordings, R) matrix whose rows equal
+    single-recording extractions.
+
+    `stats` is any iterable of SufficientStats, a list or a lazy stream. It is
+    drawn IVECTOR_CHUNK recordings at a time, and each tile's posterior runs
+    as soon as the tile is full (or the stream ends), so no more than one
+    tile of statistics is held here at once.
+    """
     op = _TvOperator(tv, ubm)
-    w = np.empty((len(stats_list), tv.rank))
-    for rows in _chunks(len(stats_list)):
-        w[rows] = op.posterior(*_stats_arrays(stats_list[rows]))[0]
-    return w
+    stats = iter(stats)
+    tiles = [np.empty((0, tv.rank))]
+    while tile := list(itertools.islice(stats, IVECTOR_CHUNK)):
+        tiles.append(op.posterior(*_stats_arrays(tile))[0])
+    return np.concatenate(tiles)
 
 
 def init_tv_pca(stats_list, ubm: GmmModel, rank: int) -> TvMatrix:

@@ -44,7 +44,9 @@ STAGE_BACKEND = "backend"
 STAGE_EVALUATION = "evaluation"
 
 # Recordings featurized together: the noise tracker steps through a chunk's
-# spectra at once, and at most one chunk of audio is held by a lazy caller.
+# spectra at once. Evaluation, sweeps and classification draw their audio
+# lazily, so they hold one chunk of audio, its spectra and one tile of
+# statistics at a time, plus the (n, R) iVector rows.
 FEATURE_CHUNK = 16
 
 
@@ -324,13 +326,13 @@ def train_ubm(config: PipelineConfig, feats) -> gmm_mod.GmmModel:
         )
 
 
-def collect_stats(ubm: gmm_mod.GmmModel, feats) -> list[gmm_mod.SufficientStats]:
-    """Statistics stage: Baum-Welch statistics per recording, drawn lazily."""
-    stats = []
+def collect_stats(ubm: gmm_mod.GmmModel, feats):
+    """Statistics stage: Baum-Welch statistics per recording, yielded as each
+    feature matrix is drawn from `feats`."""
     for f in feats:
         with stage(STAGE_GMM, gmm_mod.GmmError, item=f.recording_id):
-            stats.append(gmm_mod.accumulate_stats(ubm, f))
-    return stats
+            stats = gmm_mod.accumulate_stats(ubm, f)
+        yield stats
 
 
 def train_tv(config: PipelineConfig, ubm: gmm_mod.GmmModel, stats) -> ivector_mod.TvMatrix:
@@ -355,7 +357,7 @@ def run_training(config: PipelineConfig, manifest: CorpusManifest) -> ModelBundl
     """features -> UBM -> statistics -> T -> iVectors -> backend."""
     feats = manifest_features(manifest, config)
     ubm = train_ubm(config, feats)
-    stats = collect_stats(ubm, feats)
+    stats = list(collect_stats(ubm, feats))
     del feats  # the frames are not needed past the statistics
     tv = train_tv(config, ubm, stats)
     w_matrix = extract_ivectors(tv, ubm, stats)
@@ -363,13 +365,32 @@ def run_training(config: PipelineConfig, manifest: CorpusManifest) -> ModelBundl
     return ModelBundle(config=config, ubm=ubm, tv=tv, backend=gb)
 
 
-def ivectors_for_buffers(bundle: ModelBundle, items) -> np.ndarray:
-    """(recording id, mono buffer) pairs -> (n, R) iVector matrix.
+class _Stream:
+    """`count` items drawn lazily from `items`: an iterable whose length is
+    known before it is drawn, so a caller (the benchmark's tracer, say) can
+    count the recordings of a streamed `extract_ivectors` call."""
 
-    `items` is drawn lazily, one feature chunk at a time.
+    def __init__(self, items, count: int):
+        self._items, self._count = items, count
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return self._count
+
+
+def ivectors_for_buffers(bundle: ModelBundle, items, count: int) -> np.ndarray:
+    """`count` (recording id, mono buffer) pairs -> (count, R) iVector matrix.
+
+    Everything is a stream: `items` is drawn one feature chunk at a time,
+    each recording's statistics go to `extract_ivectors` as they are made, and
+    each tile's iVectors are solved as soon as it fills. So at most a chunk
+    of audio and features and a tile of statistics are alive at once, beyond
+    the iVector rows; a fault surfaces when its item is drawn.
     """
     stats = collect_stats(bundle.ubm, features_for_buffers(items, bundle.config))
-    return extract_ivectors(bundle.tv, bundle.ubm, stats)
+    return extract_ivectors(bundle.tv, bundle.ubm, _Stream(stats, count))
 
 
 def score_ivectors(bundle: ModelBundle, w_matrix) -> np.ndarray:
@@ -391,7 +412,7 @@ def _check_test_manifest(bundle: ModelBundle, manifest: CorpusManifest) -> None:
 def _evaluate(bundle: ModelBundle, items, truth, conditions) -> EvalReport:
     """Classify (recording id, mono buffer) pairs, drawn lazily, and score the
     predictions against the true labels and condition tags of the same items."""
-    w_matrix = ivectors_for_buffers(bundle, items)
+    w_matrix = ivectors_for_buffers(bundle, items, len(truth))
     with stage(STAGE_BACKEND, backend_mod.BackendError):
         predictions = backend_mod.classify_many(bundle.backend, w_matrix)
     return EvalReport.from_predictions(
@@ -421,8 +442,11 @@ def run_sbr_sweep(
     """Evaluate clean data plus seeded in-memory mixes at each SBR.
 
     An empty sbr_list reduces to plain evaluation of the clean manifest.
-    Mixes are made as the classifier draws them, so at most one chunk of
-    mixed audio exists at a time.
+    Items go clip by clip, each clip's conditions in `sbr_list` order (see
+    `_sweep_samples`), and are classified as they are drawn: memory holds a
+    feature chunk of audio and one tile of statistics, not the corpus. The
+    report counts items per (label, condition), so it does not depend on
+    that order.
     """
     sbr_list = list(sbr_list)
     if not sbr_list:
@@ -434,25 +458,27 @@ def run_sbr_sweep(
     return _evaluate(
         bundle,
         _sweep_samples(bundle.config, clean_manifest, mix, sbr_list),
-        [e.label for _ in sbr_list for e in entries],
-        [condition_tag(cond) for cond in sbr_list for _ in entries],
+        [e.label for e in entries for _ in sbr_list],
+        [condition_tag(cond) for _ in entries for cond in sbr_list],
     )
 
 
 def _sweep_samples(config, clean_manifest, mix, sbr_list):
-    """Yield (recording id, mono buffer) for the clean clips and their seeded
-    mixes, condition by condition."""
-    clean = list(manifest_buffers(clean_manifest, config))
-    for rec_id, buf in clean:
+    """Yield (recording id, mono buffer) clip by clip: each clean clip is
+    read once, as it is reached, and followed by its conditions in `sbr_list`
+    order, the clip itself for None and its seeded mix otherwise.
+
+    A mix's seed and speech clip depend only on its (condition, clip)
+    position, so the order does not change any mix.
+    """
+    for ei, (rec_id, buf) in enumerate(manifest_buffers(clean_manifest, config)):
         _reject_silent(rec_id, buf)  # before any mix of it is drawn
-    for ci, cond in enumerate(sbr_list):
-        tag = condition_tag(cond)
-        for ei, (rec_id, buf) in enumerate(clean):
+        for ci, cond in enumerate(sbr_list):
             if cond is None:
                 yield rec_id, buf
             else:
                 mixed, _, _ = mix(rec_id, buf, cond, ci, ei)
-                yield f"{rec_id}@{tag}", mixed
+                yield f"{rec_id}@{condition_tag(cond)}", mixed
 
 
 def _mix(background, speech, sbr_db, seed, background_id, speech_id):

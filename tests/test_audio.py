@@ -10,6 +10,7 @@ from sceneid.audio import (
     WavCodecError,
     WavCorruptError,
     WavError,
+    frame_count,
     frame_signal,
     read_wav,
     resample,
@@ -274,6 +275,19 @@ class TestFrameSignal:
         buf = AudioBuffer(np.ones(2000), 16000)
         frames = frame_signal(buf, FrameConfig(40.0, 0.5, "rect"))
         assert np.all(frames == 1.0)
+
+    @pytest.mark.parametrize("rate", [16000, 44100, 48000])
+    def test_frame_count_is_frame_signal_row_count(self, rate):
+        cfg = FrameConfig(40.0, 0.5, "hann")
+        flen, hop = cfg.frame_len(rate), cfg.hop(rate)
+        with pytest.raises(ValueError) as want:
+            frame_signal(AudioBuffer(np.zeros(flen - 1), rate), cfg)
+        with pytest.raises(ValueError) as got:
+            frame_count(flen - 1, rate, cfg)
+        assert str(got.value) == str(want.value)
+        for n, rows in ((flen, 1), (flen + hop - 1, 1), (flen + hop, 2)):
+            frames = frame_signal(AudioBuffer(np.zeros(n), rate), cfg)
+            assert frame_count(n, rate, cfg) == len(frames) == rows
 
     def test_too_short_buffer(self):
         buf = AudioBuffer(np.zeros(100), 16000)

@@ -554,7 +554,7 @@ class TestExitCodes:
                    "--sbrs", "loud", "--out", str(tmp_path / "o"), "--seed", "1"])
         assert rc == 2
 
-    @pytest.mark.parametrize("sbrs", ["0,0", "5,5.0", "clean,clean", "clean,10,+10"])
+    @pytest.mark.parametrize("sbrs", ["0,0", "5,5.0", "clean,clean", "clean,10,+10", "0,-0"])
     def test_repeated_sbr_condition_is_config_code(self, workspace, bundle, tmp_path, capsys,
                                                    sbrs):
         # Two conditions with one tag would write the same mix files and pool

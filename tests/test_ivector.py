@@ -268,6 +268,34 @@ class TestBatchInvariance:
         for lo, hi in zip(bounds, bounds[1:]):
             assert np.array_equal(whole[lo:hi], extract_ivectors(tv, ubm, stats[lo:hi]))
 
+    def test_stream_is_drawn_one_tile_at_a_time(self, rng, monkeypatch):
+        # A generator gives the list call's bits, and tile k's posterior runs
+        # before more than (k + 1) tiles of statistics have been drawn.
+        ubm = make_ubm(rng, 4, 3)
+        tv = make_tv(rng, ubm, 3)
+        stats = [SufficientStats(rng.uniform(0.1, 5.0, 4), rng.normal(0, 1, (4, 3)))
+                 for _ in range(3 * IVECTOR_CHUNK + 2)]
+        want = extract_ivectors(tv, ubm, stats)
+        drawn, drawn_at_tile = [], []
+
+        def counting():
+            for s in stats:
+                drawn.append(s)
+                yield s
+
+        real_posterior = ivector._TvOperator.posterior
+
+        def recording_posterior(op, n, f):
+            drawn_at_tile.append(len(drawn))
+            return real_posterior(op, n, f)
+
+        monkeypatch.setattr(ivector._TvOperator, "posterior", recording_posterior)
+        got = extract_ivectors(tv, ubm, counting())
+        assert np.array_equal(got, want)
+        assert len(drawn_at_tile) == 4
+        for k, count in enumerate(drawn_at_tile):
+            assert count <= IVECTOR_CHUNK * (k + 1), (k, count)
+
     @pytest.mark.parametrize(
         "c, f_dim, rank, never_occupied",
         [

@@ -331,6 +331,64 @@ class TestSbrSweep:
         assert report.total == 18
         assert mixed_before_chunk == [4, 8, 12, 16, 18]
 
+    def test_each_clip_is_read_once_and_mixed_before_the_next(
+        self, tiny_bundle, tiny_corpus, monkeypatch
+    ):
+        test = tiny_corpus["test"]
+        clean = {str(test.resolve(e)): e.path for e in test.entries}
+        events = []
+        real_load, real_mix = pipeline.load_audio, pipeline.mix_at_sbr
+
+        def recording_load(path, sample_rate):
+            if str(path) in clean:  # not a speech clip
+                events.append(("read", clean[str(path)]))
+            return real_load(path, sample_rate)
+
+        def recording_mix(*args):
+            events.append(("mix", args[4]))  # the background id
+            return real_mix(*args)
+
+        monkeypatch.setattr(pipeline, "load_audio", recording_load)
+        monkeypatch.setattr(pipeline, "mix_at_sbr", recording_mix)
+        report = run_sbr_sweep(
+            tiny_bundle, test, tiny_corpus["speech_eval"], [0.0, None, 10.0], seed=3
+        )
+        assert report.total == 27
+        assert events == [
+            event for e in test.entries for event in (("read", e.path), ("mix", e.path),
+                                                      ("mix", e.path))
+        ]
+
+    def test_sweep_peak_memory_does_not_grow_with_clip_count(
+        self, tiny_bundle, tiny_corpus, tmp_path, monkeypatch
+    ):
+        # A sweep holds a feature chunk, not its clips: tripling the clips
+        # raises the traced peak by less than one clip's samples.
+        test = tiny_corpus["test"]
+        sources = [test.resolve(e) for e in test.entries]
+        clip_bytes = pipeline.load_audio(sources[0], None).samples.nbytes
+        monkeypatch.setattr(pipeline, "FEATURE_CHUNK", 4)
+
+        def peak(n_clips):
+            entries = []
+            for i in range(n_clips):
+                e = test.entries[i % len(test.entries)]
+                name = f"{n_clips}_{i:02d}.wav"
+                (tmp_path / name).write_bytes(sources[i % len(sources)].read_bytes())
+                entries.append(ManifestEntry(name, e.label))
+            manifest = CorpusManifest(entries, tmp_path)
+            sweep = (tiny_bundle, manifest, tiny_corpus["speech_eval"], [None, 10.0])
+            run_sbr_sweep(*sweep, seed=3)  # warms caches and lazy imports
+            tracemalloc.start()
+            try:
+                run_sbr_sweep(*sweep, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(6), peak(18)
+        assert large - small < clip_bytes, (small, large, clip_bytes)
+
     def test_excluded_speakers_not_used(self, tiny_bundle, tiny_corpus):
         pool = tiny_corpus["speech_eval"]
         keep = pool.entries[0].speaker_id
