@@ -214,15 +214,16 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     bundle = pipe.ModelBundle.load(args.bundle)
+    rate = bundle.config.sample_rate
     if args.manifest:
         manifest = _load_manifest(args.manifest)
         pipe.check_manifest(manifest)
-        items = [(e.path, manifest.resolve(e)) for e in manifest.entries]
+        ids = [e.path for e in manifest.entries]
+        buffers = pipe.manifest_buffers(manifest, rate)
     else:
-        items = [(a, a) for a in args.audio]
-    rate = bundle.config.sample_rate
-    buffers = ((rec_id, pipe.load_audio(path, rate)) for rec_id, path in items)
-    scores = pipe.score_ivectors(bundle, pipe.ivectors_for_buffers(bundle, buffers, len(items)))
+        ids = args.audio
+        buffers = ((a, pipe.load_audio(a, rate)) for a in args.audio)
+    scores = pipe.score_ivectors(bundle, pipe.ivectors_for_buffers(bundle, buffers, len(ids)))
     labels = bundle.backend.class_labels
     lines = [
         json.dumps({
@@ -230,7 +231,7 @@ def cmd_classify(args) -> int:
             "label": labels[int(np.argmax(row))],
             "scores": dict(zip(labels, row.tolist())),
         }, sort_keys=True)
-        for (rec_id, _), row in zip(items, scores)
+        for rec_id, row in zip(ids, scores)
     ]
     text = "\n".join(lines) + "\n"
     if args.out:

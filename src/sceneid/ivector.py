@@ -9,6 +9,7 @@ supervector residuals and refined by EM.
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -89,10 +90,13 @@ def _stats_arrays(stats_list) -> tuple[np.ndarray, np.ndarray]:
     return n, f
 
 
-def _chunks(count: int):
-    """Row slices of at most IVECTOR_CHUNK recordings covering range(count)."""
-    for start in range(0, count, IVECTOR_CHUNK):
-        yield slice(start, min(start + IVECTOR_CHUNK, count))
+def _posteriors(op: _TvOperator, stats):
+    """(tile, w, chol) per tile of at most IVECTOR_CHUNK SufficientStats drawn
+    from the iterable `stats`: the tile and its `op.posterior`. Each tile is
+    drawn only when the previous one has been handed on."""
+    stats = iter(stats)
+    while tile := list(itertools.islice(stats, IVECTOR_CHUNK)):
+        yield (tile, *op.posterior(*_stats_arrays(tile)))
 
 
 def _chol_logdet(chol: np.ndarray) -> float:
@@ -187,12 +191,10 @@ def extract_ivectors(tv: TvMatrix, ubm: GmmModel, stats) -> np.ndarray:
     as soon as the tile is full (or the stream ends), so no more than one
     tile of statistics is held here at once.
     """
-    op = _TvOperator(tv, ubm)
-    stats = iter(stats)
-    tiles = [np.empty((0, tv.rank))]
-    while tile := list(itertools.islice(stats, IVECTOR_CHUNK)):
-        tiles.append(op.posterior(*_stats_arrays(tile))[0])
-    return np.concatenate(tiles)
+    # itemgetter drops each tile's (8, R, R) factors before the next tile's
+    # posterior runs; a loop variable would keep them alive through it.
+    tiles = map(operator.itemgetter(1), _posteriors(_TvOperator(tv, ubm), stats))
+    return np.concatenate([np.empty((0, tv.rank)), *tiles])
 
 
 def init_tv_pca(stats_list, ubm: GmmModel, rank: int) -> TvMatrix:
@@ -281,12 +283,14 @@ def train_tv(stats_list, ubm: GmmModel, rank: int, n_iters: int = 5) -> TvMatrix
         op = _TvOperator(tv, ubm)
         w = np.empty((count, rank))
         eww = np.empty((count, upper_rows.size))
-        for rows in _chunks(count):
-            w[rows], chol = op.posterior(*_stats_arrays(stats_list[rows]))
-            for i, low in enumerate(chol, rows.start):
+        i = 0
+        for _, w_tile, chol in _posteriors(op, stats_list):
+            w[i : i + len(w_tile)] = w_tile
+            for low in chol:
                 cov = dpotri(low, lower=1)[0]  # lower triangle of (L L')^-1; upper stays 0
                 ww = w[i].take(upper_rows) * w[i].take(upper_cols)
                 np.add(cov.take(lower_flat), ww, out=eww[i])
+                i += 1
         kept = tv.t[unoccupied]
         del op, tv  # frees the Gram store and the old T before the M-step's sums
         # Sums over recordings, so one GEMM each: sum_i f_i w_i' and sum_i n_ic E[ww']_i.
@@ -316,13 +320,9 @@ def tv_evidence(tv: TvMatrix, ubm: GmmModel, stats_list) -> float:
     with D = diag(n_c I) and Lambda = diag(n_c Sigma_c). Components with zero
     occupancy contribute nothing. Non-decreasing across train_tv iterations.
     """
-    stats_list = list(stats_list)
-    op = _TvOperator(tv, ubm)
     total = 0.0
-    for rows in _chunks(len(stats_list)):
-        chunk = stats_list[rows]
-        w, chol = op.posterior(*_stats_arrays(chunk))
-        for s, w_i, chol_i in zip(chunk, w, chol):
+    for tile, w, chol in _posteriors(_TvOperator(tv, ubm), stats_list):
+        for s, w_i, chol_i in zip(tile, w, chol):
             active = s.n > 1e-12
             f_act = s.f[active]
             lam = s.n[active, None] * ubm.variances[active]

@@ -301,17 +301,16 @@ def check_manifest(manifest: CorpusManifest) -> None:
         raise PipelineStageError(STAGE_MANIFEST, "manifest is empty")
 
 
-def manifest_buffers(manifest: CorpusManifest, config: PipelineConfig):
-    """(entry path, mono buffer) per manifest entry, each read as it is drawn."""
-    return (
-        (e.path, load_audio(manifest.resolve(e), config.sample_rate)) for e in manifest.entries
-    )
+def manifest_buffers(manifest: CorpusManifest, rate: int | None):
+    """(entry path, mono buffer at `rate`, None for the file's own) per
+    manifest entry, each read as it is drawn."""
+    return ((e.path, load_audio(manifest.resolve(e), rate)) for e in manifest.entries)
 
 
 def manifest_features(manifest: CorpusManifest, config: PipelineConfig) -> list[FeatureMatrix]:
     """Check the manifest, then read and featurize every entry."""
     check_manifest(manifest)
-    return list(features_for_buffers(manifest_buffers(manifest, config), config))
+    return list(features_for_buffers(manifest_buffers(manifest, config.sample_rate), config))
 
 
 def train_ubm(config: PipelineConfig, feats) -> gmm_mod.GmmModel:
@@ -425,7 +424,7 @@ def run_evaluation(bundle: ModelBundle, manifest: CorpusManifest) -> EvalReport:
     _check_test_manifest(bundle, manifest)
     return _evaluate(
         bundle,
-        manifest_buffers(manifest, bundle.config),
+        manifest_buffers(manifest, bundle.config.sample_rate),
         [e.label for e in manifest.entries],
         [e.condition for e in manifest.entries],
     )
@@ -442,8 +441,8 @@ def run_sbr_sweep(
     """Evaluate clean data plus seeded in-memory mixes at each SBR.
 
     An empty sbr_list reduces to plain evaluation of the clean manifest.
-    Items go clip by clip, each clip's conditions in `sbr_list` order (see
-    `_sweep_samples`), and are classified as they are drawn: memory holds a
+    Items come clip by clip from `_conditions`, each clip read at the
+    bundle's rate, and are classified as they are drawn: memory holds a
     feature chunk of audio and one tile of statistics, not the corpus. The
     report counts items per (label, condition), so it does not depend on
     that order.
@@ -452,33 +451,18 @@ def run_sbr_sweep(
     if not sbr_list:
         return run_evaluation(bundle, clean_manifest)
     _check_test_manifest(bundle, clean_manifest)
-
-    mix = _speech_mixer(speech_pool, sbr_list, seed, exclude_speakers)
+    walk = _conditions(clean_manifest, bundle.config.sample_rate, speech_pool, sbr_list, seed,
+                       exclude_speakers)
     entries = clean_manifest.entries
     return _evaluate(
         bundle,
-        _sweep_samples(bundle.config, clean_manifest, mix, sbr_list),
+        (
+            (entry.path if spec is None else f"{entry.path}@{condition_tag(sbr_list[ci])}", buf)
+            for ci, _, entry, buf, spec, _ in walk
+        ),
         [e.label for e in entries for _ in sbr_list],
         [condition_tag(cond) for _ in entries for cond in sbr_list],
     )
-
-
-def _sweep_samples(config, clean_manifest, mix, sbr_list):
-    """Yield (recording id, mono buffer) clip by clip: each clean clip is
-    read once, as it is reached, and followed by its conditions in `sbr_list`
-    order, the clip itself for None and its seeded mix otherwise.
-
-    A mix's seed and speech clip depend only on its (condition, clip)
-    position, so the order does not change any mix.
-    """
-    for ei, (rec_id, buf) in enumerate(manifest_buffers(clean_manifest, config)):
-        _reject_silent(rec_id, buf)  # before any mix of it is drawn
-        for ci, cond in enumerate(sbr_list):
-            if cond is None:
-                yield rec_id, buf
-            else:
-                mixed, _, _ = mix(rec_id, buf, cond, ci, ei)
-                yield f"{rec_id}@{condition_tag(cond)}", mixed
 
 
 def _mix(background, speech, sbr_db, seed, background_id, speech_id):
@@ -487,25 +471,38 @@ def _mix(background, speech, sbr_db, seed, background_id, speech_id):
         return mix_at_sbr(background, speech, sbr_db, seed, background_id, speech_id)
 
 
-def _speech_mixer(speech_pool, sbr_list, seed, exclude_speakers):
-    """The mixing step of a sweep and a built corpus: `mix` draws the speech
-    clip and seed of one (condition, entry) position, loads the clip at the
-    background's rate (once per clip and rate) and returns the mix, its
-    `MixSpec` and the speech entry."""
+def _conditions(manifest, rate, speech_pool, sbr_list, seed, exclude_speakers):
+    """Walk the (clip, condition) grid of a sweep or a built corpus.
+
+    Checks the speech pool before any audio is read. The walk reads each clip
+    once, at `rate` (None: the file's own), rejects it if it is digitally
+    silent, then yields its conditions in `sbr_list` order as (condition
+    index, entry index, entry, buffer, MixSpec, speech entry): the clip and
+    None, None for a None condition, its mix otherwise. A mix's seed and
+    speech clip depend only on its (condition, entry) position
+    (`draw_speech`), so the order changes no mix. Speech is read once per
+    (clip, rate).
+    """
     with stage(STAGE_MIXER, ValueError):
         pool = usable_speech_pool(speech_pool, sbr_list, exclude_speakers)
-    speech_cache: dict = {}
 
-    def mix(background_id, background, sbr_db, condition_index, entry_index):
-        mix_seed, entry = draw_speech(pool, seed, condition_index, entry_index)
-        key = (entry.path, background.sample_rate)
-        if key not in speech_cache:
-            speech_cache[key] = load_audio(speech_pool.resolve(entry), background.sample_rate)
-        mixed, spec = _mix(background, speech_cache[key], sbr_db, mix_seed, background_id,
-                           entry.path)
-        return mixed, spec, entry
+    def walk():
+        speech_cache: dict = {}
+        clips = zip(manifest.entries, manifest_buffers(manifest, rate))
+        for ei, (entry, (rec_id, buf)) in enumerate(clips):
+            _reject_silent(rec_id, buf)  # before any mix of it is drawn
+            for ci, sbr_db in enumerate(sbr_list):
+                if sbr_db is None:
+                    yield ci, ei, entry, buf, None, None
+                    continue
+                mix_seed, speech = draw_speech(pool, seed, ci, ei)
+                key = (speech.path, buf.sample_rate)
+                if key not in speech_cache:
+                    speech_cache[key] = load_audio(speech_pool.resolve(speech), buf.sample_rate)
+                mixed, spec = _mix(buf, speech_cache[key], sbr_db, mix_seed, rec_id, speech.path)
+                yield ci, ei, entry, mixed, spec, speech
 
-    return mix
+    return walk()
 
 
 def mix_recording(background_path, speech_path, sbr_db, seed):
@@ -522,35 +519,34 @@ def build_multicondition_corpus(
 ) -> CorpusManifest:
     """Mix every background at every SBR condition; None passes through.
 
-    Speech clips are drawn as a sweep with the same seed draws them, never
-    from excluded speakers. Mixed files are written under out_dir as 16-bit
-    WAV at the background's rate; labels are inherited from the background.
+    The mixes come from `_conditions`, as a sweep with the same seed makes
+    them, never from excluded speakers. Each background is read once, at its
+    own rate, and its mixes are written under out_dir as 16-bit WAV at that
+    rate as they are made; labels are inherited from the background. The
+    output manifest stays condition-major. A clean-only build reads no audio.
     """
     conditions = list(sbr_list_db)
-    mix = _speech_mixer(speech_pool, conditions, rng_seed, exclude_speakers)
+    walk = _conditions(manifest, None, speech_pool, conditions, rng_seed, exclude_speakers)
     out_dir = Path(out_dir)
     with _file_errors(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    out_entries: list[ManifestEntry] = []
-    for ci, cond in enumerate(conditions):
-        if cond is None:
-            # Pass-through: keep records. A relative path moves from the input
-            # manifest's directory to out_dir, which the output manifest
-            # resolves it against; an absolute one stays as it is.
-            out_entries.extend(
-                e if Path(e.path).is_absolute()
-                else replace(e, path=os.path.relpath(manifest.resolve(e), out_dir))
-                for e in manifest.entries
-            )
-            continue
-        tag = condition_tag(cond)
-        for ei, entry in enumerate(manifest.entries):
-            background = load_audio(manifest.resolve(entry), None)
-            mixed, spec, speech = mix(entry.path, background, cond, ci, ei)
-            out_name = f"{ei:05d}_{Path(entry.path).stem}_{tag}.wav"
-            write_output(out_dir / out_name, wav_bytes(mixed))
-            out_entries.append(ManifestEntry(
-                out_name, entry.label, speech.speaker_id, condition=tag,
-                seed=spec.rng_seed, gain=spec.speech_gain * spec.headroom_gain,
-            ))
+    # Pass-through entries keep their records. A relative path moves from the
+    # input manifest's directory to out_dir, which the output manifest
+    # resolves it against; an absolute one stays as it is.
+    kept = [
+        e if Path(e.path).is_absolute()
+        else replace(e, path=os.path.relpath(manifest.resolve(e), out_dir))
+        for e in manifest.entries
+    ]
+    out_entries = [e if cond is None else None for cond in conditions for e in kept]
+    if any(cond is not None for cond in conditions):
+        for ci, ei, entry, mixed, spec, speech in walk:
+            if spec is not None:  # placed by (condition, entry), so condition-major
+                tag = condition_tag(conditions[ci])
+                out_name = f"{ei:05d}_{Path(entry.path).stem}_{tag}.wav"
+                write_output(out_dir / out_name, wav_bytes(mixed))
+                out_entries[ci * len(kept) + ei] = ManifestEntry(
+                    out_name, entry.label, speech.speaker_id, condition=tag,
+                    seed=spec.rng_seed, gain=spec.speech_gain * spec.headroom_gain,
+                )
     return CorpusManifest(out_entries, base_dir=out_dir)

@@ -163,14 +163,20 @@ def test_benchmark_layer_names_resolve():
         assert callable(obj), name
 
 
-def test_benchmark_tracer_installs():
-    """The benchmark's traced runs can wrap every layer: run in a fresh
-    interpreter, since installing rebinds functions in every sceneid module,
-    and one that writes no bytecode cache into bench/."""
+def _run_with_bench(code, *args):
+    """Run `code` with bench/ importable: in a fresh interpreter, since
+    installing the benchmark's tracer rebinds functions in every sceneid
+    module, and one that writes no bytecode cache into bench/."""
     root = Path(__file__).resolve().parent.parent
     path = [str(root / "src"), str(root / "bench"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True)
+
+
+def test_benchmark_tracer_installs():
+    """The benchmark's traced runs can wrap every layer."""
     code = (
         "import importlib, spans\n"
         "spans.Tracer().install()\n"
@@ -181,7 +187,38 @@ def test_benchmark_tracer_installs():
         "        obj = getattr(obj, attr)\n"
         "    assert hasattr(obj, '__wrapped__'), name\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = _run_with_bench(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_counts_layers(tmp_path):
+    """A traced synth, train, sweep and classify counts the UBM's frames, the
+    recordings given iVectors and the mixes made: a counter that a change of
+    argument type breaks fails here, not only in a traced benchmark run."""
+    corpus, bundle = tmp_path / "corpus", tmp_path / "bundle"
+    tiny = ["--set", "ubm_components=4", "--set", "ubm_iters=2", "--set", "kmeans_iters=2",
+            "--set", "tv_rank=2", "--set", "tv_iters=1"]
+    runs = [
+        ["synth", "--out", str(corpus), "--classes", "2", "--train-per-class", "3",
+         "--test-per-class", "1", "--clip-seconds", "1.0"],
+        ["train", "--manifest", str(corpus / "train.jsonl"), "--out", str(bundle)] + tiny,
+        ["sweep", "--bundle", str(bundle), "--manifest", str(corpus / "test.jsonl"),
+         "--speech-pool", str(corpus / "speech_eval.jsonl"), "--sbrs", "clean,5"],
+        ["classify", "--bundle", str(bundle), "--manifest", str(corpus / "test.jsonl")],
+    ]
+    code = (
+        "import json, sys, spans\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "from sceneid import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "metrics = tracer.layer_metrics(0.0)\n"
+        "for name in ('gmm.train_ubm.frames', 'ivector.extract_ivectors.recordings',\n"
+        "             'mixer.mix_at_sbr.calls'):\n"
+        "    assert metrics[name] > 0, (name, metrics[name])\n"
+    )
+    proc = _run_with_bench(code, json.dumps(runs))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -579,7 +616,9 @@ class TestExitCodes:
                    "--sbr", "0", "--out", str(tmp_path / "m.wav")])
         assert rc == 7
 
-    @pytest.mark.parametrize("command", ["classify", "extract-features", "train", "sweep"])
+    @pytest.mark.parametrize(
+        "command", ["classify", "extract-features", "train", "sweep", "build-corpus"]
+    )
     def test_digitally_silent_recording_is_features_code(
         self, workspace, bundle, tmp_path, capsys, command
     ):
@@ -600,6 +639,10 @@ class TestExitCodes:
             argv = ["sweep", "--bundle", str(bundle), "--manifest", str(manifest),
                     "--speech-pool", str(corpus / "speech_eval.jsonl"), "--sbrs", "5,20",
                     "--seed", "2", "--out", str(tmp_path / "b")]
+        elif command == "build-corpus":
+            argv = ["build-corpus", "--manifest", str(manifest),
+                    "--speech-pool", str(corpus / "speech_train.jsonl"), "--sbrs", "5,20",
+                    "--seed", "2", "--out", str(tmp_path / "b")]
         elif command == "classify":
             argv = ["classify", "--bundle", str(bundle), "--audio", str(silent)]
         else:
@@ -610,7 +653,14 @@ class TestExitCodes:
         assert rc == 5
         assert captured.err == f"error: [features] {silent}: recording is digitally silent\n"
         assert captured.out == ""
-        assert not any((tmp_path / name).exists() for name in ("b", "f.csv", "s.csv"))
+        if command == "build-corpus":
+            # Clip 0 is mixed before the silent clip 1 is read; nothing after it is written.
+            stem = Path(entries[0]["path"]).stem
+            assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+                f"00000_{stem}_sbr+20dB.wav", f"00000_{stem}_sbr+5dB.wav"
+            ]
+        else:
+            assert not any((tmp_path / name).exists() for name in ("b", "f.csv", "s.csv"))
 
     def test_corrupt_wav_is_audio_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.wav"

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -270,7 +271,8 @@ class TestBatchInvariance:
 
     def test_stream_is_drawn_one_tile_at_a_time(self, rng, monkeypatch):
         # A generator gives the list call's bits, and tile k's posterior runs
-        # before more than (k + 1) tiles of statistics have been drawn.
+        # before more than (k + 1) tiles of statistics have been drawn and
+        # after the earlier tiles' (8, R, R) factors have been freed.
         ubm = make_ubm(rng, 4, 3)
         tv = make_tv(rng, ubm, 3)
         stats = [SufficientStats(rng.uniform(0.1, 5.0, 4), rng.normal(0, 1, (4, 3)))
@@ -285,9 +287,14 @@ class TestBatchInvariance:
 
         real_posterior = ivector._TvOperator.posterior
 
+        factors = []
+
         def recording_posterior(op, n, f):
             drawn_at_tile.append(len(drawn))
-            return real_posterior(op, n, f)
+            assert all(ref() is None for ref in factors), len(factors)
+            w, chol = real_posterior(op, n, f)
+            factors.append(weakref.ref(chol))
+            return w, chol
 
         monkeypatch.setattr(ivector._TvOperator, "posterior", recording_posterior)
         got = extract_ivectors(tv, ubm, counting())

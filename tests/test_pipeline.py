@@ -16,11 +16,13 @@ from sceneid.features import extract_features
 from sceneid.gmm import GmmModel, gmm_checksum
 from sceneid.ivector import TvMatrix
 from sceneid.manifest import CorpusManifest, ManifestEntry
+from sceneid.mixer import condition_tag
 from sceneid.pipeline import (
     FEATURE_CHUNK,
     EvalReport,
     ModelBundle,
     PipelineStageError,
+    build_multicondition_corpus,
     features_for_buffers,
     run_evaluation,
     run_sbr_sweep,
@@ -331,9 +333,12 @@ class TestSbrSweep:
         assert report.total == 18
         assert mixed_before_chunk == [4, 8, 12, 16, 18]
 
+    @pytest.mark.parametrize("command", ["sweep", "build-corpus"])
     def test_each_clip_is_read_once_and_mixed_before_the_next(
-        self, tiny_bundle, tiny_corpus, monkeypatch
+        self, tiny_bundle, tiny_corpus, monkeypatch, tmp_path, command
     ):
+        # Both commands take one walk: a clip's mixes are made before the
+        # next clip is read, whatever the place of `clean` in the list.
         test = tiny_corpus["test"]
         clean = {str(test.resolve(e)): e.path for e in test.entries}
         events = []
@@ -350,13 +355,20 @@ class TestSbrSweep:
 
         monkeypatch.setattr(pipeline, "load_audio", recording_load)
         monkeypatch.setattr(pipeline, "mix_at_sbr", recording_mix)
-        report = run_sbr_sweep(
-            tiny_bundle, test, tiny_corpus["speech_eval"], [0.0, None, 10.0], seed=3
-        )
-        assert report.total == 27
+        if command == "sweep":
+            sbrs = [0.0, None, 10.0]
+            report = run_sbr_sweep(tiny_bundle, test, tiny_corpus["speech_eval"], sbrs, seed=3)
+            assert report.total == 27
+        else:
+            sbrs = [None, -5.0, 0.0, 5.0]
+            out = build_multicondition_corpus(test, sbrs, tiny_corpus["speech_eval"], 3,
+                                              tmp_path / "mct")
+            assert [e.condition for e in out.entries] == [
+                condition_tag(cond) for cond in sbrs for _ in test.entries
+            ]
+        mixes = sum(cond is not None for cond in sbrs)
         assert events == [
-            event for e in test.entries for event in (("read", e.path), ("mix", e.path),
-                                                      ("mix", e.path))
+            event for e in test.entries for event in [("read", e.path)] + [("mix", e.path)] * mixes
         ]
 
     def test_sweep_peak_memory_does_not_grow_with_clip_count(
