@@ -137,8 +137,13 @@ def score_many(model: BackendModel, w_matrix: np.ndarray) -> np.ndarray:
 
 
 def classify_many(model: BackendModel, w_matrix: np.ndarray) -> list:
-    """Label of the maximal score per row; ties go to the earlier class label."""
-    scores = score_many(model, w_matrix)
+    """Label of each iVector row (`best_labels` of its scores)."""
+    return best_labels(model, score_many(model, w_matrix))
+
+
+def best_labels(model: BackendModel, scores: np.ndarray) -> list:
+    """Label of the maximal score per row of (n, L) `score_many` output;
+    ties go to the earlier class label."""
     return [model.class_labels[i] for i in scores.argmax(axis=1)]
 
 
@@ -167,5 +172,5 @@ def backend_from_bytes(raw) -> BackendModel:
     if (mu.shape, sigma_c.shape, counts.shape) != (
         (n_classes, rank), (n_classes, rank, rank), (n_classes,)
     ):
-        raise serialize.ContainerError("inconsistent backend dimensions")
+        raise SceneidError("inconsistent backend dimensions")
     return BackendModel(labels, mu, sigma_c, alpha, counts)

@@ -12,8 +12,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import backend as backend_mod
 from . import gmm as gmm_mod
 from . import ivector as ivector_mod
@@ -190,6 +188,7 @@ def cmd_extract_ivectors(args) -> int:
 def cmd_train_backend(args) -> int:
     cfg = _load_config(args)
     manifest = _load_manifest(args.manifest)
+    pipe.check_manifest(manifest)
     ids, w = pipe.read_model_file(ivector_mod.ivectors_from_bytes, args.ivectors)
     by_path = {e.path: e.label for e in manifest.entries}
     missing = [rid for rid in ids if rid not in by_path]
@@ -225,13 +224,14 @@ def cmd_classify(args) -> int:
         buffers = ((a, pipe.load_audio(a, rate)) for a in args.audio)
     scores = pipe.score_ivectors(bundle, pipe.ivectors_for_buffers(bundle, buffers, len(ids)))
     labels = bundle.backend.class_labels
+    predicted = backend_mod.best_labels(bundle.backend, scores)
     lines = [
         json.dumps({
             "id": rec_id,
-            "label": labels[int(np.argmax(row))],
+            "label": label,
             "scores": dict(zip(labels, row.tolist())),
         }, sort_keys=True)
-        for rec_id, row in zip(ids, scores)
+        for rec_id, label, row in zip(ids, predicted, scores)
     ]
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -33,10 +33,6 @@ MAX_FRAME_LEN = 1 << 20
 MAX_SDC_SHIFT = 10_000
 
 
-class FeatureDimError(SceneidError):
-    """Shapes of spectrogram, filter bank or feature matrix do not line up."""
-
-
 @dataclass(frozen=True)
 class Spectrogram:
     """Per-frame one-sided power spectra (T x B, B = fft_size/2 + 1)."""
@@ -184,7 +180,7 @@ def mfcc(spec: Spectrogram, bank: np.ndarray, n_ceps: int) -> FeatureMatrix:
     """
     n_filters, n_bins = bank.shape
     if n_bins != spec.n_bins:
-        raise FeatureDimError(f"bank built for {n_bins} bins, spectrogram has {spec.n_bins}")
+        raise SceneidError(f"bank built for {n_bins} bins, spectrogram has {spec.n_bins}")
     if n_ceps > n_filters:
         raise ValueError(f"n_ceps={n_ceps} exceeds n_filters={n_filters}")
     with np.errstate(over="ignore"):  # reported below as one error
@@ -208,7 +204,7 @@ def append_sdc(feats: FeatureMatrix, cfg: SdcConfig) -> FeatureMatrix:
     if n_frames < 1:
         raise ValueError("feature matrix is empty")
     if cfg.n > dim:
-        raise FeatureDimError(f"SDC needs {cfg.n} static coefficients, only {dim} present")
+        raise SceneidError(f"SDC needs {cfg.n} static coefficients, only {dim} present")
 
     t = np.arange(n_frames)
     blocks = []

@@ -284,5 +284,5 @@ def gmm_from_bytes(raw) -> GmmModel:
     seed = serialize.unpack_u64(fh)
     serialize.close_container(fh)
     if means.shape != (n_components, n_features):
-        raise serialize.ContainerError("inconsistent GMM dimensions")
+        raise SceneidError("inconsistent GMM dimensions")
     return GmmModel(weights, means, variances, floor, seed=seed)

@@ -354,7 +354,7 @@ def tv_from_bytes(raw) -> TvMatrix:
     t = serialize.unpack_array(fh)
     serialize.close_container(fh)
     if t.shape != (c, f, r):
-        raise serialize.ContainerError("inconsistent T dimensions")
+        raise SceneidError("inconsistent T dimensions")
     return TvMatrix(t, checksum)
 
 
@@ -379,5 +379,5 @@ def ivectors_from_bytes(raw) -> tuple[list[str], np.ndarray]:
     w = serialize.unpack_array(fh)
     serialize.close_container(fh)
     if w.ndim != 2 or w.shape[0] != count:
-        raise serialize.ContainerError("iVector count mismatch")
+        raise SceneidError("iVector count mismatch")
     return ids, w

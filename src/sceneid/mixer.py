@@ -26,22 +26,6 @@ ACTIVITY_FRAME_MS = 10.0
 ACTIVITY_SMOOTH_MS = 16.0
 
 
-class SilentSignalError(SceneidError):
-    """Level measurement is undefined on an all-zero signal."""
-
-
-class NoActivityError(SceneidError):
-    """Active-level measurement found no active frames."""
-
-
-class NonFiniteSignalError(SceneidError):
-    """Level measurement is undefined on a signal with NaN or infinite samples."""
-
-
-class RateMismatchError(SceneidError):
-    pass
-
-
 @dataclass(frozen=True)
 class MixSpec:
     """Provenance of one mix; enough to rebuild it bit for bit."""
@@ -57,17 +41,17 @@ class MixSpec:
 
 def _require_finite(buf: AudioBuffer) -> None:
     if not np.isfinite(buf.samples).all():
-        raise NonFiniteSignalError("signal has NaN or infinite samples: its level is undefined")
+        raise SceneidError("signal has NaN or infinite samples: its level is undefined")
 
 
 def rms_level(buf: AudioBuffer) -> float:
     """20*log10 of the root-mean-square amplitude, in dB."""
     if buf.samples.size == 0:
-        raise SilentSignalError("empty signal has no RMS level")
+        raise SceneidError("empty signal has no RMS level")
     _require_finite(buf)
     mean_sq = float(np.mean(buf.samples**2))
     if mean_sq == 0.0:
-        raise SilentSignalError("all-zero signal has no defined level")
+        raise SceneidError("all-zero signal has no defined level")
     return 10.0 * math.log10(mean_sq)
 
 
@@ -113,12 +97,12 @@ def active_speech_level(buf: AudioBuffer) -> float:
     loudest frame; smoothing is a 16 ms moving average of the squared signal.
     """
     if buf.samples.size == 0:
-        raise SilentSignalError("empty signal has no active level")
+        raise SceneidError("empty signal has no active level")
     _require_finite(buf)
     energies = _active_frame_energies(buf)
     peak = float(energies.max())
     if peak <= 0.0:
-        raise NoActivityError("no active frames: signal is silent")
+        raise SceneidError("no active frames: signal is silent")
     active = energies >= peak * 10.0 ** (-ACTIVITY_MARGIN_DB / 10.0)
     return 10.0 * math.log10(float(energies[active].mean()))
 
@@ -145,12 +129,12 @@ def mix_at_sbr(
     applied headroom gain recorded. An SBR with no finite, audible mix is a ValueError.
     """
     if background.sample_rate != speech.sample_rate:
-        raise RateMismatchError(
+        raise SceneidError(
             f"background at {background.sample_rate} Hz, speech at {speech.sample_rate} Hz"
         )
-    bg_rms_db = rms_level(background)  # SilentSignalError for silent backgrounds
+    bg_rms_db = rms_level(background)  # rejects a silent background
     if not np.any(speech.samples):
-        raise SilentSignalError("speech signal is silent")
+        raise SceneidError("speech signal is silent")
 
     rng = np.random.default_rng(rng_seed)
     offset = int(rng.integers(0, speech.samples.size))

@@ -25,7 +25,7 @@ from .audio import AudioBuffer, read_wav, resample, wav_bytes
 from .config import PipelineConfig
 from .errors import SceneidError
 from .features import FeatureMatrix, extract_features_many
-from .manifest import CorpusManifest, ManifestEntry, ManifestError
+from .manifest import CorpusManifest, ManifestError
 from .mixer import condition_tag, draw_speech, mix_at_sbr, usable_speech_pool
 from .noisefloor import NoiseFloorError
 from .serialize import sha256_hex
@@ -522,9 +522,11 @@ def build_multicondition_corpus(
     The mixes come from `_conditions`, as a sweep with the same seed makes
     them, never from excluded speakers. Each background is read once, at its
     own rate, and its mixes are written under out_dir as 16-bit WAV at that
-    rate as they are made; labels are inherited from the background. The
-    output manifest stays condition-major. A clean-only build reads no audio.
+    rate as they are made; labels and folds are inherited from the
+    background. The manifest is checked first (`check_manifest`). The output
+    manifest stays condition-major. A clean-only build reads no audio.
     """
+    check_manifest(manifest)
     conditions = list(sbr_list_db)
     walk = _conditions(manifest, None, speech_pool, conditions, rng_seed, exclude_speakers)
     out_dir = Path(out_dir)
@@ -545,8 +547,8 @@ def build_multicondition_corpus(
                 tag = condition_tag(conditions[ci])
                 out_name = f"{ei:05d}_{Path(entry.path).stem}_{tag}.wav"
                 write_output(out_dir / out_name, wav_bytes(mixed))
-                out_entries[ci * len(kept) + ei] = ManifestEntry(
-                    out_name, entry.label, speech.speaker_id, condition=tag,
+                out_entries[ci * len(kept) + ei] = replace(
+                    entry, path=out_name, speaker_id=speech.speaker_id, condition=tag,
                     seed=spec.rng_seed, gain=spec.speech_gain * spec.headroom_gain,
                 )
     return CorpusManifest(out_entries, base_dir=out_dir)

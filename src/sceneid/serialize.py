@@ -3,7 +3,9 @@
 Every model file is magic (4 bytes) + version (u16) + a sequence of fields
 written by the pack_* helpers. Encoders are deterministic: identical inputs
 produce identical bytes, which the pipeline relies on for reproducibility.
-Nothing here touches a file: the pipeline reads and writes the bytes.
+Nothing here touches a file: the pipeline reads and writes the bytes, and
+reports a truncated or malformed container (a SceneidError) as a config
+error naming the file.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from .errors import SceneidError
 
 
 HEADER_BYTES = 6  # magic and version
-
-
-class ContainerError(SceneidError):
-    pass
 
 
 @dataclass
@@ -97,7 +95,7 @@ def unpack_array(fh: ContainerReader) -> np.ndarray:
 def _take(fh: ContainerReader, n: int) -> memoryview:
     end = fh.pos + n
     if end > len(fh.raw):
-        raise ContainerError("container truncated")
+        raise SceneidError("container truncated")
     data = fh.raw[fh.pos:end]
     fh.pos = end
     return data
@@ -116,10 +114,10 @@ def open_container(raw, magic: bytes, version: int) -> ContainerReader:
     object) and return a reader positioned at the payload."""
     raw = memoryview(raw)
     if len(raw) < HEADER_BYTES or raw[:4] != magic:
-        raise ContainerError(f"wrong or missing magic (expected {magic!r})")
+        raise SceneidError(f"wrong or missing magic (expected {magic!r})")
     (found,) = struct.unpack("<H", raw[4:HEADER_BYTES])
     if found != version:
-        raise ContainerError(f"container version {found}, expected {version}")
+        raise SceneidError(f"container version {found}, expected {version}")
     return ContainerReader(raw, HEADER_BYTES)
 
 
@@ -127,7 +125,7 @@ def close_container(fh: ContainerReader) -> None:
     """Check that the container ends after its last field."""
     extra = len(fh.raw) - fh.pos
     if extra:
-        raise ContainerError(f"trailing bytes after the last field ({extra})")
+        raise SceneidError(f"trailing bytes after the last field ({extra})")
 
 
 def sha256_hex(payload: bytes) -> str:

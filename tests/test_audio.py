@@ -7,9 +7,6 @@ from scipy.signal import get_window
 from sceneid.audio import (
     AudioBuffer,
     FrameConfig,
-    WavCodecError,
-    WavCorruptError,
-    WavError,
     frame_count,
     frame_signal,
     read_wav,
@@ -17,6 +14,7 @@ from sceneid.audio import (
     wav_bytes,
     window_values,
 )
+from sceneid.errors import SceneidError
 
 from conftest import make_wav_bytes, pcm16_wav_bytes, tone
 
@@ -78,7 +76,7 @@ class TestReadWav:
         path = tmp_path / "nonfinite.wav"
         path.write_bytes(make_wav_bytes(payload, format_tag=3, bits=32))
         # read_wav leaves naming the file to its caller (see test_cli.py).
-        with pytest.raises(WavCorruptError, match="non-finite"):
+        with pytest.raises(SceneidError, match="non-finite"):
             read_wav(path)
 
     def test_stereo_interleaved(self, tmp_path):
@@ -97,26 +95,26 @@ class TestReadWav:
         data[0:4] = b"\x00\x00\x00\x00"
         path = tmp_path / "bad.wav"
         path.write_bytes(bytes(data))
-        with pytest.raises(WavCorruptError):
+        with pytest.raises(SceneidError, match="not a RIFF/WAVE file"):
             read_wav(path)
 
     def test_truncated_data_chunk(self, tmp_path):
         data = pcm16_wav_bytes([1] * 100)
         path = tmp_path / "trunc.wav"
         path.write_bytes(data[:-50])
-        with pytest.raises(WavCorruptError):
+        with pytest.raises(SceneidError, match="data chunk truncated"):
             read_wav(path)
 
     def test_non_pcm_codec(self, tmp_path):
         path = tmp_path / "alaw.wav"
         path.write_bytes(make_wav_bytes(b"\x00" * 32, format_tag=6, bits=8))
-        with pytest.raises(WavCodecError):
+        with pytest.raises(SceneidError, match="non-PCM codec"):
             read_wav(path)
 
     def test_unsupported_width(self, tmp_path):
         path = tmp_path / "w8.wav"
         path.write_bytes(make_wav_bytes(b"\x00" * 32, format_tag=1, bits=8))
-        with pytest.raises(WavCodecError):
+        with pytest.raises(SceneidError, match="unsupported PCM width 8 bits"):
             read_wav(path)
 
     @pytest.mark.parametrize(
@@ -129,7 +127,7 @@ class TestReadWav:
     ):
         path = tmp_path / "ragged.wav"
         path.write_bytes(make_wav_bytes(payload, format_tag=format_tag, bits=bits))
-        with pytest.raises(WavCorruptError, match=rf"{bits}-bit payload not a multiple"):
+        with pytest.raises(SceneidError, match=rf"{bits}-bit payload not a multiple"):
             read_wav(path)
 
     @settings(deadline=None, max_examples=300)
@@ -159,7 +157,7 @@ class TestReadWav:
         path.write_bytes(bytes(data))
         try:
             buf = read_wav(path)
-        except WavError:
+        except SceneidError:
             return
         assert isinstance(buf, AudioBuffer)
         assert buf.samples.ndim == 1

@@ -282,6 +282,32 @@ def test_readme_tables_match_parser_and_config():
     assert keys == set(PipelineConfig.__dataclass_fields__)
 
 
+def test_readme_defaults_and_exit_codes_match_the_code():
+    # The Configuration table lists each key once, with the value a config
+    # snapshot writes for it; the CLI section's exit codes are EXIT_CODES.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for line in config.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for key, value in zip(cells[0::2], cells[1::2]):
+            if key.startswith("`"):
+                value = value.split(" (", 1)[0]  # `none (Nyquist)` reads as `none`
+                if key == "`sdc_m,k,n,p`":
+                    listed += zip(("sdc_m", "sdc_k", "sdc_n", "sdc_p"), value.split(","))
+                else:
+                    listed.append((key.strip("`"), value))
+    snapshot = PipelineConfig().snapshot_text().splitlines()
+    assert sorted(listed) == sorted(tuple(line.split(" = ", 1)) for line in snapshot)
+
+    usage = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    sentence = " ".join(usage.split("exit code: ", 1)[1].split(" else", 1)[0].split())
+    codes = re.findall(r"`(\d+)` ([a-z-]+)", sentence)
+    assert codes[-1] == ("1", "anything")
+    assert {stage: int(code) for code, stage in codes[:-1]} == cli.EXIT_CODES
+    assert len(codes) == len(cli.EXIT_CODES) + 1
+
+
 def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     """README's Quick start runs as written, from a relative working directory,
     with tiny corpus and model sizes appended."""
@@ -358,6 +384,27 @@ def test_build_corpus_command(workspace, tmp_path, capsys):
     assert manifest_path.exists()
     lines = manifest_path.read_text().splitlines()
     assert len(lines) == 2 * 18  # {clean, -5 dB} doubles the corpus
+
+
+def test_build_corpus_mixes_keep_their_fold(workspace, tmp_path, capsys):
+    # Multi-condition training over folds: each mix is in its background's
+    # fold, so the built corpus trains with a fold held out.
+    corpus = workspace / "corpus"
+    backgrounds = [json.loads(line) for line in (corpus / "train.jsonl").read_text().splitlines()]
+    for i, record in enumerate(backgrounds):
+        record.update(path=str(corpus / record["path"]), fold=1 + i % 2)
+    manifest = tmp_path / "folds.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in backgrounds))
+    out = tmp_path / "mct"
+    assert main(["build-corpus", "--manifest", str(manifest),
+                 "--speech-pool", str(corpus / "speech_train.jsonl"),
+                 "--sbrs", "clean,-5", "--out", str(out), "--seed", "1"]) == 0
+    records = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+    assert len(records) == 2 * len(backgrounds)
+    for k, record in enumerate(records):
+        assert record["fold"] == backgrounds[k % len(backgrounds)]["fold"], record
+    assert main(["train", "--manifest", str(out / "manifest.jsonl"), "--exclude-fold", "1",
+                 "--out", str(tmp_path / "bundle")] + TINY_SET) == 0
 
 
 def _mono_and_stereo(x, rng):
@@ -697,13 +744,43 @@ class TestExitCodes:
         assert rc == 6
         assert str(short) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
-    def test_empty_manifest_is_manifest_code(self, bundle, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "build-corpus", "train-backend"])
+    def test_empty_manifest_is_manifest_code(self, workspace, bundle, tmp_path, capsys,
+                                             command):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        rc = main([command, "--bundle", str(bundle), "--manifest", str(empty)])
+        rc = main(_manifest_argv(command, empty, workspace, bundle, tmp_path))
         assert rc == 3
         assert "empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fault", ["repeated-path", "partial-folds"])
+    @pytest.mark.parametrize(
+        "command", ["train", "evaluate", "sweep", "classify", "build-corpus", "train-backend"]
+    )
+    def test_invalid_manifest_is_manifest_code_before_any_work(
+        self, workspace, bundle, tmp_path, capsys, monkeypatch, command, fault
+    ):
+        corpus = workspace / "corpus"
+        source = "train" if command in ("train", "build-corpus", "train-backend") else "test"
+        records = [json.loads(line)
+                   for line in (corpus / f"{source}.jsonl").read_text().splitlines()]
+        for record in records:
+            record["path"] = str(corpus / record["path"])
+        if fault == "repeated-path":  # the first clip again, under another label
+            other = next(r["label"] for r in records if r["label"] != records[0]["label"])
+            records.append(dict(records[0], label=other))
+        else:
+            records[0]["fold"] = 1
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+        _forbid_audio(monkeypatch)
+        rc = main(_manifest_argv(command, manifest, workspace, bundle, tmp_path))
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("error: [manifest] "), err
+        assert ("duplicate path" if fault == "repeated-path" else "fold assignments") in err[0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, option, content",
@@ -1032,6 +1109,30 @@ def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, m
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: [config] ") and str(subst[bad]) in err
+
+
+def _manifest_argv(command, manifest, workspace, bundle, tmp_path):
+    """`command` run on `manifest`, writing to tmp_path/out where it writes."""
+    corpus, out = workspace / "corpus", str(tmp_path / "out")
+    if command == "train-backend":
+        ids = [str(corpus / json.loads(line)["path"])  # as the manifests below list them
+               for line in (corpus / "train.jsonl").read_text().splitlines()]
+        ivectors = tmp_path / "w.ivec"
+        ivectors.write_bytes(
+            ivectors_to_bytes(ids, np.random.default_rng(0).normal(size=(len(ids), 4)))
+        )
+        return ["train-backend", "--manifest", str(manifest), "--ivectors", str(ivectors),
+                "--out", out]
+    return {
+        "train": ["train", "--manifest", str(manifest), "--out", out] + TINY_SET,
+        "evaluate": ["evaluate", "--bundle", str(bundle), "--manifest", str(manifest)],
+        "sweep": ["sweep", "--bundle", str(bundle), "--manifest", str(manifest)],
+        "classify": ["classify", "--bundle", str(bundle), "--manifest", str(manifest),
+                     "--out", out],
+        "build-corpus": ["build-corpus", "--manifest", str(manifest),
+                         "--speech-pool", str(corpus / "speech_train.jsonl"),
+                         "--sbrs", "clean,5", "--out", out],
+    }[command]
 
 
 def _forbid_audio(monkeypatch):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneid.audio import AudioBuffer, frame_signal
+from sceneid.errors import SceneidError
 from sceneid.features import (
     FeatureConfig,
-    FeatureDimError,
     FeatureMatrix,
     SdcConfig,
     Spectrogram,
@@ -143,7 +143,7 @@ class TestMfcc:
     def test_dimension_mismatch(self, rng):
         spec = Spectrogram(rng.uniform(0, 1, (3, 257)))
         bank = make_mel_bank(40, 1024, 16000)
-        with pytest.raises(FeatureDimError):
+        with pytest.raises(SceneidError, match="bank built for 513 bins, spectrogram has 257"):
             mfcc(spec, bank, 21)
 
     def test_gain_moves_only_c0(self, rng):
@@ -189,7 +189,7 @@ class TestSdc:
 
     def test_n_exceeding_static_dim(self, rng):
         feats = FeatureMatrix(rng.standard_normal((10, 5)))
-        with pytest.raises(FeatureDimError):
+        with pytest.raises(SceneidError, match="SDC needs 11 static coefficients, only 5 present"):
             append_sdc(feats, SdcConfig(2, 2, 11, 3))
 
     @settings(deadline=None, max_examples=30)

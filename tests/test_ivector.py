@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sceneid import ivector
+from sceneid.errors import SceneidError
 from sceneid.gmm import GmmModel, SufficientStats, gmm_checksum
 from sceneid.ivector import (
     IVECTOR_CHUNK,
@@ -27,7 +28,6 @@ from sceneid.ivector import (
     tv_from_bytes,
     tv_to_bytes,
 )
-from sceneid.serialize import ContainerError
 
 
 def make_ubm(rng, n_components=3, n_features=2, unit_var=False) -> GmmModel:
@@ -612,7 +612,7 @@ class TestSerialization:
     def test_truncated_tv_rejected(self, rng):
         ubm = make_ubm(rng)
         raw = tv_to_bytes(make_tv(rng, ubm, rank=2))
-        with pytest.raises(ContainerError, match="truncated"):
+        with pytest.raises(SceneidError, match="container truncated"):
             tv_from_bytes(raw[:-1])
 
     def test_ivector_batch_roundtrip(self, rng):

@@ -5,13 +5,10 @@ import pytest
 
 from sceneid.audio import AudioBuffer, read_wav, wav_bytes
 from sceneid.cli import EXIT_CODES
+from sceneid.errors import SceneidError
 from sceneid.manifest import CorpusManifest, ManifestEntry
 from sceneid.mixer import (
     ACTIVITY_MARGIN_DB,
-    NoActivityError,
-    NonFiniteSignalError,
-    RateMismatchError,
-    SilentSignalError,
     _active_frame_energies,
     active_speech_level,
     align_speech,
@@ -73,7 +70,7 @@ class TestRmsLevel:
         assert level == pytest.approx(-3.0103, abs=0.01)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(SilentSignalError):
+        with pytest.raises(SceneidError, match="all-zero signal has no defined level"):
             rms_level(AudioBuffer(np.zeros(1000), RATE))
 
 
@@ -96,7 +93,7 @@ class TestActiveSpeechLevel:
         assert active - overall == pytest.approx(3.0103, abs=0.2)
 
     def test_silence_rejected(self):
-        with pytest.raises(NoActivityError):
+        with pytest.raises(SceneidError, match="no active frames"):
             active_speech_level(AudioBuffer(np.zeros(RATE), RATE))
 
     def test_bursty_speech_above_rms(self):
@@ -112,7 +109,7 @@ def test_non_finite_sample_has_no_level(level, bad, at):
     # beyond the smoothing window of every frame.
     samples = np.concatenate([speech_buffer(seconds=1.0).samples, np.full(RATE // 100 - 1, 0.1)])
     samples[RATE // 2 if at == "middle" else -1] = bad
-    with pytest.raises(NonFiniteSignalError, match="NaN or infinite"):
+    with pytest.raises(SceneidError, match="NaN or infinite"):
         level(AudioBuffer(samples, RATE))
 
 
@@ -230,15 +227,15 @@ class TestMixAtSbr:
     def test_rate_mismatch(self):
         a = AudioBuffer(np.ones(100) * 0.1, 16000)
         b = AudioBuffer(np.ones(100) * 0.1, 8000)
-        with pytest.raises(RateMismatchError):
+        with pytest.raises(SceneidError, match="background at 16000 Hz, speech at 8000 Hz"):
             mix_at_sbr(a, b, 0.0, rng_seed=0)
 
     def test_silent_inputs(self):
         silent = AudioBuffer(np.zeros(RATE), RATE)
         loud = tone(440.0, 1.0, RATE, amplitude=0.2)
-        with pytest.raises(SilentSignalError):
+        with pytest.raises(SceneidError, match="all-zero signal has no defined level"):
             mix_at_sbr(silent, loud, 0.0, rng_seed=0)
-        with pytest.raises(SilentSignalError):
+        with pytest.raises(SceneidError, match="speech signal is silent"):
             mix_at_sbr(loud, silent, 0.0, rng_seed=0)
 
     def test_same_seed_same_mix(self):

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import dataclasses
 import os
 import tracemalloc
@@ -482,6 +483,12 @@ def test_files_are_written_only_by_write_output():
     assert modes and set(modes) == {"rb"}  # every open() reads
 
 
+def test_label_rule_is_written_once():
+    # Highest score wins, ties to the earlier label: only the backend says so.
+    uses = [scope for path in SOURCES for scope in _references(path, {"argmax"})]
+    assert [scope for scope in uses if not scope.startswith("gmm.")] == ["backend.best_labels"]
+
+
 # Public functions and classes that nothing in src/ uses, and why each stays.
 UNREACHED_IN_SRC = {
     "backend.score": "the benchmark tracer wraps it (bench/spans.py LAYERS)",
@@ -511,3 +518,30 @@ def test_every_public_name_is_used_in_src():
                     used.add(name)
     unused = {full for full in defined if full.split(".", 1)[1] not in used}
     assert unused == set(UNREACHED_IN_SRC)
+
+
+def test_every_exception_class_is_told_apart_in_src():
+    # The stage a failure is reported in classifies it. An exception class
+    # that no `except` clause or `stage(...)` type list in the package names
+    # is a second classification that nothing reads, and fails here.
+    bases, named = {}, set()
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[f"{path.stem}.{node.name}"] = names(ast.Tuple(node.bases))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named |= names(node.type)
+            elif isinstance(node, ast.Call) and "stage" in names(node.func):
+                named |= names(ast.Tuple(node.args[1:]))
+    exceptions = {n for n, v in vars(builtins).items()
+                  if isinstance(v, type) and issubclass(v, Exception)}
+    while grown := {c.split(".")[1] for c, b in bases.items() if b & exceptions} - exceptions:
+        exceptions |= grown
+    untold = {c for c in bases if c.split(".")[1] in exceptions and c.split(".")[1] not in named}
+    assert "PipelineStageError" in exceptions  # the walk found the package's classes
+    assert untold == set()
