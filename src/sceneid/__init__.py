@@ -18,9 +18,7 @@ from .config import PipelineConfig
 from .errors import SceneidError
 from .features import (
     FeatureConfig,
-    FeatureMatrix,
     SdcConfig,
-    Spectrogram,
     append_sdc,
     extract_features,
     extract_features_many,
@@ -29,7 +27,7 @@ from .features import (
     power_spectrogram,
 )
 from .gmm import GmmModel, SufficientStats, accumulate_stats, log_likelihood, train_ubm
-from .ivector import IVector, TvMatrix, extract_ivector, init_tv_pca, train_tv
+from .ivector import TvMatrix, extract_ivector, init_tv_pca, train_tv
 from .manifest import CorpusManifest, ManifestEntry
 from .mixer import (
     MixSpec,

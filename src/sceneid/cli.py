@@ -19,7 +19,7 @@ from . import pipeline as pipe
 from .audio import frame_signal, wav_bytes
 from .config import ConfigError, PipelineConfig, finite_sbr, parse_sbr_token
 from .errors import SceneidError
-from .features import FeatureMatrix, feature_csv, power_spectrogram
+from .features import feature_csv, power_spectrogram
 from .manifest import CorpusManifest, ManifestError
 from .mixer import condition_tag
 from .noisefloor import NoiseFloorError, noise_floor_spectrogram
@@ -129,25 +129,25 @@ def cmd_build_corpus(args) -> int:
     return 0
 
 
-def _write_csv(path, feats: FeatureMatrix) -> None:
-    pipe.write_output(path, feature_csv(feats).encode("utf-8"))
+def _write_csv(path, rows) -> None:
+    pipe.write_output(path, feature_csv(rows).encode("utf-8"))
 
 
 def cmd_extract_features(args) -> int:
     cfg = _load_config(args)
     buf = pipe.load_audio(args.audio, cfg.sample_rate)
-    (feats,) = pipe.features_for_buffers([(args.audio, buf)], cfg)
+    ((_, feats),) = pipe.features_for_buffers([(args.audio, buf)], cfg)
     if args.dump_spectrogram or args.dump_noise_floor:
         with pipe.stage(pipe.STAGE_FEATURES, SceneidError, ValueError, item=args.audio):
             spec = power_spectrogram(frame_signal(buf, cfg.to_feature_config().frame))
         if args.dump_spectrogram:
-            _write_csv(args.dump_spectrogram, FeatureMatrix(spec.frames))
+            _write_csv(args.dump_spectrogram, spec)
         if args.dump_noise_floor:
-            with pipe.stage(pipe.STAGE_NOISE_FLOOR, NoiseFloorError):
+            with pipe.stage(pipe.STAGE_NOISE_FLOOR, NoiseFloorError, item=args.audio):
                 floor = noise_floor_spectrogram(spec, cfg.to_spp_params())
-            _write_csv(args.dump_noise_floor, FeatureMatrix(floor.frames))
+            _write_csv(args.dump_noise_floor, floor)
     _write_csv(args.out, feats)
-    print(f"{args.out}: {feats.n_frames} frames x {feats.dim} dims")
+    print(f"{args.out}: {feats.shape[0]} frames x {feats.shape[1]} dims")
     return 0
 
 
@@ -271,10 +271,20 @@ _OUTPUT_FILES = ("out", "dump_spectrogram", "dump_noise_floor")
 _OUTPUT_DIRECTORIES = (cmd_synth, cmd_build_corpus, cmd_train)
 
 
+def _check_file_output(path) -> None:
+    """An output file may be missing, or a regular file that is overwritten."""
+    if Path(path).exists() and not Path(path).is_file():
+        raise pipe.PipelineStageError(
+            pipe.STAGE_CONFIG, f"{path}: exists and is not a regular file"
+        )
+
+
 def _check_outputs(args) -> None:
     """Config stage, before any work and without creating anything: an output
-    file's directory exists, an output directory is, or can be made, a
-    directory, and build-corpus's manifest is a regular file if it exists."""
+    file's directory exists, the file is a regular file if it exists, and no
+    two output options name the same file; an output directory is, or can be
+    made, a directory, and build-corpus's manifest in it is a regular file if
+    it exists."""
     if args.func in _OUTPUT_DIRECTORIES:
         path = Path(args.out)
         nearest = next(p for p in (path, *path.parents) if p.exists())
@@ -282,17 +292,26 @@ def _check_outputs(args) -> None:
             raise pipe.PipelineStageError(
                 pipe.STAGE_CONFIG, f"{path}: {nearest} is not a directory"
             )
-        manifest = path / _CORPUS_MANIFEST
-        if args.func is cmd_build_corpus and manifest.exists() and not manifest.is_file():
-            raise pipe.PipelineStageError(
-                pipe.STAGE_CONFIG, f"{manifest}: exists and is not a regular file"
-            )
+        if args.func is cmd_build_corpus:
+            _check_file_output(path / _CORPUS_MANIFEST)
         return
+    options: dict = {}  # resolved path -> the option that names it
     for name in _OUTPUT_FILES:
         path = getattr(args, name, None)
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        parent = Path(path).parent
+        if not parent.is_dir():
             raise pipe.PipelineStageError(
-                pipe.STAGE_CONFIG, f"{path}: no such directory: {Path(path).parent}"
+                pipe.STAGE_CONFIG, f"{path}: no such directory: {parent}"
+            )
+        _check_file_output(path)
+        first = options.setdefault(Path(path).resolve(), name)
+        if first != name:
+            raise pipe.PipelineStageError(
+                pipe.STAGE_CONFIG,
+                f"{path}: --{first.replace('_', '-')} and --{name.replace('_', '-')} "
+                "name the same file",
             )
 
 

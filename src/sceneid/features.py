@@ -10,7 +10,7 @@ substituted before the mel stage (see sceneid.noisefloor).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -31,47 +31,6 @@ MAX_FRAME_LEN = 1 << 20
 # Largest SDC spread m or block step p, in frames. Shifts only move clamped
 # frame indices, so larger ones change nothing on any real clip.
 MAX_SDC_SHIFT = 10_000
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """Per-frame one-sided power spectra (T x B, B = fft_size/2 + 1)."""
-
-    frames: np.ndarray
-
-    def __post_init__(self) -> None:
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2:
-            raise ValueError("spectrogram frames must be 2-D (T x B)")
-        if frames.size and frames.min() < 0:
-            raise ValueError("spectrogram entries must be non-negative")
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def n_bins(self) -> int:
-        return self.frames.shape[1]
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Per-frame feature vectors with source metadata."""
-
-    rows: np.ndarray  # (T, dim) float64
-    recording_id: str = ""
-
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ValueError("feature rows must be 2-D (T x dim)")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def n_frames(self) -> int:
-        return self.rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -107,15 +66,16 @@ def fft_size_for(frame_len: int) -> int:
     return 1 << (frame_len - 1).bit_length()
 
 
-def power_spectrogram(frames: np.ndarray) -> Spectrogram:
-    """Squared FFT magnitudes of a (n_frames, frame_len) matrix of windowed
-    frames (see `frame_signal`), bins 0..fft/2 of an `fft_size_for` FFT."""
+def power_spectrogram(frames: np.ndarray) -> np.ndarray:
+    """(T, B) squared FFT magnitudes of a (T, frame_len) matrix of windowed
+    frames (see `frame_signal`): bins 0..fft/2 of an `fft_size_for` FFT,
+    B = fft/2 + 1."""
     if frames.shape[0] == 0:
         raise ValueError("no frames to transform")
     fft_size = fft_size_for(frames.shape[1])
     power = np.empty((frames.shape[0], fft_size // 2 + 1))
     _power_into(frames, fft_size, power)
-    return Spectrogram(power)
+    return power
 
 
 def _power_into(frames: np.ndarray, fft_size: int, out: np.ndarray) -> None:
@@ -170,8 +130,9 @@ def _check_mel_bank(n_filters, fft_size, sample_rate, fmin_hz, fmax_hz):
     return hz_pts, bin_freqs
 
 
-def mfcc(spec: Spectrogram, bank: np.ndarray, n_ceps: int) -> FeatureMatrix:
-    """Orthonormal DCT-II of log mel band powers, coefficients 0..n_ceps-1.
+def mfcc(spec: np.ndarray, bank: np.ndarray, n_ceps: int) -> np.ndarray:
+    """(T, n_ceps) orthonormal DCT-II of log mel band powers of a (T, B) power
+    spectrogram, coefficients 0..n_ceps-1.
 
     `bank` is the (M, B) weight array of `make_mel_bank`. Band powers are
     normalized by each filter's total weight so that a flat spectrum maps to
@@ -179,27 +140,26 @@ def mfcc(spec: Spectrogram, bank: np.ndarray, n_ceps: int) -> FeatureMatrix:
     c0 is kept and not normalized.
     """
     n_filters, n_bins = bank.shape
-    if n_bins != spec.n_bins:
-        raise SceneidError(f"bank built for {n_bins} bins, spectrogram has {spec.n_bins}")
+    if n_bins != spec.shape[1]:
+        raise SceneidError(f"bank built for {n_bins} bins, spectrogram has {spec.shape[1]}")
     if n_ceps > n_filters:
         raise ValueError(f"n_ceps={n_ceps} exceeds n_filters={n_filters}")
     with np.errstate(over="ignore"):  # reported below as one error
-        band_power = spec.frames @ bank.T / bank.sum(axis=1)
+        band_power = spec @ bank.T / bank.sum(axis=1)
     log_mel = np.log(band_power + MEL_LOG_FLOOR)
     if not np.isfinite(log_mel).all():
         raise ValueError("log mel band powers are not finite")
     ceps = scipy.fft.dct(log_mel, type=2, norm="ortho", axis=1)
-    return FeatureMatrix(np.ascontiguousarray(ceps[:, :n_ceps]))
+    return np.ascontiguousarray(ceps[:, :n_ceps])
 
 
-def append_sdc(feats: FeatureMatrix, cfg: SdcConfig) -> FeatureMatrix:
-    """Concatenate 2k+1 shifted delta blocks to each static vector.
+def append_sdc(rows: np.ndarray, cfg: SdcConfig) -> np.ndarray:
+    """Concatenate 2k+1 shifted delta blocks to each static (T, D) row.
 
     The delta at frame u is c[0:n](u+m) - c[0:n](u-m); blocks are taken at
     offsets {-k*p .. -p, 0, p .. k*p} around the current frame and frame
     indices are clamped to the valid range, so edge frames are retained.
     """
-    rows = feats.rows
     n_frames, dim = rows.shape
     if n_frames < 1:
         raise ValueError("feature matrix is empty")
@@ -213,8 +173,7 @@ def append_sdc(feats: FeatureMatrix, cfg: SdcConfig) -> FeatureMatrix:
         hi = np.clip(base + cfg.m, 0, n_frames - 1)
         lo = np.clip(base - cfg.m, 0, n_frames - 1)
         blocks.append(rows[hi, : cfg.n] - rows[lo, : cfg.n])
-    out = np.hstack([rows] + blocks)
-    return replace(feats, rows=out)
+    return np.hstack([rows] + blocks)
 
 
 @dataclass(frozen=True)
@@ -256,8 +215,11 @@ class FeatureConfig:
 
 def extract_features(
     buf: AudioBuffer, config: FeatureConfig = FeatureConfig(), recording_id: str = ""
-) -> FeatureMatrix:
-    """Full front end: frame -> power spectrogram -> [noise floor] -> MFCC -> [SDC]."""
+) -> np.ndarray:
+    """Full front end: frame -> power spectrogram -> [noise floor] -> MFCC -> [SDC].
+
+    Returns the (T, D) float64 feature rows; `recording_id` names the
+    recording in an error."""
     (feats,) = extract_features_many([buf], config, [recording_id])
     return feats
 
@@ -275,7 +237,7 @@ def _naming(recording_id: str):
 
 def extract_features_many(
     bufs, config: FeatureConfig = FeatureConfig(), recording_ids=None
-) -> list[FeatureMatrix]:
+) -> list[np.ndarray]:
     """`extract_features` for several recordings, in their order.
 
     Power spectra of recordings with the same frame count share one (N, T, B)
@@ -284,7 +246,7 @@ def extract_features_many(
     tracker length) before any is transformed, and each is framed only just
     before its row of the stack is filled, so one framed matrix is alive at a
     time. The output equals per-recording `extract_features` bit for bit. An
-    error raised for one recording names its id.
+    error raised for one recording names its id in `recording_ids`.
     """
     bufs = list(bufs)
     ids = [""] * len(bufs) if recording_ids is None else list(recording_ids)
@@ -318,16 +280,16 @@ def extract_features_many(
             track_noise_floor(stack, config.noise_floor)
         for j, i in enumerate(members):
             with _naming(ids[i]):
-                feats = mfcc(Spectrogram(stack[j]), bank, config.n_ceps)
+                out[i] = mfcc(stack[j], bank, config.n_ceps)
                 if config.sdc is not None:
-                    feats = append_sdc(feats, config.sdc)
-            out[i] = replace(feats, recording_id=ids[i])
+                    out[i] = append_sdc(out[i], config.sdc)
     return out
 
 
-def feature_csv(feats: FeatureMatrix) -> str:
-    """Lossless CSV: a `frame,f0,...` header, then per row the frame index and
-    the `repr` of each float64 value, which reads back to the same bits."""
-    lines = ["frame," + ",".join(f"f{i}" for i in range(feats.dim))]
-    lines += [f"{t}," + ",".join(repr(float(v)) for v in row) for t, row in enumerate(feats.rows)]
+def feature_csv(rows: np.ndarray) -> str:
+    """Lossless CSV of a (T, D) array: a `frame,f0,...` header, then per row
+    the frame index and the `repr` of each float64 value, which reads back to
+    the same bits."""
+    lines = ["frame," + ",".join(f"f{i}" for i in range(rows.shape[1]))]
+    lines += [f"{t}," + ",".join(repr(float(v)) for v in row) for t, row in enumerate(rows)]
     return "\n".join(lines) + "\n"

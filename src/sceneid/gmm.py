@@ -20,7 +20,6 @@ import numpy as np
 
 from . import serialize
 from .errors import SceneidError
-from .features import FeatureMatrix
 
 _GMM_MAGIC = b"SCNG"
 _GMM_VERSION = 1
@@ -82,8 +81,9 @@ class SufficientStats:
 
 
 def _frames(feats, what: str) -> np.ndarray:
-    """The (T, F) frame matrix of `feats`, which must be 2-D, non-empty and finite."""
-    x = feats.rows if isinstance(feats, FeatureMatrix) else np.asarray(feats, dtype=np.float64)
+    """`feats` as a (T, F) float64 frame matrix, which must be 2-D, non-empty
+    and finite."""
+    x = np.asarray(feats, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise GmmError(f"{what} must be a non-empty 2-D frame matrix")
     if not np.all(np.isfinite(x)):

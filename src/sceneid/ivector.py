@@ -69,12 +69,6 @@ class TvMatrix:
         return self.t.shape[2]
 
 
-@dataclass(frozen=True)
-class IVector:
-    w: np.ndarray  # (R,)
-    posterior_precision_logdet: float
-
-
 def _check_binding(tv: TvMatrix, ubm: GmmModel) -> None:
     found = gmm_checksum(ubm)
     if found != tv.ubm_checksum:
@@ -176,10 +170,11 @@ class _TvOperator:
         return w, chol
 
 
-def extract_ivector(tv: TvMatrix, ubm: GmmModel, stats: SufficientStats) -> IVector:
-    """MAP estimate of w: solve (I + sum_c n_c T_c' S_c^-1 T_c) w = sum_c T_c' S_c^-1 f_c."""
-    w, chol = _TvOperator(tv, ubm).posterior(stats.n[None], stats.f[None])
-    return IVector(w[0], _chol_logdet(chol[0]))
+def extract_ivector(tv: TvMatrix, ubm: GmmModel, stats: SufficientStats) -> np.ndarray:
+    """The (R,) MAP estimate of w: solve
+    (I + sum_c n_c T_c' S_c^-1 T_c) w = sum_c T_c' S_c^-1 f_c."""
+    w, _ = _TvOperator(tv, ubm).posterior(stats.n[None], stats.f[None])
+    return w[0]
 
 
 def extract_ivectors(tv: TvMatrix, ubm: GmmModel, stats) -> np.ndarray:

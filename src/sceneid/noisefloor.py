@@ -11,15 +11,11 @@ latching onto a raised floor when the speech posterior saturates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SceneidError
-
-if TYPE_CHECKING:  # features imports this module
-    from .features import Spectrogram
 
 # Raw smoothed-probability level above which the clamp engages.
 _STUCK_THRESHOLD = 0.99
@@ -206,12 +202,18 @@ def track_noise_floor(stack: np.ndarray, params: SppParams = SppParams()) -> Non
         per[...] = psd
 
 
-def noise_floor_spectrogram(spec: Spectrogram, params: SppParams = SppParams()) -> Spectrogram:
-    """Replace each spectrogram row with the tracked floor after that row.
+def noise_floor_spectrogram(spec, params: SppParams = SppParams()) -> np.ndarray:
+    """Replace each row of a (T, B) power spectrogram with the tracked floor
+    after that row; the input is not modified.
 
     The first init_frames rows emit the initialization estimate unchanged, so
-    the output has the same shape as the input.
+    the output has the same shape as the input. The input must be 2-D with no
+    negative entry.
     """
-    stack = spec.frames[None].copy()
-    track_noise_floor(stack, params)
-    return replace(spec, frames=stack[0])
+    frames = np.array(spec, dtype=np.float64)  # a copy: the tracker runs in place
+    if frames.ndim != 2:
+        raise ValueError("spectrogram frames must be 2-D (T x B)")
+    if frames.size and frames.min() < 0:
+        raise ValueError("spectrogram entries must be non-negative")
+    track_noise_floor(frames[None], params)
+    return frames

@@ -24,7 +24,7 @@ from . import ivector as ivector_mod
 from .audio import AudioBuffer, read_wav, resample, wav_bytes
 from .config import PipelineConfig
 from .errors import SceneidError
-from .features import FeatureMatrix, extract_features_many
+from .features import extract_features_many
 from .manifest import CorpusManifest, ManifestError
 from .mixer import condition_tag, draw_speech, mix_at_sbr, usable_speech_pool
 from .noisefloor import NoiseFloorError
@@ -273,24 +273,24 @@ def _reject_silent(rec_id, buf: AudioBuffer) -> None:
 def features_for_buffers(items, config: PipelineConfig):
     """Featurize (recording id, mono buffer) pairs, FEATURE_CHUNK at a time.
 
-    Yields one FeatureMatrix per pair, in order. `items` is drawn one chunk
-    at a time, so a lazy iterable never has more than a chunk of audio alive.
-    A digitally silent recording is rejected (`_reject_silent`).
+    Yields one (recording id, (T, D) feature rows) pair per input pair, in
+    order. `items` is drawn one chunk at a time, so a lazy iterable never has
+    more than a chunk of audio alive. A digitally silent recording is
+    rejected (`_reject_silent`); a failure names its recording id.
     """
     feature_config = config.to_feature_config()
     items = iter(items)
     while chunk := list(itertools.islice(items, FEATURE_CHUNK)):
         for rec_id, buf in chunk:
             _reject_silent(rec_id, buf)
+        ids = [rec_id for rec_id, _ in chunk]
         with (
             stage(STAGE_FEATURES, SceneidError, ValueError),
             stage(STAGE_NOISE_FLOOR, NoiseFloorError),
         ):
-            feats = extract_features_many(
-                [buf for _, buf in chunk], feature_config, [rec_id for rec_id, _ in chunk]
-            )
+            feats = extract_features_many([buf for _, buf in chunk], feature_config, ids)
         del chunk  # free this chunk's audio before the next one is drawn
-        yield from feats
+        yield from zip(ids, feats)
 
 
 def check_manifest(manifest: CorpusManifest) -> None:
@@ -307,17 +307,19 @@ def manifest_buffers(manifest: CorpusManifest, rate: int | None):
     return ((e.path, load_audio(manifest.resolve(e), rate)) for e in manifest.entries)
 
 
-def manifest_features(manifest: CorpusManifest, config: PipelineConfig) -> list[FeatureMatrix]:
-    """Check the manifest, then read and featurize every entry."""
+def manifest_features(manifest: CorpusManifest, config: PipelineConfig) -> list:
+    """Check the manifest, then read and featurize every entry: one
+    (entry path, (T, D) feature rows) pair per entry, in manifest order."""
     check_manifest(manifest)
     return list(features_for_buffers(manifest_buffers(manifest, config.sample_rate), config))
 
 
 def train_ubm(config: PipelineConfig, feats) -> gmm_mod.GmmModel:
-    """UBM stage: k-means++ and EM over the pooled frames of every recording."""
+    """UBM stage: k-means++ and EM over the pooled frames of every
+    (recording id, feature rows) pair in `feats`."""
     with stage(STAGE_GMM, gmm_mod.GmmError):
         return gmm_mod.train_ubm(
-            np.vstack([f.rows for f in feats]),
+            np.vstack([rows for _, rows in feats]),
             config.ubm_components,
             n_iters=config.ubm_iters,
             seed=config.seed,
@@ -327,10 +329,11 @@ def train_ubm(config: PipelineConfig, feats) -> gmm_mod.GmmModel:
 
 def collect_stats(ubm: gmm_mod.GmmModel, feats):
     """Statistics stage: Baum-Welch statistics per recording, yielded as each
-    feature matrix is drawn from `feats`."""
-    for f in feats:
-        with stage(STAGE_GMM, gmm_mod.GmmError, item=f.recording_id):
-            stats = gmm_mod.accumulate_stats(ubm, f)
+    (recording id, feature rows) pair is drawn from `feats`. A failure names
+    the pair's recording id."""
+    for rec_id, rows in feats:
+        with stage(STAGE_GMM, gmm_mod.GmmError, item=rec_id):
+            stats = gmm_mod.accumulate_stats(ubm, rows)
         yield stats
 
 

@@ -141,9 +141,9 @@ def test_classify_audio_scores_equal_single_item_path(bundle, workspace, capsys)
     assert [r["id"] for r in records] == wavs
     for wav, record in zip(wavs, records):
         buf = load_audio(wav, model.config.sample_rate)
-        (feats,) = features_for_buffers([(wav, buf)], model.config)
+        ((_, feats),) = features_for_buffers([(wav, buf)], model.config)
         w = extract_ivector(model.tv, model.ubm, accumulate_stats(model.ubm, feats))
-        want = score(model.backend, w.w)
+        want = score(model.backend, w)
         assert [record["scores"][lab] for lab in labels] == want.tolist()
         assert record["label"] == labels[int(np.argmax(want))]
 
@@ -255,15 +255,15 @@ def test_extract_features_with_dumps(workspace, tmp_path, capsys):
         assert rc == 0
         cfg = PipelineConfig().apply_overrides([f"noise_floor={noise_floor}"])
         buf = load_audio(wav, cfg.sample_rate)
-        (want,) = features_for_buffers([(str(wav), buf)], cfg)
+        ((_, want),) = features_for_buffers([(str(wav), buf)], cfg)
         assert out.read_text().startswith("frame,f0,f1,")
         got = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert want.dim == 76
-        assert np.array_equal(got[:, 0], np.arange(want.n_frames))
-        assert np.array_equal(got[:, 1:], want.rows)
+        assert want.shape[1] == 76
+        assert np.array_equal(got[:, 0], np.arange(want.shape[0]))
+        assert np.array_equal(got[:, 1:], want)
     power = power_spectrogram(frame_signal(buf, cfg.to_feature_config().frame))
     floor = noise_floor_spectrogram(power, cfg.to_spp_params())
-    for path, frames in ((spec, power.frames), (nf, floor.frames)):
+    for path, frames in ((spec, power), (nf, floor)):
         assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:], frames)
 
 
@@ -344,7 +344,7 @@ def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
         exec(compile(block, "README.md", "exec"), namespace)
     capsys.readouterr()
     assert (tmp_path / "bundle" / "bundle.json").is_file()
-    assert (namespace["nf"].dim, namespace["static"].dim) == (76, 21)
+    assert (namespace["nf"].shape[1], namespace["static"].shape[1]) == (76, 21)
 
 
 def test_module_runs_cli(tmp_path):
@@ -744,6 +744,17 @@ class TestExitCodes:
         assert rc == 6
         assert str(short) in capsys.readouterr().err
 
+    def test_short_clip_noise_floor_dump_names_it(self, tmp_path, capsys):
+        # 0.1 s is 4 frames; the features need no tracker, the dump does.
+        short = tmp_path / "short.wav"
+        short.write_bytes(wav_bytes(AudioBuffer(0.1 * np.ones(1600), 16000)))
+        out = tmp_path / "f.csv"
+        rc = main(["extract-features", "--audio", str(short), "--out", str(out),
+                   "--dump-noise-floor", str(tmp_path / "nf.csv")])
+        assert rc == 6
+        assert capsys.readouterr().err.startswith(f"error: [noise-floor] {short}: spectrogram has 4")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "sweep", "build-corpus", "train-backend"])
     def test_empty_manifest_is_manifest_code(self, workspace, bundle, tmp_path, capsys,
                                              command):
@@ -1074,10 +1085,22 @@ def test_output_directories_are_created_with_parents(tmp_path, capsys):
       "--out", "FILE"], "FILE"),
     (["build-corpus", "--manifest", "TRAIN", "--speech-pool", "POOL", "--sbrs", "clean,5",
       "--out", "TAKEN"], "TAKEN"),
+    (["train-ubm", "--manifest", "TRAIN", "--out", "DIR"] + TINY_SET, "DIR"),
+    (["extract-ivectors", "--manifest", "TRAIN", "--ubm", "UBM", "--tv", "TV", "--out", "DIR"],
+     "DIR"),
+    (["classify", "--bundle", "BUNDLE", "--audio", "WAV", "--out", "DIR"], "DIR"),
+    (["evaluate", "--bundle", "BUNDLE", "--manifest", "TEST", "--out", "DIR"], "DIR"),
+    (["sweep", "--bundle", "BUNDLE", "--manifest", "TEST", "--out", "DIR"], "DIR"),
+    (["extract-features", "--audio", "WAV", "--out", "OK", "--dump-spectrogram", "DIR"], "DIR"),
+    (["extract-features", "--audio", "WAV", "--out", "OK", "--dump-spectrogram", "OK"], "OK"),
+    (["extract-features", "--audio", "WAV", "--out", "OK", "--dump-spectrogram", "SPEC",
+      "--dump-noise-floor", "SPEC_LINKED"], "SPEC_LINKED"),
 ], ids=["train-over-file", "train-under-file", "train-ubm", "train-tv", "extract-ivectors",
         "train-backend", "classify", "evaluate", "sweep", "extract-features", "dump-spectrogram",
         "dump-noise-floor", "mix", "synth-over-file", "build-corpus-over-file",
-        "build-corpus-manifest-is-a-directory"])
+        "build-corpus-manifest-is-a-directory", "train-ubm-over-dir", "extract-ivectors-over-dir",
+        "classify-over-dir", "evaluate-over-dir", "sweep-over-dir", "dump-spectrogram-over-dir",
+        "out-is-dump", "dumps-are-one-file"])
 def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, monkeypatch,
                                           argv, bad):
     corpus = workspace / "corpus"
@@ -1088,6 +1111,8 @@ def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, m
     ))
     (tmp_path / "file").write_text("")
     (tmp_path / "taken" / "manifest.jsonl").mkdir(parents=True)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path)
     subst = {
         "TRAIN": corpus / "train.jsonl", "TEST": corpus / "test.jsonl", "BUNDLE": bundle,
         "UBM": bundle / "ubm.gmm", "TV": bundle / "tv.tvm", "IVEC": ivectors,
@@ -1095,7 +1120,8 @@ def test_unwritable_output_is_config_code(workspace, bundle, tmp_path, capsys, m
         "SPEECH": next(corpus.glob("speech/*.wav")), "POOL": corpus / "speech_train.jsonl",
         "FILE": tmp_path / "file", "UNDER_FILE": tmp_path / "file" / "bundle",
         "MISSING": tmp_path / "missing" / "out",
-        "OK": tmp_path / "ok.csv", "TAKEN": tmp_path / "taken",
+        "OK": tmp_path / "ok.csv", "TAKEN": tmp_path / "taken", "DIR": tmp_path / "dir",
+        "SPEC": tmp_path / "spec.csv", "SPEC_LINKED": tmp_path / "link" / "spec.csv",
     }
 
     def work_started(*args, **kwargs):

@@ -7,9 +7,7 @@ from sceneid.audio import AudioBuffer, frame_signal
 from sceneid.errors import SceneidError
 from sceneid.features import (
     FeatureConfig,
-    FeatureMatrix,
     SdcConfig,
-    Spectrogram,
     _check_mel_bank,
     append_sdc,
     extract_features,
@@ -48,14 +46,14 @@ def spectrogram_from(frames_data):
 class TestPowerSpectrogram:
     def test_zero_signal(self):
         spec = spectrogram_from(np.zeros((3, 640)))
-        assert spec.frames.shape == (3, 513)
-        assert np.all(spec.frames == 0.0)
+        assert spec.shape == (3, 513)
+        assert np.all(spec == 0.0)
 
     def test_on_bin_cosine(self):
         n = 1024
         frame = np.cos(2 * np.pi * 10 * np.arange(n) / n)
         spec = spectrogram_from(frame[None, :])
-        power = spec.frames[0]
+        power = spec[0]
         assert power[10] == pytest.approx((n / 2) ** 2, rel=1e-10)
         others = np.delete(power, 10)
         assert others.max() < 1e-6 * power[10]
@@ -65,13 +63,13 @@ class TestPowerSpectrogram:
         # sum_bins = frame_len * sum(x^2)
         frames = rng.standard_normal((7, 1024))
         spec = spectrogram_from(frames)
-        two_sided = spec.frames[:, 0] + spec.frames[:, -1] + 2 * spec.frames[:, 1:-1].sum(axis=1)
+        two_sided = spec[:, 0] + spec[:, -1] + 2 * spec[:, 1:-1].sum(axis=1)
         expected = 1024 * (frames**2).sum(axis=1)
         np.testing.assert_allclose(two_sided, expected, rtol=1e-6)
 
     def test_zero_padding_to_next_pow2(self):
         spec = spectrogram_from(np.ones((2, 640)))
-        assert spec.frames.shape[1] == 1024 // 2 + 1
+        assert spec.shape[1] == 1024 // 2 + 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -120,28 +118,27 @@ class TestMelBank:
 
 class TestMfcc:
     def test_constant_spectrum(self):
-        spec = Spectrogram(np.full((4, 513), 2.0))
+        spec = np.full((4, 513), 2.0)
         bank = make_mel_bank(40, 1024, 16000)
         feats = mfcc(spec, bank, 21)
-        assert abs(feats.rows[0, 0]) > 0.1  # c0 carries the level
-        assert np.max(np.abs(feats.rows[:, 1:])) < 1e-9
+        assert abs(feats[0, 0]) > 0.1  # c0 carries the level
+        assert np.max(np.abs(feats[:, 1:])) < 1e-9
 
     def test_matches_naive_oracle(self, rng):
         bank = make_mel_bank(40, 1024, 16000)
         for _ in range(5):
             frames = rng.uniform(0.0, 4.0, size=(6, 513))
-            spec = Spectrogram(frames)
-            got = mfcc(spec, bank, 21).rows
+            got = mfcc(frames, bank, 21)
             want = oracle_log_mel_dct(frames, bank, 21)
             np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_output_dim(self, rng):
-        spec = Spectrogram(rng.uniform(0, 1, (3, 513)))
+        spec = rng.uniform(0, 1, (3, 513))
         bank = make_mel_bank(40, 1024, 16000)
-        assert mfcc(spec, bank, 21).dim == 21
+        assert mfcc(spec, bank, 21).shape[1] == 21
 
     def test_dimension_mismatch(self, rng):
-        spec = Spectrogram(rng.uniform(0, 1, (3, 257)))
+        spec = rng.uniform(0, 1, (3, 257))
         bank = make_mel_bank(40, 1024, 16000)
         with pytest.raises(SceneidError, match="bank built for 513 bins, spectrogram has 257"):
             mfcc(spec, bank, 21)
@@ -150,8 +147,8 @@ class TestMfcc:
         bank = make_mel_bank(40, 1024, 16000)
         frames = rng.uniform(0.1, 2.0, size=(5, 513))
         gain = 7.5
-        base = mfcc(Spectrogram(frames), bank, 21).rows
-        scaled = mfcc(Spectrogram(gain * frames), bank, 21).rows
+        base = mfcc(frames, bank, 21)
+        scaled = mfcc(gain * frames, bank, 21)
         np.testing.assert_allclose(scaled[:, 1:], base[:, 1:], atol=1e-8)
         np.testing.assert_allclose(
             scaled[:, 0] - base[:, 0], np.sqrt(40.0) * np.log(gain), atol=1e-6
@@ -160,35 +157,35 @@ class TestMfcc:
 
     def test_overflowing_band_power_rejected(self):
         bank = make_mel_bank(40, 1024, 16000)
-        spec = Spectrogram(np.full((3, 513), 1e307))
+        spec = np.full((3, 513), 1e307)
         with pytest.raises(ValueError, match="not finite"):
             mfcc(spec, bank, 21)
 
 
 class TestSdc:
     def test_appended_dims(self, rng):
-        feats = FeatureMatrix(rng.standard_normal((50, 21)))
+        feats = rng.standard_normal((50, 21))
         out = append_sdc(feats, SdcConfig(2, 2, 11, 3))
-        assert out.dim == 21 + 55
+        assert out.shape[1] == 21 + 55
 
     def test_constant_sequence_zero_deltas(self):
-        feats = FeatureMatrix(np.tile(np.arange(21.0), (30, 1)))
+        feats = np.tile(np.arange(21.0), (30, 1))
         out = append_sdc(feats, SdcConfig(2, 2, 11, 3))
-        assert np.all(out.rows[:, 21:] == 0.0)
+        assert np.all(out[:, 21:] == 0.0)
 
     def test_linear_ramp_interior(self, rng):
         v = rng.standard_normal(21)
         t = np.arange(40.0)
-        feats = FeatureMatrix(t[:, None] * v)
+        feats = t[:, None] * v
         cfg = SdcConfig(2, 2, 11, 3)
         out = append_sdc(feats, cfg)
         # interior frame: every delta block is 2*m*v[:n]
         frame = 20
         expected = np.tile(2 * cfg.m * v[: cfg.n], 2 * cfg.k + 1)
-        np.testing.assert_allclose(out.rows[frame, 21:], expected, atol=1e-10)
+        np.testing.assert_allclose(out[frame, 21:], expected, atol=1e-10)
 
     def test_n_exceeding_static_dim(self, rng):
-        feats = FeatureMatrix(rng.standard_normal((10, 5)))
+        feats = rng.standard_normal((10, 5))
         with pytest.raises(SceneidError, match="SDC needs 11 static coefficients, only 5 present"):
             append_sdc(feats, SdcConfig(2, 2, 11, 3))
 
@@ -201,9 +198,9 @@ class TestSdc:
         frames=st.integers(min_value=1, max_value=40),
     )
     def test_dim_formula(self, k, n, m, p, frames):
-        feats = FeatureMatrix(np.zeros((frames, 8)))
+        feats = np.zeros((frames, 8))
         out = append_sdc(feats, SdcConfig(m, k, n, p))
-        assert out.dim == 8 + (2 * k + 1) * n
+        assert out.shape[1] == 8 + (2 * k + 1) * n
 
 
 class TestExtractFeatures:
@@ -214,23 +211,23 @@ class TestExtractFeatures:
         spec = power_spectrogram(frame_signal(buf, cfg.frame))
         bank = make_mel_bank(40, 1024, 16000)
         manual = append_sdc(mfcc(spec, bank, 21), cfg.sdc)
-        assert np.array_equal(auto.rows, manual.rows)
+        assert np.array_equal(auto, manual)
 
     def test_row_count_30s(self):
         buf = AudioBuffer(np.zeros(30 * 16000), 16000)
         feats = extract_features(buf, FeatureConfig())
-        assert feats.n_frames == 1499
-        assert feats.dim == 76
+        assert feats.shape[0] == 1499
+        assert feats.shape[1] == 76
 
     def test_deterministic(self, rng):
         x = 0.2 * rng.standard_normal(16000)
         a = extract_features(AudioBuffer(x, 16000), FeatureConfig())
         b = extract_features(AudioBuffer(x.copy(), 16000), FeatureConfig())
-        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a, b)
 
     def test_finite_on_silence(self):
         feats = extract_features(AudioBuffer(np.zeros(16000), 16000), FeatureConfig())
-        assert np.all(np.isfinite(feats.rows))
+        assert np.all(np.isfinite(feats))
 
     def test_noise_floor_features_much_smoother(self):
         # Tracked-floor features vary far less frame to frame than raw
@@ -240,16 +237,16 @@ class TestExtractFeatures:
         buf = AudioBuffer(np.clip(0.1 * rng.standard_normal(5 * 16000), -1, 1), 16000)
         nf = extract_features(buf, FeatureConfig(noise_floor=SppParams(xi_h1_db=15.0)))
         raw = extract_features(buf, FeatureConfig())
-        d_nf = np.linalg.norm(np.diff(nf.rows, axis=0), axis=1)
-        d_raw = np.linalg.norm(np.diff(raw.rows, axis=0), axis=1)
+        d_nf = np.linalg.norm(np.diff(nf, axis=0), axis=1)
+        d_raw = np.linalg.norm(np.diff(raw, axis=0), axis=1)
         settled = int(2.0 / 0.020)
         assert d_nf[settled:].mean() < 0.1 * d_raw[settled:].mean()
 
     def test_without_sdc_rows_are_static_mfccs(self, rng):
         buf = AudioBuffer(0.1 * rng.standard_normal(16000), 16000)
         feats = extract_features(buf, FeatureConfig(sdc=None))
-        assert feats.dim == 21
-        assert np.array_equal(feats.rows, extract_features(buf, FeatureConfig()).rows[:, :21])
+        assert feats.shape[1] == 21
+        assert np.array_equal(feats, extract_features(buf, FeatureConfig())[:, :21])
 
     def test_rate_mismatch_rejected(self):
         buf = AudioBuffer(np.zeros(8000), 8000)
@@ -270,13 +267,12 @@ class TestExtractFeaturesMany:
         ids = [f"clip{i}" for i in range(len(bufs))]
         got = extract_features_many(bufs, cfg, recording_ids=ids)
         bank = make_mel_bank(40, 1024, 16000)
-        for buf, rid, feats in zip(bufs, ids, got):
+        for buf, feats in zip(bufs, got):
             spec = power_spectrogram(frame_signal(buf, cfg.frame))
             if noise_floor:
-                spec = Spectrogram(update_loop(spec.frames))
+                spec = update_loop(spec)
             manual = append_sdc(mfcc(spec, bank, 21), cfg.sdc)
-            assert np.array_equal(feats.rows, manual.rows)
-            assert feats.recording_id == rid
+            assert np.array_equal(feats, manual)
 
     def test_error_names_the_failing_recording(self):
         bufs = [AudioBuffer(np.zeros(16000), 16000), AudioBuffer(np.zeros(100), 16000)]
@@ -291,7 +287,7 @@ class TestExtractFeaturesMany:
 
 class TestContainer:
     def test_csv_export(self, tmp_path, rng):
-        feats = FeatureMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        feats = np.array([[1.0, 2.0], [3.0, 4.0]])
         path = tmp_path / "f.csv"
         path.write_text(feature_csv(feats))
         lines = path.read_text().splitlines()
@@ -299,7 +295,7 @@ class TestContainer:
         assert lines[1].startswith("0,1.0,2.0")
         # Lossless: values from 1e-300 to 1e300 read back bit for bit.
         rows = rng.standard_normal((7, 5)) * np.logspace(-300, 300, 5)
-        path.write_text(feature_csv(FeatureMatrix(rows)))
+        path.write_text(feature_csv(rows))
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(back[:, 0], np.arange(7))
         assert np.array_equal(back[:, 1:], rows)

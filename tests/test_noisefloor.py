@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneid.audio import AudioBuffer, FrameConfig, frame_signal, window_values
-from sceneid.features import Spectrogram, power_spectrogram
+from sceneid.features import power_spectrogram
 from sceneid.noisefloor import (
     NoiseFloorError,
     SppParams,
@@ -125,7 +125,7 @@ class TestTrackingAccuracy:
         true_psd = float(np.sum(win**2))  # unit-variance white noise
         out = noise_floor_spectrogram(spec, SppParams())
         settled = int(2.0 / 0.020)
-        dev_db = 10 * np.log10(out.frames[settled:].mean(axis=0) / true_psd)
+        dev_db = 10 * np.log10(out[settled:].mean(axis=0) / true_psd)
         assert np.mean(np.abs(dev_db) <= 1.5) >= 0.95
 
     def test_burst_rejection_vs_plain_smoothing(self):
@@ -144,51 +144,62 @@ class TestTrackingAccuracy:
 
         cfg = FrameConfig()
         spec_burst = power_spectrogram(frame_signal(AudioBuffer(sig, rate), cfg))
-        ref = power_spectrogram(frame_signal(AudioBuffer(noise, rate), cfg)).frames.mean(axis=0)
-        lift = 10 * np.log10(spec_burst.frames.mean(axis=0) / ref)
+        ref = power_spectrogram(frame_signal(AudioBuffer(noise, rate), cfg)).mean(axis=0)
+        lift = 10 * np.log10(spec_burst.mean(axis=0) / ref)
         tone_bins = lift > 1.0
         assert tone_bins.sum() > 5
 
         settled = int(2.0 / 0.020)
-        tracked = noise_floor_spectrogram(spec_burst, params).frames
+        tracked = noise_floor_spectrogram(spec_burst, params)
         dev_tracked = 10 * np.log10(tracked[settled:].mean(axis=0) / ref)
         assert np.abs(dev_tracked[tone_bins]).max() <= 3.0
         assert np.mean(np.abs(dev_tracked) <= 3.0) >= 0.95
 
-        state = init_state(spec_burst.frames[:5], params)
-        plain = np.empty_like(spec_burst.frames)
+        state = init_state(spec_burst[:5], params)
+        plain = np.empty_like(spec_burst)
         plain[:5] = state.noise_psd
         for k in range(5, plain.shape[0]):
-            state, plain[k] = update(state, spec_burst.frames[k], params, spp=0.0)
+            state, plain[k] = update(state, spec_burst[k], params, spp=0.0)
         dev_plain = 10 * np.log10(plain[settled:].mean(axis=0) / ref)
         assert np.abs(dev_plain[tone_bins]).max() > 3.0
 
 
 class TestNoiseFloorSpectrogram:
     def test_all_zero_input(self):
-        spec = Spectrogram(np.zeros((20, 8)))
+        spec = np.zeros((20, 8))
         out = noise_floor_spectrogram(spec, SppParams())
-        np.testing.assert_array_equal(out.frames, 1e-12)
-        assert out.frames.shape == spec.frames.shape
+        np.testing.assert_array_equal(out, 1e-12)
+        assert out.shape == spec.shape
 
     def test_init_rows_emit_initial_estimate(self, rng):
         frames = rng.uniform(0.5, 2.0, (30, 8))
-        out = noise_floor_spectrogram(Spectrogram(frames), SppParams())
+        before = frames.copy()
+        out = noise_floor_spectrogram(frames, SppParams())
+        assert np.array_equal(frames, before)  # the tracker runs on a copy
         expected = frames[:5].mean(axis=0)
         for t in range(5):
-            np.testing.assert_allclose(out.frames[t], expected)
+            np.testing.assert_allclose(out[t], expected)
 
     def test_stationary_noise_final_rows(self):
         rng = np.random.default_rng(11)
         frames = rng.exponential(1.0, (500, 64))
-        out = noise_floor_spectrogram(Spectrogram(frames), SppParams())
-        final = out.frames[-100:].mean(axis=0)
+        out = noise_floor_spectrogram(frames, SppParams())
+        final = out[-100:].mean(axis=0)
         dev_db = 10 * np.log10(final / 1.0)
         assert np.mean(np.abs(dev_db) <= 1.5) >= 0.9
 
     def test_too_few_frames(self):
-        spec = Spectrogram(np.ones((4, 8)))
+        spec = np.ones((4, 8))
         with pytest.raises(NoiseFloorError):
+            noise_floor_spectrogram(spec, SppParams())
+
+    @pytest.mark.parametrize("spec, message", [
+        (np.ones(20), "must be 2-D"),
+        (np.ones((1, 20, 8)), "must be 2-D"),
+        (np.concatenate([np.ones((19, 8)), np.full((1, 8), -1e-300)]), "non-negative"),
+    ], ids=["1-d", "3-d", "negative-entry"])
+    def test_rejects_what_is_not_a_power_spectrogram(self, spec, message):
+        with pytest.raises(ValueError, match=message):
             noise_floor_spectrogram(spec, SppParams())
 
 
@@ -221,8 +232,8 @@ class TestTrackNoiseFloor:
         stack = rows[None].copy()
         track_noise_floor(stack)
         assert np.array_equal(stack[0], update_loop(rows))
-        spec = noise_floor_spectrogram(Spectrogram(rows), SppParams())
-        assert np.array_equal(spec.frames, update_loop(rows))
+        spec = noise_floor_spectrogram(rows, SppParams())
+        assert np.array_equal(spec, update_loop(rows))
 
     @pytest.mark.parametrize("n_init", [1, 5, 12])
     def test_exactly_one_tracked_frame(self, rng, n_init):

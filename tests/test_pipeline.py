@@ -74,10 +74,10 @@ class TestFeaturesForBuffers:
         ]
         got = list(features_for_buffers(iter(items), config))
         assert len(got) == len(items)
-        for (rid, buf), feats in zip(items, got):
+        for (rid, buf), (got_id, feats) in zip(items, got):
             want = extract_features(buf, config.to_feature_config(), recording_id=rid)
-            assert np.array_equal(feats.rows, want.rows)
-            assert feats.recording_id == rid
+            assert got_id == rid
+            assert np.array_equal(feats, want)
 
     def test_short_clip_in_chunk_is_noise_floor_error_naming_it(self, rng):
         # 2000 samples give 5 frames, one short of what n_init=5 needs.
@@ -113,7 +113,7 @@ class TestRunTraining:
         train_ubm, train_tv = pipeline.train_ubm, pipeline.train_tv
 
         def keep_refs(config, feats):
-            refs.extend(weakref.ref(f) for f in feats)
+            refs.extend(weakref.ref(rows) for _, rows in feats)
             return train_ubm(config, feats)
 
         def check_freed(config, ubm, stats):
