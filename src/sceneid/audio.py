@@ -15,11 +15,28 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin, get_window, resample_poly
+from scipy.special import i0
 
 from .errors import SceneidError
 
 WINDOW_NAMES = ("hann", "hamming", "rect")
+
+# General-cosine coefficients of the periodic windows, as scipy.signal's
+# `get_window` defines them. Hamming's second term is 1 - 0.54, which differs
+# from a literal 0.46 in the last bit.
+_COSINE_WINDOWS = {
+    "hann": (0.5, 0.5),
+    "hamming": (0.54, 1.0 - 0.54),
+    "blackman": (0.42, 0.50, 0.08),
+}
+
+# Longest anti-aliasing filter `resample` designs, in taps (32 MB of
+# coefficients). Coprime rates such as 16001 -> 16000 Hz need 320,021; a
+# nonsense header rate would ask for billions.
+MAX_FILTER_TAPS = 1 << 22
+# Outputs of one pass over the filter taps: the accumulator, the products and
+# the block's slab of input stay in a core's L2 cache.
+_RESAMPLE_BLOCK = 16384
 
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
@@ -180,11 +197,61 @@ def wav_bytes(buf: AudioBuffer) -> bytes:
     return header + payload
 
 
+@functools.lru_cache(maxsize=8)
+def _polyphase_filter(source_rate: int, target_rate: int):
+    """The anti-aliasing filter of a rate pair, in the order `resample` reads it.
+
+    The filter is scipy.signal's `firwin(2*half_len + 1, 0.45 * min(rates),
+    fs=source_rate*up, window=("kaiser", 8.0))`, scaled by `up` and pre-padded
+    as `resample_poly` does, with the same arithmetic, so its coefficients
+    have the same bits. The kept outputs fall into `up` classes: output
+    i*up + c sums, over s = 0..taps-1, coefs[s, c] times sample j0[c] + s +
+    i*down of the input with taps - 1 zeros in front. s runs in ascending
+    input index, the order `resample_poly` adds its products in.
+
+    Returns (down, coefs of shape (taps, up, 1), j0 of shape (up,)), cached
+    per pair and read-only. A filter over MAX_FILTER_TAPS raises ValueError
+    naming both rates.
+    """
+    g = math.gcd(source_rate, target_rate)
+    up, down = target_rate // g, source_rate // g
+    half_len = 10 * max(up, down)
+    numtaps = 2 * half_len + 1
+    if numtaps > MAX_FILTER_TAPS:
+        raise ValueError(
+            f"resampling {source_rate} Hz to {target_rate} Hz needs a {numtaps}-tap "
+            f"filter, over the limit of {MAX_FILTER_TAPS}"
+        )
+    cutoff = 0.45 * min(source_rate, target_rate) / (0.5 * (source_rate * up))
+    alpha = 0.5 * (numtaps - 1)
+    n = np.arange(numtaps, dtype=np.float64)
+    h = cutoff * np.sinc(cutoff * (n - alpha))
+    h *= i0(8.0 * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / i0(8.0)  # Kaiser, beta 8
+    h /= np.sum(h)  # unit gain at DC
+    h *= up
+
+    pre = down - half_len % down
+    lo = (half_len + pre) // down  # outputs resample_poly drops in front
+    taps = -(-(pre + numtaps) // up)
+    table = np.zeros(taps * up)
+    table[pre : pre + numtaps] = h
+    positions = (lo + np.arange(up)) * down  # each class's first output, up-sampled grid
+    coefs = table.reshape(taps, up)[::-1, positions % up][:, :, None].copy()
+    j0 = positions // up
+    coefs.setflags(write=False)
+    j0.setflags(write=False)
+    return down, coefs, j0
+
+
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Band-limited polyphase resampling.
 
     Windowed-sinc anti-aliasing filter with cutoff at 0.45x the lower of the
-    two rates; output length is round(n * target_rate / source_rate).
+    two rates; output length is round(n * target_rate / source_rate). The
+    output has the bits of scipy.signal's `resample_poly` with that filter:
+    each output starts from 0.0 and adds its taps' products one at a time in
+    ascending input index. A pair of rates whose filter would exceed
+    MAX_FILTER_TAPS raises ValueError.
     """
     if int(target_rate) <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -192,27 +259,58 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     if target_rate == buf.sample_rate:
         return AudioBuffer(buf.samples.copy(), target_rate)
 
-    g = math.gcd(buf.sample_rate, target_rate)
-    up, down = target_rate // g, buf.sample_rate // g
+    down, coefs, j0 = _polyphase_filter(buf.sample_rate, target_rate)
+    taps, up, _ = coefs.shape
     x = buf.samples
     out_len = int(math.floor(x.size * target_rate / buf.sample_rate + 0.5))
+    if out_len == 0:
+        return AudioBuffer(np.zeros(0), target_rate)
+    block = max(1, _RESAMPLE_BLOCK // up)  # outputs of each class per pass
+    n_blocks = -(-out_len // (up * block))
 
-    half_len = 10 * max(up, down)
-    hi_rate = buf.sample_rate * up
-    cutoff_hz = 0.45 * min(buf.sample_rate, target_rate)
-    h = firwin(2 * half_len + 1, cutoff_hz, fs=hi_rate, window=("kaiser", 8.0))
-    # resample_poly scales h by `up` and rounds the output length up.
-    y = resample_poly(x, up, down, window=h)[:out_len]
-    return AudioBuffer(y, target_rate)
+    # Row r of `slab` holds padded input r, r + down, r + 2*down, ... of one
+    # block: the inputs one tap reads for one class are a contiguous run of
+    # a row. The slab is rebuilt per block, so it stays in cache.
+    span = (j0[-1] + taps - 1) // down + 1  # slab columns past the block's own
+    cols = max(n_blocks * block + span, -(-(x.size + taps - 1) // down))
+    padded = np.zeros(cols * down)
+    padded[taps - 1 : taps - 1 + x.size] = x
+    slab = np.empty((down, block + span))
+    runs = np.lib.stride_tricks.sliding_window_view(slab, block, axis=1)
+    col, row = np.divmod(j0 + np.arange(taps)[:, None], down)  # (taps, up) run starts
+    if up == 1:
+        col, row = col[:, 0], row[:, 0]  # scalar indices: each run is a view, not a copy
+
+    y = np.empty((n_blocks * block, up))
+    acc = np.empty((up, block))
+    prod = np.empty((up, block))
+    for i in range(0, n_blocks * block, block):
+        np.copyto(slab, padded[i * down : (i + block + span) * down].reshape(-1, down).T)
+        acc.fill(0.0)
+        for s in range(taps):
+            np.multiply(runs[row[s], col[s]], coefs[s], out=prod)
+            acc += prod
+        y[i : i + block] = acc.T
+    return AudioBuffer(y.reshape(-1)[:out_len], target_rate)
 
 
 @functools.lru_cache(maxsize=16)
 def window_values(name: str, n: int) -> np.ndarray:
     """Periodic analysis window ('rect' means all ones), cached per (name, n).
 
-    The array is shared by every caller, so it is read-only.
+    A cosine window has the bits of scipy.signal's `get_window(name, n,
+    fftbins=True)`: the symmetric general-cosine window of n + 1 points on
+    linspace(-pi, pi), its last point dropped. The array is shared by every
+    caller, so it is read-only.
     """
-    win = np.ones(n) if name == "rect" else get_window(name, n, fftbins=True)
+    if name == "rect" or n <= 1:
+        win = np.ones(n)
+    else:
+        fac = np.linspace(-np.pi, np.pi, n + 1)
+        win = np.zeros(n + 1)
+        for k, a in enumerate(_COSINE_WINDOWS[name]):
+            win += a * np.cos(k * fac)
+        win = win[:-1]
     win.setflags(write=False)
     return win
 

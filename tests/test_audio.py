@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import get_window
+from scipy.signal import firwin, get_window, resample_poly
 
+from sceneid import audio
 from sceneid.audio import (
+    MAX_FILTER_TAPS,
     AudioBuffer,
     FrameConfig,
     frame_count,
@@ -217,7 +221,52 @@ class TestDownmix:
         assert np.array_equal(got, interleaved.reshape(-1, channels).mean(axis=1))
 
 
+def scipy_resample(x, source_rate, target_rate):
+    """`resample` as scipy.signal computes it: the oracle whose bits the
+    package's numpy resampler must reproduce."""
+    g = math.gcd(source_rate, target_rate)
+    up, down = target_rate // g, source_rate // g
+    h = firwin(20 * max(up, down) + 1, 0.45 * min(source_rate, target_rate),
+               fs=source_rate * up, window=("kaiser", 8.0))
+    out_len = int(math.floor(x.size * target_rate / source_rate + 0.5))
+    return resample_poly(x, up, down, window=h)[:out_len]
+
+
 class TestResample:
+    @pytest.mark.parametrize("source_rate, target_rate", [
+        (8000, 16000), (11025, 16000), (22050, 16000), (24000, 16000), (32000, 16000),
+        (44100, 16000), (48000, 16000), (96000, 16000), (16000, 8000),
+        (16001, 16000),  # coprime rates: a 320,021-tap filter, under the limit
+    ])
+    @pytest.mark.parametrize("length", [0, 1, 2, 4801, "1s"])
+    def test_bits_match_scipy_resample_poly(self, rng, source_rate, target_rate, length):
+        n = source_rate if length == "1s" else length
+        x = rng.uniform(-1.0, 1.0, n)
+        got = resample(AudioBuffer(x, source_rate), target_rate).samples
+        assert got.tobytes() == scipy_resample(x, source_rate, target_rate).tobytes()
+
+    def test_bits_match_scipy_on_a_long_clip(self, rng):
+        # 30 s at 44.1 kHz: many blocks of outputs per polyphase class.
+        x = rng.uniform(-1.0, 1.0, 30 * 44100)
+        got = resample(AudioBuffer(x, 44100), 16000).samples
+        assert got.tobytes() == scipy_resample(x, 44100, 16000).tobytes()
+
+    def test_filter_designed_once_per_rate_pair(self):
+        resample(AudioBuffer(np.zeros(4410), 44100), 16000)
+        cached = audio._polyphase_filter(44100, 16000)
+        resample(AudioBuffer(np.ones(4410), 44100), 16000)
+        assert audio._polyphase_filter(44100, 16000) is cached
+        for table in cached[1:]:
+            assert not table.flags.writeable
+
+    @pytest.mark.parametrize("source_rate", [4294967295, 209717])
+    def test_oversized_filter_rejected_naming_both_rates(self, source_rate):
+        # 209717 Hz is coprime to 16 kHz: 20 * 209717 + 1 taps, just over the
+        # limit. A header rate near 2^32 Hz would need 1.7e10 taps (128 GiB).
+        assert 20 * 209717 + 1 > MAX_FILTER_TAPS
+        with pytest.raises(ValueError, match=f"{source_rate} Hz to 16000 Hz"):
+            resample(AudioBuffer(np.zeros(10), source_rate), 16000)
+
     def test_length_arithmetic(self):
         # 48001 samples at 48 kHz: 16000.33 output samples round down to 16000.
         for n, rate in ((44100, 44100), (48001, 48000)):
@@ -300,10 +349,10 @@ class TestFrameSignal:
         assert frames[0].max() == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("name", ["hann", "hamming", "blackman"])
-    @pytest.mark.parametrize("n", [441, 640, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 7, 441, 640, 1024, 1920])
     def test_cached_window_is_read_only_and_exact(self, name, n):
         win = window_values(name, n)
-        assert np.array_equal(win, get_window(name, n, fftbins=True))
+        assert win.tobytes() == get_window(name, n, fftbins=True).tobytes()
         assert window_values(name, n) is win  # built once per (name, length)
         assert not win.flags.writeable
         with pytest.raises(ValueError):

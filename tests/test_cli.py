@@ -359,6 +359,22 @@ def test_module_runs_cli(tmp_path):
     assert proc.stderr == "error: [config] unknown config key 'nonsense'\n"
 
 
+def test_cli_import_loads_no_scipy_signal():
+    """A one-shot call pays for every module it imports: `scipy.signal` and
+    the `scipy.stats` it pulls in took about 0.9 s and 43 MB of it (2-core
+    x86-64 VM)."""
+    src = Path(sceneid.__file__).resolve().parent.parent
+    code = (
+        "import sys, sceneid, sceneid.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'signal'], ['scipy', 'stats'])))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_mix_command(workspace, tmp_path, capsys):
     corpus = workspace / "corpus"
     bg = next(corpus.glob("scenes/train_*.wav"))
@@ -876,6 +892,19 @@ class TestExitCodes:
         assert rc == 4
         assert err.startswith(f"error: [audio-io] {bad}: ") and err.endswith("\n")
         assert err.count(str(bad)) == 1 and err.count("\n") == 1
+
+    def test_absurd_header_rate_is_audio_code(self, bundle, tmp_path, capsys):
+        # A header claiming 4294967295 Hz asks for a 1.7e10-tap resampling
+        # filter (128 GiB); it is refused before any of it is built.
+        data = bytearray(pcm16_wav_bytes(np.zeros(160, dtype=np.int16)))
+        data[24:28] = struct.pack("<I", 4294967295)  # the fmt chunk's sample rate
+        wav = tmp_path / "absurd.wav"
+        wav.write_bytes(bytes(data))
+        rc = main(["classify", "--bundle", str(bundle), "--audio", str(wav)])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith(f"error: [audio-io] {wav}: ")
+        assert "4294967295 Hz to 16000 Hz" in err
 
     def test_nan_float_wav_is_audio_code(self, bundle, tmp_path, capsys):
         samples = np.full(16000, 0.1, dtype="<f4")
