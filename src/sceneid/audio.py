@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import i0
 
 from .errors import SceneidError
@@ -34,9 +35,12 @@ _COSINE_WINDOWS = {
 # coefficients). Coprime rates such as 16001 -> 16000 Hz need 320,021; a
 # nonsense header rate would ask for billions.
 MAX_FILTER_TAPS = 1 << 22
-# Outputs of one pass over the filter taps: the accumulator, the products and
-# the block's slab of input stay in a core's L2 cache.
-_RESAMPLE_BLOCK = 16384
+# Stored taps of one rate pair's resampling matrix (192 KB). A pair whose
+# filter is longer stores it once.
+_MATRIX_TAPS = 1 << 14
+# Most input samples one product with that matrix reads (512 KB), unless a
+# single window of them is longer.
+_WINDOW_LIMIT = 1 << 16
 
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
@@ -198,20 +202,26 @@ def wav_bytes(buf: AudioBuffer) -> bytes:
 
 
 @functools.lru_cache(maxsize=8)
-def _polyphase_filter(source_rate: int, target_rate: int):
-    """The anti-aliasing filter of a rate pair, in the order `resample` reads it.
+def _polyphase_matrix(source_rate: int, target_rate: int):
+    """The anti-aliasing filter of a rate pair, as the sparse matrix `resample`
+    applies.
 
     The filter is scipy.signal's `firwin(2*half_len + 1, 0.45 * min(rates),
     fs=source_rate*up, window=("kaiser", 8.0))`, scaled by `up` and pre-padded
     as `resample_poly` does, with the same arithmetic, so its coefficients
     have the same bits. The kept outputs fall into `up` classes: output
     i*up + c sums, over s = 0..taps-1, coefs[s, c] times sample j0[c] + s +
-    i*down of the input with taps - 1 zeros in front. s runs in ascending
-    input index, the order `resample_poly` adds its products in.
+    i*down of the input with taps - 1 zeros in front.
 
-    Returns (down, coefs of shape (taps, up, 1), j0 of shape (up,)), cached
-    per pair and read-only. A filter over MAX_FILTER_TAPS raises ValueError
-    naming both rates.
+    The matrix stacks `per` outputs of each class: its row k*up + c holds
+    class c's taps at columns j0[c] + k*down + s, in ascending input index.
+    Output i*rows + r of a clip is row r times the matrix's width of padded
+    input from i*stride on, stride = per*down. scipy.sparse's CSR product
+    adds each row's products in stored order, starting from 0.0: the order
+    `resample_poly` adds them in.
+
+    Returns (stride, matrix), cached per pair, its arrays read-only. A filter
+    over MAX_FILTER_TAPS raises ValueError naming both rates.
     """
     g = math.gcd(source_rate, target_rate)
     up, down = target_rate // g, source_rate // g
@@ -236,11 +246,24 @@ def _polyphase_filter(source_rate: int, target_rate: int):
     table = np.zeros(taps * up)
     table[pre : pre + numtaps] = h
     positions = (lo + np.arange(up)) * down  # each class's first output, up-sampled grid
-    coefs = table.reshape(taps, up)[::-1, positions % up][:, :, None].copy()
+    coefs = table.reshape(taps, up)[::-1, positions % up]  # (taps, up)
     j0 = positions // up
-    coefs.setflags(write=False)
-    j0.setflags(write=False)
-    return down, coefs, j0
+
+    per = max(1, _MATRIX_TAPS // (up * taps))
+    rows = per * up
+    width = per * down + int(j0[-1]) + taps
+    starts = (np.arange(per)[:, None] * down + j0).reshape(-1, 1)
+    matrix = sparse.csr_array(
+        (
+            np.tile(coefs.T, (per, 1)).reshape(-1),
+            (starts + np.arange(taps)).astype(np.int32).reshape(-1),
+            np.arange(0, rows * taps + 1, taps, dtype=np.int32),
+        ),
+        shape=(rows, width),
+    )
+    for arr in (matrix.data, matrix.indices, matrix.indptr):
+        arr.setflags(write=False)
+    return per * down, matrix
 
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
@@ -259,38 +282,21 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     if target_rate == buf.sample_rate:
         return AudioBuffer(buf.samples.copy(), target_rate)
 
-    down, coefs, j0 = _polyphase_filter(buf.sample_rate, target_rate)
-    taps, up, _ = coefs.shape
+    stride, matrix = _polyphase_matrix(buf.sample_rate, target_rate)
+    rows, width = matrix.shape
+    taps = int(matrix.indptr[1])  # taps of each row
     x = buf.samples
     out_len = int(math.floor(x.size * target_rate / buf.sample_rate + 0.5))
     if out_len == 0:
         return AudioBuffer(np.zeros(0), target_rate)
-    block = max(1, _RESAMPLE_BLOCK // up)  # outputs of each class per pass
-    n_blocks = -(-out_len // (up * block))
-
-    # Row r of `slab` holds padded input r, r + down, r + 2*down, ... of one
-    # block: the inputs one tap reads for one class are a contiguous run of
-    # a row. The slab is rebuilt per block, so it stays in cache.
-    span = (j0[-1] + taps - 1) // down + 1  # slab columns past the block's own
-    cols = max(n_blocks * block + span, -(-(x.size + taps - 1) // down))
-    padded = np.zeros(cols * down)
+    n = -(-out_len // rows)  # windows of input the matrix is applied to
+    padded = np.zeros((n - 1) * stride + width)  # holds taps - 1 zeros, then all of x
     padded[taps - 1 : taps - 1 + x.size] = x
-    slab = np.empty((down, block + span))
-    runs = np.lib.stride_tricks.sliding_window_view(slab, block, axis=1)
-    col, row = np.divmod(j0 + np.arange(taps)[:, None], down)  # (taps, up) run starts
-    if up == 1:
-        col, row = col[:, 0], row[:, 0]  # scalar indices: each run is a view, not a copy
-
-    y = np.empty((n_blocks * block, up))
-    acc = np.empty((up, block))
-    prod = np.empty((up, block))
-    for i in range(0, n_blocks * block, block):
-        np.copyto(slab, padded[i * down : (i + block + span) * down].reshape(-1, down).T)
-        acc.fill(0.0)
-        for s in range(taps):
-            np.multiply(runs[row[s], col[s]], coefs[s], out=prod)
-            acc += prod
-        y[i : i + block] = acc.T
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width)[::stride]
+    y = np.empty((n, rows))
+    step = max(1, _WINDOW_LIMIT // width)  # windows per product
+    for i in range(0, n, step):
+        y[i : i + step] = (matrix @ windows[i : i + step].T).T
     return AudioBuffer(y.reshape(-1)[:out_len], target_rate)
 
 

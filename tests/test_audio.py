@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ class TestDownmix:
 
 def scipy_resample(x, source_rate, target_rate):
     """`resample` as scipy.signal computes it: the oracle whose bits the
-    package's numpy resampler must reproduce."""
+    package's resampler must reproduce."""
     g = math.gcd(source_rate, target_rate)
     up, down = target_rate // g, source_rate // g
     h = firwin(20 * max(up, down) + 1, 0.45 * min(source_rate, target_rate),
@@ -246,18 +247,34 @@ class TestResample:
         assert got.tobytes() == scipy_resample(x, source_rate, target_rate).tobytes()
 
     def test_bits_match_scipy_on_a_long_clip(self, rng):
-        # 30 s at 44.1 kHz: many blocks of outputs per polyphase class.
+        # 30 s at 44.1 kHz: many products with the rate pair's matrix.
         x = rng.uniform(-1.0, 1.0, 30 * 44100)
         got = resample(AudioBuffer(x, 44100), 16000).samples
         assert got.tobytes() == scipy_resample(x, 44100, 16000).tobytes()
 
     def test_filter_designed_once_per_rate_pair(self):
         resample(AudioBuffer(np.zeros(4410), 44100), 16000)
-        cached = audio._polyphase_filter(44100, 16000)
+        cached = audio._polyphase_matrix(44100, 16000)
         resample(AudioBuffer(np.ones(4410), 44100), 16000)
-        assert audio._polyphase_filter(44100, 16000) is cached
-        for table in cached[1:]:
-            assert not table.flags.writeable
+        assert audio._polyphase_matrix(44100, 16000) is cached
+        matrix = cached[1]
+        for arr in (matrix.data, matrix.indices, matrix.indptr):
+            assert not arr.flags.writeable
+
+    def test_large_down_factor_resamples_in_bounded_memory(self, rng):
+        # 1,024,000,000 Hz to 16 kHz: up = 1, down = 64000, a 1,280,001-tap
+        # filter, under the limit. 32,000 samples make one output. Peak
+        # memory stays within a dozen copies of the filter's 10 MB: it must
+        # not grow with `down` times a block of outputs (8 GB here).
+        x = rng.uniform(-1.0, 1.0, 32000)
+        tracemalloc.start()
+        try:
+            got = resample(AudioBuffer(x, 1_024_000_000), 16000).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == scipy_resample(x, 1_024_000_000, 16000).tobytes()
+        assert peak < 12 * 8 * 1_280_001
 
     @pytest.mark.parametrize("source_rate", [4294967295, 209717])
     def test_oversized_filter_rejected_naming_both_rates(self, source_rate):

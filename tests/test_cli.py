@@ -906,6 +906,18 @@ class TestExitCodes:
         assert err.startswith(f"error: [audio-io] {wav}: ")
         assert "4294967295 Hz to 16000 Hz" in err
 
+    def test_large_header_rate_under_the_limit_ends_in_a_stage_error(self, bundle, tmp_path, capsys):
+        # 1,024,000,000 Hz needs a 1,280,001-tap filter, under the limit: the
+        # 32,000 samples resample to one, shorter than a frame.
+        data = bytearray(pcm16_wav_bytes(np.full(32000, 3000, dtype=np.int16)))
+        data[24:28] = struct.pack("<I", 1_024_000_000)
+        wav = tmp_path / "fast.wav"
+        wav.write_bytes(bytes(data))
+        rc = main(["classify", "--bundle", str(bundle), "--audio", str(wav)])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err == f"error: [features] {wav}: buffer of 1 samples is shorter than one 640-sample frame\n"
+
     def test_nan_float_wav_is_audio_code(self, bundle, tmp_path, capsys):
         samples = np.full(16000, 0.1, dtype="<f4")
         samples[100] = np.nan
