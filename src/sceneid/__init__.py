@@ -35,15 +35,7 @@ from .mixer import (
     mix_at_sbr,
     rms_level,
 )
-from .noisefloor import (
-    NoiseFloorState,
-    SppParams,
-    init_state,
-    noise_floor_spectrogram,
-    speech_presence_prob,
-    track_noise_floor,
-    update,
-)
+from .noisefloor import SppParams, noise_floor_spectrogram, track_noise_floor
 from .pipeline import (
     EvalReport,
     ModelBundle,

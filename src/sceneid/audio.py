@@ -28,7 +28,6 @@ WINDOW_NAMES = ("hann", "hamming", "rect")
 _COSINE_WINDOWS = {
     "hann": (0.5, 0.5),
     "hamming": (0.54, 1.0 - 0.54),
-    "blackman": (0.42, 0.50, 0.08),
 }
 
 # Longest anti-aliasing filter `resample` designs, in taps (32 MB of
@@ -201,6 +200,20 @@ def wav_bytes(buf: AudioBuffer) -> bytes:
     return header + payload
 
 
+def _filter_half_len(source_rate: int, target_rate: int) -> int:
+    """half_len of a rate pair's anti-aliasing filter, which has 2*half_len + 1
+    taps. A filter over MAX_FILTER_TAPS raises ValueError naming both rates."""
+    g = math.gcd(source_rate, target_rate)
+    half_len = 10 * max(source_rate, target_rate) // g
+    numtaps = 2 * half_len + 1
+    if numtaps > MAX_FILTER_TAPS:
+        raise ValueError(
+            f"resampling {source_rate} Hz to {target_rate} Hz needs a {numtaps}-tap "
+            f"filter, over the limit of {MAX_FILTER_TAPS}"
+        )
+    return half_len
+
+
 @functools.lru_cache(maxsize=8)
 def _polyphase_matrix(source_rate: int, target_rate: int):
     """The anti-aliasing filter of a rate pair, as the sparse matrix `resample`
@@ -223,15 +236,10 @@ def _polyphase_matrix(source_rate: int, target_rate: int):
     Returns (stride, matrix), cached per pair, its arrays read-only. A filter
     over MAX_FILTER_TAPS raises ValueError naming both rates.
     """
+    half_len = _filter_half_len(source_rate, target_rate)
     g = math.gcd(source_rate, target_rate)
     up, down = target_rate // g, source_rate // g
-    half_len = 10 * max(up, down)
     numtaps = 2 * half_len + 1
-    if numtaps > MAX_FILTER_TAPS:
-        raise ValueError(
-            f"resampling {source_rate} Hz to {target_rate} Hz needs a {numtaps}-tap "
-            f"filter, over the limit of {MAX_FILTER_TAPS}"
-        )
     cutoff = 0.45 * min(source_rate, target_rate) / (0.5 * (source_rate * up))
     alpha = 0.5 * (numtaps - 1)
     n = np.arange(numtaps, dtype=np.float64)
@@ -282,13 +290,14 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     if target_rate == buf.sample_rate:
         return AudioBuffer(buf.samples.copy(), target_rate)
 
-    stride, matrix = _polyphase_matrix(buf.sample_rate, target_rate)
-    rows, width = matrix.shape
-    taps = int(matrix.indptr[1])  # taps of each row
+    _filter_half_len(buf.sample_rate, target_rate)  # refuse the pair even for no output
     x = buf.samples
     out_len = int(math.floor(x.size * target_rate / buf.sample_rate + 0.5))
     if out_len == 0:
         return AudioBuffer(np.zeros(0), target_rate)
+    stride, matrix = _polyphase_matrix(buf.sample_rate, target_rate)
+    rows, width = matrix.shape
+    taps = int(matrix.indptr[1])  # taps of each row
     n = -(-out_len // rows)  # windows of input the matrix is applied to
     padded = np.zeros((n - 1) * stride + width)  # holds taps - 1 zeros, then all of x
     padded[taps - 1 : taps - 1 + x.size] = x

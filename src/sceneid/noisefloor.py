@@ -6,6 +6,11 @@ of the observation and the previous floor, weighted by the posterior
 probability that speech is active in that bin, and the result is smoothed
 with a fixed factor. The stuck-detector clamp keeps the tracker from
 latching onto a raised floor when the speech posterior saturates.
+
+`track_noise_floor` is the one implementation of the recursion. Its
+one-frame reference, written step by step as the cited method states it,
+lives in the test suite (`tests/conftest.py`), which checks the two bit for
+bit.
 """
 
 from __future__ import annotations
@@ -70,78 +75,6 @@ class SppParams:
         return 10.0 ** (self.xi_h1_db / 10.0)
 
 
-@dataclass(frozen=True)
-class NoiseFloorState:
-    noise_psd: np.ndarray  # previous floor estimate, >= psd_floor
-    smoothed_spp: np.ndarray  # stuck-detector memory, in [0, 1]
-
-
-def init_state(first_frames, params: SppParams = SppParams()) -> NoiseFloorState:
-    """Seed the floor with the per-bin mean of the first init_frames periodograms."""
-    rows = np.atleast_2d(np.asarray(first_frames, dtype=np.float64))
-    if rows.size == 0:
-        raise NoiseFloorError("cannot initialize noise floor from an empty spectrogram")
-    n_init = params.init_frames
-    if rows.shape[0] < n_init:
-        raise NoiseFloorError(f"need {n_init} initialization frames, got {rows.shape[0]}")
-    psd = np.maximum(rows[:n_init].mean(axis=0), params.psd_floor)
-    return NoiseFloorState(psd, np.full(psd.shape, 0.5))
-
-
-def speech_presence_prob(periodogram, noise_psd, params: SppParams) -> np.ndarray:
-    """Posterior P(speech active | observation) per bin.
-
-    P = 1 / (1 + ((1-q)/q) (1+xi) exp(-(|X|^2/sigma^2) xi/(1+xi)))
-    with xi the fixed prior SNR and q the speech prior.
-    """
-    per = np.asarray(periodogram, dtype=np.float64)
-    psd = np.asarray(noise_psd, dtype=np.float64)
-    if psd.size and psd.min() <= 0.0:
-        raise NoiseFloorError("noise PSD must be strictly positive")
-    xi = params.xi_h1
-    q = params.prior_h1
-    glr_inv = (1.0 - q) / q * (1.0 + xi) * np.exp(-(per / psd) * (xi / (1.0 + xi)))
-    return 1.0 / (1.0 + glr_inv)
-
-
-def noise_periodogram_estimate(periodogram, prev_psd, spp) -> np.ndarray:
-    """Posterior noise periodogram: (1-P)|X|^2 + P * previous floor."""
-    per = np.asarray(periodogram, dtype=np.float64)
-    prev = np.asarray(prev_psd, dtype=np.float64)
-    p = np.asarray(spp, dtype=np.float64)
-    return (1.0 - p) * per + p * prev
-
-
-def update(
-    state: NoiseFloorState,
-    periodogram,
-    params: SppParams = SppParams(),
-    spp=None,
-) -> tuple[NoiseFloorState, np.ndarray]:
-    """Advance the tracker by one frame; returns (new state, new floor).
-
-    `spp` overrides the computed speech posterior (used verbatim, no clamp);
-    forcing 0 turns the tracker into plain exponential smoothing of the
-    periodogram.
-    """
-    per = np.asarray(periodogram, dtype=np.float64)
-    if per.shape != state.noise_psd.shape:
-        raise NoiseFloorError(
-            f"periodogram has {per.shape} bins, state tracks {state.noise_psd.shape}"
-        )
-    if spp is None:
-        p = speech_presence_prob(per, state.noise_psd, params)
-        smoothed = params.spp_smooth * state.smoothed_spp + (1.0 - params.spp_smooth) * p
-        p = np.where(smoothed > _STUCK_THRESHOLD, np.minimum(p, params.spp_clamp), p)
-    else:
-        p = np.clip(np.broadcast_to(np.asarray(spp, dtype=np.float64), per.shape), 0.0, 1.0)
-        smoothed = params.spp_smooth * state.smoothed_spp + (1.0 - params.spp_smooth) * p
-    estimate = noise_periodogram_estimate(per, state.noise_psd, p)
-    psd = params.psd_smooth * state.noise_psd + (1.0 - params.psd_smooth) * estimate
-    psd = np.maximum(psd, params.psd_floor)
-    return NoiseFloorState(psd, smoothed), psd
-
-
 def check_tracker_length(n_frames: int, params: SppParams) -> None:
     """The tracker needs its init_frames seed frames plus at least one to track."""
     if n_frames <= params.init_frames:
@@ -153,17 +86,19 @@ def check_tracker_length(n_frames: int, params: SppParams) -> None:
 def track_noise_floor(stack: np.ndarray, params: SppParams = SppParams()) -> None:
     """Replace each row of an (N, T, B) periodogram stack with the tracked floor.
 
-    Runs in place, one step per frame over all N recordings at once. Each step
-    applies the elementwise operations of `update()` in the same order, so
-    every recording's output equals the `update()` loop bit for bit. The
-    first init_frames rows of each recording emit its initialization estimate.
+    Runs in place, one step per frame over all N recordings at once. The
+    first init_frames rows of each recording emit its initialization
+    estimate, the per-bin mean of those rows. Each step applies the
+    elementwise operations of the one-frame reference in `tests/conftest.py`
+    in the same order, so every recording's output equals that reference's
+    loop bit for bit.
     """
-    n_recordings, n_frames, n_bins = stack.shape
+    _, n_frames, n_bins = stack.shape
     check_tracker_length(n_frames, params)
+    if n_bins == 0:
+        raise NoiseFloorError("cannot initialize noise floor from an empty spectrogram")
     n_init = params.init_frames
-    psd = np.empty((n_recordings, n_bins))
-    for i in range(n_recordings):
-        psd[i] = init_state(stack[i, :n_init], params).noise_psd
+    psd = np.maximum(stack[:, :n_init].mean(axis=1), params.psd_floor)
     stack[:, :n_init] = psd[:, None, :]
     smoothed = np.full_like(psd, 0.5)
     p = np.empty_like(psd)
@@ -176,7 +111,7 @@ def track_noise_floor(stack: np.ndarray, params: SppParams = SppParams()) -> Non
     slope = xi / (1.0 + xi)
     for t in range(n_init, n_frames):
         per = stack[:, t]
-        # speech_presence_prob
+        # speech posterior P = 1 / (1 + ((1-q)/q) (1+xi) exp(-(|X|^2/psd) xi/(1+xi)))
         np.divide(per, psd, out=p)
         np.negative(p, out=p)
         np.multiply(p, slope, out=p)
@@ -190,7 +125,7 @@ def track_noise_floor(stack: np.ndarray, params: SppParams = SppParams()) -> Non
         np.add(smoothed, tmp, out=smoothed)
         np.greater(smoothed, _STUCK_THRESHOLD, out=stuck)
         np.minimum(p, params.spp_clamp, out=p, where=stuck)
-        # noise_periodogram_estimate, then the smoothed floor
+        # noise periodogram (1-P)|X|^2 + P psd, then the smoothed floor
         np.subtract(1.0, p, out=tmp)
         np.multiply(tmp, per, out=tmp)
         np.multiply(p, psd, out=p)

@@ -1,9 +1,11 @@
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from sceneid.audio import AudioBuffer
+from sceneid.noisefloor import NoiseFloorError, SppParams
 
 
 def make_wav_bytes(payload: bytes, format_tag=1, channels=1, rate=16000, bits=16) -> bytes:
@@ -48,6 +50,97 @@ def eq2_labels(model, probes) -> list:
         d = probes - mu
         scores[:, c] = -0.5 * (d * np.linalg.solve(model.sigma_s, d.T).T).sum(axis=1)
     return [model.class_labels[i] for i in scores.argmax(axis=1)]
+
+
+# One-frame reference of the noise-floor tracker, step by step as the cited
+# method states it. `noisefloor.track_noise_floor` runs the same recursion
+# batched and in place, and must equal `update_loop` bit for bit.
+
+# Raw smoothed-probability level above which the clamp engages.
+_STUCK_THRESHOLD = 0.99
+
+
+@dataclass(frozen=True)
+class NoiseFloorState:
+    noise_psd: np.ndarray  # previous floor estimate, >= psd_floor
+    smoothed_spp: np.ndarray  # stuck-detector memory, in [0, 1]
+
+
+def init_state(first_frames, params: SppParams = SppParams()) -> NoiseFloorState:
+    """Seed the floor with the per-bin mean of the first init_frames periodograms."""
+    rows = np.atleast_2d(np.asarray(first_frames, dtype=np.float64))
+    if rows.size == 0:
+        raise NoiseFloorError("cannot initialize noise floor from an empty spectrogram")
+    n_init = params.init_frames
+    if rows.shape[0] < n_init:
+        raise NoiseFloorError(f"need {n_init} initialization frames, got {rows.shape[0]}")
+    psd = np.maximum(rows[:n_init].mean(axis=0), params.psd_floor)
+    return NoiseFloorState(psd, np.full(psd.shape, 0.5))
+
+
+def speech_presence_prob(periodogram, noise_psd, params: SppParams) -> np.ndarray:
+    """Posterior P(speech active | observation) per bin.
+
+    P = 1 / (1 + ((1-q)/q) (1+xi) exp(-(|X|^2/sigma^2) xi/(1+xi)))
+    with xi the fixed prior SNR and q the speech prior.
+    """
+    per = np.asarray(periodogram, dtype=np.float64)
+    psd = np.asarray(noise_psd, dtype=np.float64)
+    if psd.size and psd.min() <= 0.0:
+        raise NoiseFloorError("noise PSD must be strictly positive")
+    xi = params.xi_h1
+    q = params.prior_h1
+    glr_inv = (1.0 - q) / q * (1.0 + xi) * np.exp(-(per / psd) * (xi / (1.0 + xi)))
+    return 1.0 / (1.0 + glr_inv)
+
+
+def noise_periodogram_estimate(periodogram, prev_psd, spp) -> np.ndarray:
+    """Posterior noise periodogram: (1-P)|X|^2 + P * previous floor."""
+    per = np.asarray(periodogram, dtype=np.float64)
+    prev = np.asarray(prev_psd, dtype=np.float64)
+    p = np.asarray(spp, dtype=np.float64)
+    return (1.0 - p) * per + p * prev
+
+
+def update(
+    state: NoiseFloorState,
+    periodogram,
+    params: SppParams = SppParams(),
+    spp=None,
+) -> tuple[NoiseFloorState, np.ndarray]:
+    """Advance the tracker by one frame; returns (new state, new floor).
+
+    `spp` overrides the computed speech posterior (used verbatim, no clamp);
+    forcing 0 turns the tracker into plain exponential smoothing of the
+    periodogram.
+    """
+    per = np.asarray(periodogram, dtype=np.float64)
+    if per.shape != state.noise_psd.shape:
+        raise NoiseFloorError(
+            f"periodogram has {per.shape} bins, state tracks {state.noise_psd.shape}"
+        )
+    if spp is None:
+        p = speech_presence_prob(per, state.noise_psd, params)
+        smoothed = params.spp_smooth * state.smoothed_spp + (1.0 - params.spp_smooth) * p
+        p = np.where(smoothed > _STUCK_THRESHOLD, np.minimum(p, params.spp_clamp), p)
+    else:
+        p = np.clip(np.broadcast_to(np.asarray(spp, dtype=np.float64), per.shape), 0.0, 1.0)
+        smoothed = params.spp_smooth * state.smoothed_spp + (1.0 - params.spp_smooth) * p
+    estimate = noise_periodogram_estimate(per, state.noise_psd, p)
+    psd = params.psd_smooth * state.noise_psd + (1.0 - params.psd_smooth) * estimate
+    psd = np.maximum(psd, params.psd_floor)
+    return NoiseFloorState(psd, smoothed), psd
+
+
+def update_loop(rows, params=SppParams()):
+    """Reference floor of one recording: init_state, then update() per frame."""
+    n_init = params.init_frames
+    state = init_state(rows[:n_init], params)
+    out = np.empty_like(rows)
+    out[:n_init] = state.noise_psd
+    for t in range(n_init, rows.shape[0]):
+        state, out[t] = update(state, rows[t], params)
+    return out
 
 
 @pytest.fixture

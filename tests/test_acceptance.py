@@ -16,13 +16,7 @@ from sceneid.gmm import SufficientStats, gmm_checksum, train_ubm
 from sceneid.ivector import TvMatrix, extract_ivector, extract_ivectors, train_tv
 from sceneid.manifest import CorpusManifest
 from sceneid.mixer import active_speech_level, align_speech, mix_at_sbr, rms_level
-from sceneid.noisefloor import (
-    SppParams,
-    init_state,
-    noise_floor_spectrogram,
-    noise_periodogram_estimate,
-    update,
-)
+from sceneid.noisefloor import SppParams, noise_floor_spectrogram
 from sceneid.pipeline import (
     build_multicondition_corpus,
     run_evaluation,
@@ -31,7 +25,7 @@ from sceneid.pipeline import (
 )
 from sceneid.synth import generate_corpus, scene_clip, speech_clip
 
-from conftest import eq2_labels
+from conftest import eq2_labels, init_state, noise_periodogram_estimate, update
 from test_features import oracle_log_mel_dct
 from test_ivector import make_tv, make_ubm, oracle_posterior_mean, synthetic_stats
 

@@ -10,6 +10,7 @@ from scipy.signal import firwin, get_window, resample_poly
 from sceneid import audio
 from sceneid.audio import (
     MAX_FILTER_TAPS,
+    WINDOW_NAMES,
     AudioBuffer,
     FrameConfig,
     frame_count,
@@ -276,6 +277,21 @@ class TestResample:
         assert got.tobytes() == scipy_resample(x, 1_024_000_000, 16000).tobytes()
         assert peak < 12 * 8 * 1_280_001
 
+    def test_no_filter_designed_for_an_empty_output(self):
+        # 3,200,000,000 Hz to 16 kHz needs a 4,000,001-tap filter, under the
+        # limit, which would build a 50 MB matrix; 32,000 samples make no output.
+        x = np.zeros(32000)
+        misses = audio._polyphase_matrix.cache_info().misses
+        tracemalloc.start()
+        try:
+            got = resample(AudioBuffer(x, 3_200_000_000), 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.samples.size == 0 and got.sample_rate == 16000
+        assert audio._polyphase_matrix.cache_info().misses == misses
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("source_rate", [4294967295, 209717])
     def test_oversized_filter_rejected_naming_both_rates(self, source_rate):
         # 209717 Hz is coprime to 16 kHz: 20 * 209717 + 1 taps, just over the
@@ -365,7 +381,7 @@ class TestFrameSignal:
         assert frames[0, 0] == pytest.approx(0.0)
         assert frames[0].max() == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("name", ["hann", "hamming", "blackman"])
+    @pytest.mark.parametrize("name", WINDOW_NAMES)
     @pytest.mark.parametrize("n", [1, 2, 7, 441, 640, 1024, 1920])
     def test_cached_window_is_read_only_and_exact(self, name, n):
         win = window_values(name, n)

@@ -19,6 +19,8 @@ from sceneid.features import (
 )
 from sceneid.noisefloor import SppParams
 
+from conftest import update_loop
+
 
 def oracle_log_mel_dct(spec_frames, weights, n_ceps):
     """Independently coded log-mel-DCT: explicit per-filter normalization and
@@ -260,8 +262,6 @@ class TestExtractFeaturesMany:
 
     @pytest.mark.parametrize("noise_floor", [False, True])
     def test_ragged_batch_matches_reference(self, rng, noise_floor):
-        from test_noisefloor import update_loop
-
         cfg = FeatureConfig(noise_floor=SppParams() if noise_floor else None)
         bufs = [AudioBuffer(0.1 * rng.standard_normal(n), 16000) for n in self.LENGTHS]
         ids = [f"clip{i}" for i in range(len(bufs))]

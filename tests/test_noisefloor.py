@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sceneid.audio import AudioBuffer, FrameConfig, frame_signal, window_values
@@ -8,40 +8,67 @@ from sceneid.features import power_spectrogram
 from sceneid.noisefloor import (
     NoiseFloorError,
     SppParams,
-    init_state,
     noise_floor_spectrogram,
+    track_noise_floor,
+)
+
+from conftest import (
+    init_state,
     noise_periodogram_estimate,
     speech_presence_prob,
-    track_noise_floor,
     update,
+    update_loop,
 )
 
 CITED = SppParams(xi_h1_db=15.0)  # published configuration of the cited tracker
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def tracker_cases(draw):
+    """Any valid SppParams with init_frames up to 8, and an (N, T, B) stack
+    shape with at least one tracked frame."""
+    params = draw(st.builds(
+        SppParams,
+        xi_h1_db=st.floats(-3000.0, 3000.0),
+        prior_h1=OPEN_UNIT,
+        spp_smooth=OPEN_UNIT,
+        psd_smooth=OPEN_UNIT,
+        spp_clamp=OPEN_UNIT,
+        psd_floor=st.floats(0.0, 1e300, exclude_min=True),
+        init_frames=st.integers(1, 8),
+    ))
+    shape = (
+        draw(st.integers(1, 4)),
+        draw(st.integers(params.init_frames + 1, 40)),
+        draw(st.integers(1, 17)),
+    )
+    return params, shape
 
 
 class TestInitState:
+    """The tracker's seed: its first init_frames rows of output."""
+
     def test_mean_of_constants(self):
-        rows = np.full((8, 4), 2.0)
-        state = init_state(rows)
-        np.testing.assert_array_equal(state.noise_psd, 2.0)
-        np.testing.assert_array_equal(state.smoothed_spp, 0.5)
+        stack = np.full((2, 8, 4), 2.0)
+        track_noise_floor(stack)
+        np.testing.assert_array_equal(stack[:, :5], 2.0)
 
     def test_zero_frames_floored(self):
-        state = init_state(np.zeros((5, 4)))
-        np.testing.assert_array_equal(state.noise_psd, 1e-12)
+        stack = np.zeros((1, 6, 4))
+        stack[0, 5] = 1.0  # the tracked frame; the seed rows stay zero
+        track_noise_floor(stack)
+        np.testing.assert_array_equal(stack[0, :5], 1e-12)
 
     def test_single_frame(self):
-        rows = np.array([[1.0, 2.0, 3.0]])
-        state = init_state(rows, SppParams(init_frames=1))
-        np.testing.assert_array_equal(state.noise_psd, rows[0])
+        rows = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        stack = rows[None].copy()
+        track_noise_floor(stack, SppParams(init_frames=1))
+        np.testing.assert_array_equal(stack[0, 0], rows[0])
 
     def test_empty_rejected(self):
-        with pytest.raises(NoiseFloorError):
-            init_state(np.zeros((0, 4)), SppParams(init_frames=1))
-
-    def test_too_few_rows(self):
-        with pytest.raises(NoiseFloorError):
-            init_state(np.zeros((3, 4)))
+        with pytest.raises(NoiseFloorError, match="empty"):
+            track_noise_floor(np.zeros((1, 6, 0)))
 
     def test_init_frames_below_one_rejected(self):
         with pytest.raises(ValueError, match="init_frames"):
@@ -203,19 +230,8 @@ class TestNoiseFloorSpectrogram:
             noise_floor_spectrogram(spec, SppParams())
 
 
-def update_loop(rows, params=SppParams()):
-    """Reference floor of one recording: init_state, then update() per frame."""
-    n_init = params.init_frames
-    state = init_state(rows[:n_init], params)
-    out = np.empty_like(rows)
-    out[:n_init] = state.noise_psd
-    for t in range(n_init, rows.shape[0]):
-        state, out[t] = update(state, rows[t], params)
-    return out
-
-
 class TestTrackNoiseFloor:
-    """The batched in-place tracker equals the update() loop bit for bit."""
+    """The batched in-place tracker equals the conftest update() loop bit for bit."""
 
     def test_batch_matches_update_loop(self, rng):
         # A 50-frame burst saturates the speech posterior, so the stuck
@@ -254,6 +270,27 @@ class TestTrackNoiseFloor:
         with pytest.raises(NoiseFloorError):
             track_noise_floor(np.ones((2, 5, 8)))
 
+    @settings(deadline=None, max_examples=40)
+    @given(case=tracker_cases(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(SppParams(init_frames=1), (2, 40, 5)), seed=0)
+    def test_any_params_match_update_loop(self, case, seed):
+        # Bins 0..2 of the last recording carry a burst over every tracked
+        # frame, which saturates the speech posterior until the stuck
+        # detector clamps it: from the 38th tracked frame at spp_smooth = 0.9
+        # (the explicit example), sooner at a lower spp_smooth.
+        params, shape = case
+        n, _, n_bins = shape
+        rng = np.random.default_rng(seed)
+        stack = rng.exponential(1.0, shape) * 10.0 ** rng.uniform(-6.0, 6.0, (n, 1, n_bins))
+        stack[-1, params.init_frames :, :3] *= 1e12
+        # A prior_h1 near 0 or a huge xi_h1_db overflows the posterior odds,
+        # and both sides then compute the same NaN floors.
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [update_loop(rows, params) for rows in stack]
+            track_noise_floor(stack, params)
+        for got, want in zip(stack, expected):
+            assert np.array_equal(got, want, equal_nan=True)
+
 
 class TestInvariants:
     @settings(deadline=None, max_examples=40)
@@ -262,25 +299,16 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         params = SppParams()
         pers = rng.exponential(1.0, (30, 6)) * rng.uniform(0.1, 10.0)
-        state = init_state(pers[:5], params)
-        upper = max(state.noise_psd.max(), pers.max())
-        for k in range(5, 30):
-            state, psd = update(state, pers[k], params)
-            assert np.all(np.isfinite(psd))
-            assert np.all(psd >= params.psd_floor)
-            assert np.all(psd <= upper + 1e-12)
+        floor = noise_floor_spectrogram(pers, params)
+        upper = max(floor[0].max(), pers.max())  # the seed or any observation
+        assert np.all(np.isfinite(floor))
+        assert np.all(floor >= params.psd_floor)
+        assert np.all(floor <= upper + 1e-12)
 
     def test_gain_equivariance(self, rng):
         params = SppParams()
         pers = rng.exponential(1.0, (300, 32))
         gain = 12.5
-
-        def converged(frames):
-            state = init_state(frames[:5], params)
-            for k in range(5, frames.shape[0]):
-                state, psd = update(state, frames[k], params)
-            return psd
-
-        base = converged(pers)
-        scaled = converged(gain * pers)
+        base = noise_floor_spectrogram(pers, params)[-1]
+        scaled = noise_floor_spectrogram(gain * pers, params)[-1]
         np.testing.assert_allclose(scaled, gain * base, rtol=0.05)

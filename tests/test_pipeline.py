@@ -496,7 +496,6 @@ UNREACHED_IN_SRC = {
     "ivector.extract_ivector": "the benchmark tracer wraps it (bench/spans.py LAYERS)",
     "gmm.log_likelihood": "the per-recording UBM fit that diagnostics will report",
     "ivector.tv_evidence": "the T-matrix evidence trace that diagnostics will report",
-    "noisefloor.update": "the one-frame tracker step, criterion 3's reference",
 }
 
 
