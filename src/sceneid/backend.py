@@ -18,8 +18,9 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from . import serialize
 from .errors import SceneidError
 
-_BACKEND_MAGIC = b"SCNB"
-_BACKEND_VERSION = 2  # 1 also stored the derived covariances and ridges
+# Class labels, alpha, class means, class covariances, class counts. Version
+# 1 also stored the derived covariances and ridges.
+_BACKEND_FORMAT = serialize.Format(b"SCNB", 2, ("strs", "f64", "array", "array", "array"))
 
 _RIDGE_ATTEMPTS = 12
 
@@ -63,8 +64,12 @@ class BackendModel:
     _logdet_tilde: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Blend the covariances and factor each once, adding a ridge only
-        where a factorization fails."""
+        """Check the fitted parameters, then blend the covariances and factor
+        each once, adding a ridge only where a factorization fails."""
+        if not 0.0 <= self.alpha <= 1.0:
+            raise BackendError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not all(np.all(np.isfinite(a)) for a in (self.mu, self.sigma_c, self.class_counts)):
+            raise BackendError("backend parameters contain NaN or infinity")
         self.sigma_s = self.sigma_c.mean(axis=0)
         self.sigma_tilde = self.alpha * self.sigma_s + (1.0 - self.alpha) * self.sigma_c
         factored = [_chol_with_ridge(mat) for mat in self.sigma_tilde]
@@ -89,8 +94,6 @@ def train_backend(ivectors: np.ndarray, labels, alpha: float) -> BackendModel:
     labels = list(labels)
     if x.ndim != 2 or x.shape[0] != len(labels):
         raise BackendError("need one label per iVector row")
-    if not 0.0 <= alpha <= 1.0:
-        raise BackendError(f"alpha must lie in [0, 1], got {alpha}")
     class_labels = sorted(set(labels))
     if len(class_labels) < 2:
         raise BackendError("need at least two classes")
@@ -124,15 +127,20 @@ def score(model: BackendModel, w) -> np.ndarray:
     return score_many(model, np.asarray(w, dtype=np.float64).reshape(1, -1))[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the check below
 def score_many(model: BackendModel, w_matrix: np.ndarray) -> np.ndarray:
+    """(n, L) scores of iVector rows; a score that is not finite, as from a
+    class mean far out of range, raises BackendError."""
     x = np.asarray(w_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.rank:
         raise BackendError(f"iVectors must be (n, {model.rank})")
     out = np.empty((x.shape[0], len(model.class_labels)))
     for c, (chol, logdet) in enumerate(zip(model._chol_tilde, model._logdet_tilde)):
         d = x - model.mu[c]
-        quad = (d * cho_solve(chol, d.T).T).sum(axis=1)
+        quad = (d * cho_solve(chol, d.T, check_finite=False).T).sum(axis=1)
         out[:, c] = -0.5 * logdet - 0.5 * quad
+    if not np.all(np.isfinite(out)):
+        raise BackendError("backend scores are not finite")
     return out
 
 
@@ -148,26 +156,14 @@ def best_labels(model: BackendModel, scores: np.ndarray) -> list:
 
 
 def backend_to_bytes(model: BackendModel) -> bytes:
-    buf = serialize.new_container(_BACKEND_MAGIC, _BACKEND_VERSION)
-    serialize.pack_u32(buf, len(model.class_labels))
-    for lab in model.class_labels:
-        serialize.pack_str(buf, lab)
-    serialize.pack_f64(buf, model.alpha)
-    serialize.pack_array(buf, model.mu)
-    serialize.pack_array(buf, model.sigma_c)
-    serialize.pack_array(buf, model.class_counts)
-    return buf.getvalue()
+    return _BACKEND_FORMAT.encode(
+        model.class_labels, model.alpha, model.mu, model.sigma_c, model.class_counts
+    )
 
 
 def backend_from_bytes(raw) -> BackendModel:
-    fh = serialize.open_container(raw, _BACKEND_MAGIC, _BACKEND_VERSION)
-    n_classes = serialize.unpack_u32(fh)
-    labels = [serialize.unpack_str(fh) for _ in range(n_classes)]
-    alpha = serialize.unpack_f64(fh)
-    mu = serialize.unpack_array(fh)
-    sigma_c = serialize.unpack_array(fh)
-    counts = serialize.unpack_array(fh)
-    serialize.close_container(fh)
+    labels, alpha, mu, sigma_c, counts = _BACKEND_FORMAT.decode(raw)
+    n_classes = len(labels)
     rank = mu.shape[-1] if mu.ndim == 2 else -1
     if (mu.shape, sigma_c.shape, counts.shape) != (
         (n_classes, rank), (n_classes, rank, rank), (n_classes,)

@@ -21,8 +21,10 @@ import numpy as np
 from . import serialize
 from .errors import SceneidError
 
-_GMM_MAGIC = b"SCNG"
-_GMM_VERSION = 1
+# Components, features, weights, means, variances, variance floor, seed.
+_GMM_FORMAT = serialize.Format(
+    b"SCNG", 1, ("u32", "u32", "array", "array", "array", "array", "u64")
+)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -58,6 +60,9 @@ class GmmModel:
         self.means = np.asarray(self.means, dtype=np.float64)
         self.variances = np.asarray(self.variances, dtype=np.float64)
         self.var_floor = np.asarray(self.var_floor, dtype=np.float64)
+        if not all(np.all(np.isfinite(a)) for a in (self.weights, self.means, self.variances,
+                                                    self.var_floor)):
+            raise GmmError("GMM parameters contain NaN or infinity")
         if abs(self.weights.sum() - 1.0) > 1e-10:
             raise GmmError(f"weights sum to {self.weights.sum()!r}, not 1")
         if np.any(self.variances < self.var_floor - 1e-300):
@@ -256,15 +261,10 @@ def accumulate_stats(model: GmmModel, feats) -> SufficientStats:
 
 
 def gmm_to_bytes(model: GmmModel) -> bytes:
-    buf = serialize.new_container(_GMM_MAGIC, _GMM_VERSION)
-    serialize.pack_u32(buf, model.n_components)
-    serialize.pack_u32(buf, model.n_features)
-    serialize.pack_array(buf, model.weights)
-    serialize.pack_array(buf, model.means)
-    serialize.pack_array(buf, model.variances)
-    serialize.pack_array(buf, model.var_floor)
-    serialize.pack_u64(buf, model.seed & 0xFFFFFFFFFFFFFFFF)
-    return buf.getvalue()
+    return _GMM_FORMAT.encode(
+        model.n_components, model.n_features, model.weights, model.means,
+        model.variances, model.var_floor, model.seed & 0xFFFFFFFFFFFFFFFF,
+    )
 
 
 def gmm_checksum(model: GmmModel) -> str:
@@ -274,15 +274,7 @@ def gmm_checksum(model: GmmModel) -> str:
 
 
 def gmm_from_bytes(raw) -> GmmModel:
-    fh = serialize.open_container(raw, _GMM_MAGIC, _GMM_VERSION)
-    n_components = serialize.unpack_u32(fh)
-    n_features = serialize.unpack_u32(fh)
-    weights = serialize.unpack_array(fh)
-    means = serialize.unpack_array(fh)
-    variances = serialize.unpack_array(fh)
-    floor = serialize.unpack_array(fh)
-    seed = serialize.unpack_u64(fh)
-    serialize.close_container(fh)
+    n_components, n_features, weights, means, variances, floor, seed = _GMM_FORMAT.decode(raw)
     if means.shape != (n_components, n_features):
         raise SceneidError("inconsistent GMM dimensions")
     return GmmModel(weights, means, variances, floor, seed=seed)

@@ -21,10 +21,10 @@ from . import serialize
 from .errors import SceneidError
 from .gmm import GmmModel, SufficientStats, gmm_checksum
 
-_TV_MAGIC = b"SCNT"
-_TV_VERSION = 1
-_IVEC_MAGIC = b"SCNI"
-_IVEC_VERSION = 1
+# T: components, features, rank, the checksum of its UBM, T.
+_TV_FORMAT = serialize.Format(b"SCNT", 1, ("u32", "u32", "u32", "str", "array"))
+# An iVector batch: recording ids, the (n_recordings, R) iVector rows.
+_IVEC_FORMAT = serialize.Format(b"SCNI", 1, ("strs", "array"))
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -145,10 +145,12 @@ class _TvOperator:
                 np.matmul(t_trans[lo:hi], t_over_var[:, lo:], out=out)
             self._built[comp] = True
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the check below
     def posterior(self, n: np.ndarray, f: np.ndarray):
         """Posterior means w (N, R) and lower Cholesky factors (N, R, R) of the
         precisions I + sum_c n_c T_c' S_c^-1 T_c, for stacked statistics n
-        (N, C) and f (N, C, F) of N <= IVECTOR_CHUNK recordings."""
+        (N, C) and f (N, C, F) of N <= IVECTOR_CHUNK recordings. A precision
+        or linear term that overflows raises IVectorError."""
         if not (np.all(np.isfinite(n)) and np.all(np.isfinite(f))):
             raise IVectorError("sufficient statistics contain non-finite values")
         rows, r = n.shape[0], self.rank
@@ -165,6 +167,8 @@ class _TvOperator:
             precision[:, lo:hi, lo:] = block
             precision[:, hi:, lo:hi] = block[:, :, hi - lo :].transpose(0, 2, 1)
         precision += self._eye
+        if not (np.all(np.isfinite(precision)) and np.all(np.isfinite(b))):
+            raise IVectorError("posterior precision or linear term is not finite")
         chol = np.linalg.cholesky(precision)
         w = np.stack([cho_solve((low, True), b_i) for low, b_i in zip(chol, b[:rows])])
         return w, chol
@@ -331,23 +335,11 @@ def tv_evidence(tv: TvMatrix, ubm: GmmModel, stats_list) -> float:
 
 
 def tv_to_bytes(tv: TvMatrix) -> bytes:
-    buf = serialize.new_container(_TV_MAGIC, _TV_VERSION)
-    serialize.pack_u32(buf, tv.t.shape[0])
-    serialize.pack_u32(buf, tv.t.shape[1])
-    serialize.pack_u32(buf, tv.t.shape[2])
-    serialize.pack_str(buf, tv.ubm_checksum)
-    serialize.pack_array(buf, tv.t)
-    return buf.getvalue()
+    return _TV_FORMAT.encode(*tv.t.shape, tv.ubm_checksum, tv.t)
 
 
 def tv_from_bytes(raw) -> TvMatrix:
-    fh = serialize.open_container(raw, _TV_MAGIC, _TV_VERSION)
-    c = serialize.unpack_u32(fh)
-    f = serialize.unpack_u32(fh)
-    r = serialize.unpack_u32(fh)
-    checksum = serialize.unpack_str(fh)
-    t = serialize.unpack_array(fh)
-    serialize.close_container(fh)
+    c, f, r, checksum, t = _TV_FORMAT.decode(raw)
     if t.shape != (c, f, r):
         raise SceneidError("inconsistent T dimensions")
     return TvMatrix(t, checksum)
@@ -359,20 +351,11 @@ def ivectors_to_bytes(ids, w_matrix: np.ndarray) -> bytes:
     w_matrix = np.asarray(w_matrix, dtype=np.float64)
     if w_matrix.ndim != 2 or w_matrix.shape[0] != len(ids):
         raise IVectorError("need one iVector row per recording id")
-    buf = serialize.new_container(_IVEC_MAGIC, _IVEC_VERSION)
-    serialize.pack_u32(buf, len(ids))
-    for rid in ids:
-        serialize.pack_str(buf, rid)
-    serialize.pack_array(buf, w_matrix)
-    return buf.getvalue()
+    return _IVEC_FORMAT.encode(ids, w_matrix)
 
 
 def ivectors_from_bytes(raw) -> tuple[list[str], np.ndarray]:
-    fh = serialize.open_container(raw, _IVEC_MAGIC, _IVEC_VERSION)
-    count = serialize.unpack_u32(fh)
-    ids = [serialize.unpack_str(fh) for _ in range(count)]
-    w = serialize.unpack_array(fh)
-    serialize.close_container(fh)
-    if w.ndim != 2 or w.shape[0] != count:
+    ids, w = _IVEC_FORMAT.decode(raw)
+    if w.ndim != 2 or w.shape[0] != len(ids):
         raise SceneidError("iVector count mismatch")
     return ids, w

@@ -68,11 +68,19 @@ class SppParams:
             raise ValueError(f"psd_floor must be finite and positive, got {self.psd_floor}")
         if self.init_frames < 1:
             raise ValueError(f"init_frames must be at least 1, got {self.init_frames}")
+        if not math.isfinite(self.odds):
+            raise ValueError(f"prior_h1={self.prior_h1} with xi_h1_db={self.xi_h1_db} "
+                             "gives infinite posterior odds")
 
     @property
     def xi_h1(self) -> float:
         """Prior SNR as a linear power ratio."""
         return 10.0 ** (self.xi_h1_db / 10.0)
+
+    @property
+    def odds(self) -> float:
+        """Prior odds against speech times (1 + xi_h1), the posterior's scale."""
+        return (1.0 - self.prior_h1) / self.prior_h1 * (1.0 + self.xi_h1)
 
 
 def check_tracker_length(n_frames: int, params: SppParams) -> None:
@@ -106,8 +114,7 @@ def track_noise_floor(stack: np.ndarray, params: SppParams = SppParams()) -> Non
     stuck = np.empty(psd.shape, dtype=bool)
 
     xi = params.xi_h1
-    q = params.prior_h1
-    odds = (1.0 - q) / q * (1.0 + xi)
+    odds = params.odds
     slope = xi / (1.0 + xi)
     for t in range(n_init, n_frames):
         per = stack[:, t]

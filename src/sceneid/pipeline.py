@@ -30,7 +30,15 @@ from .mixer import condition_tag, draw_speech, mix_at_sbr, usable_speech_pool
 from .noisefloor import NoiseFloorError
 from .serialize import sha256_hex
 
-_BUNDLE_FILES = ("config.txt", "ubm.gmm", "tv.tvm", "backend.gbe")
+# The model files of a bundle, in the order they are decoded: name ->
+# (ModelBundle field, encoder, decoder).
+_BUNDLE_FILES = {
+    "config.txt": ("config", lambda config: config.snapshot_text().encode("utf-8"),
+                   PipelineConfig.from_bytes),
+    "ubm.gmm": ("ubm", gmm_mod.gmm_to_bytes, gmm_mod.gmm_from_bytes),
+    "tv.tvm": ("tv", ivector_mod.tv_to_bytes, ivector_mod.tv_from_bytes),
+    "backend.gbe": ("backend", backend_mod.backend_to_bytes, backend_mod.backend_from_bytes),
+}
 
 STAGE_CONFIG = "config"
 STAGE_MANIFEST = "manifest"
@@ -169,12 +177,8 @@ class ModelBundle:
         bundle_dir = Path(bundle_dir)
         with _file_errors(bundle_dir):
             bundle_dir.mkdir(parents=True, exist_ok=True)
-        encoded = {
-            "config.txt": self.config.snapshot_text().encode("utf-8"),
-            "ubm.gmm": gmm_mod.gmm_to_bytes(self.ubm),
-            "tv.tvm": ivector_mod.tv_to_bytes(self.tv),
-            "backend.gbe": backend_mod.backend_to_bytes(self.backend),
-        }
+        encoded = {name: encode(getattr(self, attr)) for name, (attr, encode, _) in
+                   _BUNDLE_FILES.items()}
         for name, data in encoded.items():
             write_output(bundle_dir / name, data)
         index = {"files": {name: sha256_hex(data) for name, data in encoded.items()}}
@@ -192,7 +196,7 @@ class ModelBundle:
         bundle file is a config-stage error naming it.
         """
         bundle_dir = Path(bundle_dir)
-        for name in _BUNDLE_FILES + ("bundle.json",):
+        for name in (*_BUNDLE_FILES, "bundle.json"):
             if not (bundle_dir / name).exists():
                 raise PipelineStageError(STAGE_CONFIG, f"bundle file missing: {name}")
         index = read_model_file(lambda raw: json.loads(bytes(raw)), bundle_dir / "bundle.json")
@@ -207,17 +211,11 @@ class ModelBundle:
         for name, data in raw.items():
             if sha256_hex(data) != files[name]:
                 raise PipelineStageError(STAGE_CONFIG, f"bundle file corrupted: {name}")
-
-        def decoded(decode, name):
+        fields = {}
+        for name, (attr, _, decode) in _BUNDLE_FILES.items():
             with _file_errors(bundle_dir / name):
-                return decode(raw.pop(name))
-
-        return cls(
-            config=decoded(PipelineConfig.from_bytes, "config.txt"),
-            ubm=decoded(gmm_mod.gmm_from_bytes, "ubm.gmm"),
-            tv=decoded(ivector_mod.tv_from_bytes, "tv.tvm"),
-            backend=decoded(backend_mod.backend_from_bytes, "backend.gbe"),
-        )
+                fields[attr] = decode(raw.pop(name))
+        return cls(**fields)
 
 
 def _file_errors(path):
@@ -232,7 +230,7 @@ def read_model_file(decode, path):
     it straight into an owned float64 buffer, placed so that the file ends on
     an 8-byte boundary, and `decode` gets a writeable memoryview of its bytes.
     A container's last array (T in `tv.tvm`) is then aligned, and
-    `serialize.unpack_array` keeps it as a view of the buffer: the file's
+    `serialize.Format.decode` keeps it as a view of the buffer: the file's
     bytes are copied once, from disk, and never again.
     """
     with _file_errors(path):

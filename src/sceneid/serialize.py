@@ -1,11 +1,15 @@
-"""Low-level helpers for the versioned little-endian model containers.
+"""The versioned little-endian model containers.
 
-Every model file is magic (4 bytes) + version (u16) + a sequence of fields
-written by the pack_* helpers. Encoders are deterministic: identical inputs
-produce identical bytes, which the pipeline relies on for reproducibility.
-Nothing here touches a file: the pipeline reads and writes the bytes, and
-reports a truncated or malformed container (a SceneidError) as a config
-error naming the file.
+A container is magic (4 bytes), version (u16), then a fixed sequence of
+fields. Each model module declares its container once, as a `Format` of
+field kinds, and that one declaration drives both its encoder and its
+decoder. The kinds are u32, u64, f64, str (u32 byte length, then UTF-8),
+strs (a u32 count, then that many strs) and array (u8 ndim, u32 dims, then
+the little-endian float64 payload). Encoding is deterministic: identical
+values produce identical bytes, which the pipeline relies on for
+reproducibility. Nothing here touches a file: the pipeline reads and writes
+the bytes, and reports a truncated or malformed container (a SceneidError)
+as a config error naming the file.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from io import BytesIO
 
 import numpy as np
 
@@ -24,108 +27,106 @@ from .errors import SceneidError
 HEADER_BYTES = 6  # magic and version
 
 
-@dataclass
-class ContainerReader:
-    """A cursor over a container's bytes, which it never copies."""
-
-    raw: memoryview
-    pos: int
+def _scalar(code: str):
+    size = struct.calcsize(code)
+    return (lambda out, value: out.append(struct.pack(code, value)),
+            lambda take: struct.unpack(code, take(size))[0])
 
 
-def pack_u32(fh, value: int) -> None:
-    fh.write(struct.pack("<I", value))
+_write_u32, _read_u32 = _scalar("<I")
 
 
-def pack_u64(fh, value: int) -> None:
-    fh.write(struct.pack("<Q", value))
-
-
-def pack_f64(fh, value: float) -> None:
-    fh.write(struct.pack("<d", value))
-
-
-def pack_str(fh, value: str) -> None:
+def _write_str(out: list, value: str) -> None:
     data = value.encode("utf-8")
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
+    _write_u32(out, len(data))
+    out.append(data)
 
 
-def pack_array(fh, arr: np.ndarray) -> None:
-    """Write ndim, the dims and the little-endian float64 payload; a C-ordered
-    float64 array's memory goes into `fh` with no intermediate copy."""
+def _read_str(take) -> str:
+    return str(take(_read_u32(take)), "utf-8")
+
+
+def _write_strs(out: list, values) -> None:
+    _write_u32(out, len(values))
+    for value in values:
+        _write_str(out, value)
+
+
+def _read_strs(take) -> list[str]:
+    return [_read_str(take) for _ in range(_read_u32(take))]
+
+
+def _write_array(out: list, arr) -> None:
+    """A C-ordered float64 array's memory goes into the container with no
+    intermediate copy."""
     arr = np.ascontiguousarray(arr, dtype="<f8")
-    fh.write(struct.pack("<B", arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<I", dim))
-    fh.write(arr.data)
+    out.append(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+    out.append(arr.data)
 
 
-def unpack_u32(fh) -> int:
-    return struct.unpack("<I", _take(fh, 4))[0]
-
-
-def unpack_u64(fh) -> int:
-    return struct.unpack("<Q", _take(fh, 8))[0]
-
-
-def unpack_f64(fh) -> float:
-    return struct.unpack("<d", _take(fh, 8))[0]
-
-
-def unpack_str(fh) -> str:
-    n = unpack_u32(fh)
-    return str(_take(fh, n), "utf-8")
-
-
-def unpack_array(fh: ContainerReader) -> np.ndarray:
-    """Read an array written by pack_array.
-
-    The array is a view of the container's buffer when that buffer is
+def _read_array(take) -> np.ndarray:
+    """The array is a view of the container's buffer when that buffer is
     writeable and the payload 8-byte aligned, as `pipeline.read_model_file`
     arranges for a container's last array (T in `tv.tvm`). Otherwise, for
     example from a `bytes` object, the payload is copied once into an owned
     array."""
-    ndim = struct.unpack("<B", _take(fh, 1))[0]
-    shape = tuple(unpack_u32(fh) for _ in range(ndim))
-    payload = np.frombuffer(_take(fh, 8 * math.prod(shape)), dtype="<f8").reshape(shape)
+    (ndim,) = struct.unpack("<B", take(1))
+    shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+    payload = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
     in_place = payload.flags.writeable and payload.flags.aligned
     return payload.astype(np.float64, copy=not in_place)
 
 
-def _take(fh: ContainerReader, n: int) -> memoryview:
-    end = fh.pos + n
-    if end > len(fh.raw):
-        raise SceneidError("container truncated")
-    data = fh.raw[fh.pos:end]
-    fh.pos = end
-    return data
+# The writer and the reader of each field kind.
+_KINDS = {
+    "u32": (_write_u32, _read_u32),
+    "u64": _scalar("<Q"),
+    "f64": _scalar("<d"),
+    "str": (_write_str, _read_str),
+    "strs": (_write_strs, _read_strs),
+    "array": (_write_array, _read_array),
+}
 
 
-def new_container(magic: bytes, version: int) -> BytesIO:
-    """A buffer holding magic and version; the encoder packs its fields after
-    them and takes the file's bytes with getvalue()."""
-    fh = BytesIO()
-    fh.write(magic + struct.pack("<H", version))
-    return fh
+@dataclass(frozen=True)
+class Format:
+    """One container format: its magic, its version and its field kinds in order."""
 
+    magic: bytes
+    version: int
+    kinds: tuple
 
-def open_container(raw, magic: bytes, version: int) -> ContainerReader:
-    """Check magic and version of a container's bytes (any bytes-like
-    object) and return a reader positioned at the payload."""
-    raw = memoryview(raw)
-    if len(raw) < HEADER_BYTES or raw[:4] != magic:
-        raise SceneidError(f"wrong or missing magic (expected {magic!r})")
-    (found,) = struct.unpack("<H", raw[4:HEADER_BYTES])
-    if found != version:
-        raise SceneidError(f"container version {found}, expected {version}")
-    return ContainerReader(raw, HEADER_BYTES)
+    def encode(self, *values) -> bytes:
+        """The container of `values`, one per field kind."""
+        out = [self.magic, struct.pack("<H", self.version)]
+        for kind, value in zip(self.kinds, values, strict=True):
+            _KINDS[kind][0](out, value)
+        return b"".join(out)
 
+    def decode(self, raw) -> list:
+        """The field values of a container's bytes (any bytes-like object).
 
-def close_container(fh: ContainerReader) -> None:
-    """Check that the container ends after its last field."""
-    extra = len(fh.raw) - fh.pos
-    if extra:
-        raise SceneidError(f"trailing bytes after the last field ({extra})")
+        The magic and version are checked first, and the container must end
+        after its last field."""
+        raw = memoryview(raw)
+        if len(raw) < HEADER_BYTES or raw[:4] != self.magic:
+            raise SceneidError(f"wrong or missing magic (expected {self.magic!r})")
+        (found,) = struct.unpack("<H", raw[4:HEADER_BYTES])
+        if found != self.version:
+            raise SceneidError(f"container version {found}, expected {self.version}")
+        pos = HEADER_BYTES
+
+        def take(n: int) -> memoryview:  # the next n bytes, never copied
+            nonlocal pos
+            if pos + n > len(raw):
+                raise SceneidError("container truncated")
+            pos += n
+            return raw[pos - n:pos]
+
+        values = [_KINDS[kind][1](take) for kind in self.kinds]
+        if extra := len(raw) - pos:
+            raise SceneidError(f"trailing bytes after the last field ({extra})")
+        return values
 
 
 def sha256_hex(payload: bytes) -> str:

@@ -3,6 +3,7 @@ import pytest
 
 from sceneid.backend import (
     BackendError,
+    BackendModel,
     classify_many,
     backend_from_bytes,
     backend_to_bytes,
@@ -157,6 +158,33 @@ class TestClassify:
                 ranked = np.sort(base_scores[i])
                 if ranked[-1] - ranked[-2] > 1e-6:  # skip near-ties
                     assert pred == base.class_labels[int(np.argmax(base_scores[i]))]
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("name, bad", [
+        ("mu", np.nan), ("sigma_c", np.inf), ("class_counts", np.nan),
+        ("alpha", 7.5), ("alpha", -0.5), ("alpha", np.nan),
+    ])
+    def test_bad_parameter_rejected(self, rng, name, bad):
+        x, labels = gaussian_classes(rng, n_classes=2, rank=2, per_class=20)
+        model = train_backend(x, labels, alpha=0.5)
+        params = dict(class_labels=model.class_labels, mu=model.mu.copy(),
+                      sigma_c=model.sigma_c.copy(), alpha=model.alpha,
+                      class_counts=model.class_counts.copy())
+        if name == "alpha":
+            params["alpha"] = bad
+        else:
+            params[name].flat[0] = bad
+        with pytest.raises(BackendError, match="alpha must lie|NaN or infinity"):
+            BackendModel(**params)
+
+    def test_score_that_overflows_is_rejected(self, rng):
+        # A class mean far out of range overflows its quadratic form.
+        x, labels = gaussian_classes(rng, n_classes=2, rank=2, per_class=20)
+        model = train_backend(x, labels, alpha=0.5)
+        model.mu[0, 0] = -1.9e306
+        with pytest.raises(BackendError, match="scores are not finite"):
+            score_many(model, rng.normal(0, 1, (3, 2)))
 
 
 class TestSerialization:

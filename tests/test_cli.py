@@ -11,26 +11,30 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sceneid
 from sceneid import backend as backend_mod
 from sceneid import cli, pipeline
 from sceneid.audio import AudioBuffer, frame_signal, read_wav, wav_bytes
-from sceneid.backend import score
+from sceneid.backend import backend_from_bytes, score
 from sceneid.cli import build_parser, main
 from sceneid.config import PipelineConfig
 from sceneid.features import power_spectrogram
-from sceneid.gmm import accumulate_stats
-from sceneid.ivector import extract_ivector, ivectors_to_bytes
+from sceneid.gmm import accumulate_stats, gmm_from_bytes
+from sceneid.ivector import extract_ivector, ivectors_to_bytes, tv_from_bytes, tv_to_bytes
 from sceneid.manifest import CorpusManifest
 from sceneid.mixer import draw_speech, usable_speech_pool
 from sceneid.noisefloor import noise_floor_spectrogram
 from sceneid.pipeline import ModelBundle, features_for_buffers, load_audio
-from sceneid.serialize import sha256_hex
+from sceneid.serialize import HEADER_BYTES, sha256_hex
 from sceneid.synth import scene_clip, speech_clip
 
 from conftest import make_wav_bytes, pcm16_wav_bytes
@@ -570,7 +574,7 @@ class TestExitCodes:
         "overlap=1.0", "window=bogus", "frame_ms=inf", "frame_ms=1e308", "frame_ms=97838919",
         "fmin_hz=9000", "fmin_hz=7999", "fmax_hz=20000", "n_mels=0", "n_mels=100000000", "n_ceps=0",
         "n_ceps=50", "sdc_n=30", "nf_init_frames=0", "psd_floor=nan", "psd_floor=inf",
-        "spp_xi_h1_db=1e308", "seed=-1", "sdc_k=1000", "sdc_k=100000000",
+        "spp_xi_h1_db=1e308", "spp_prior_h1=1e-310", "seed=-1", "sdc_k=1000", "sdc_k=100000000",
         "sdc_p=100000000000000000000", "sdc_m=100000000000000000000",
     ])
     def test_invalid_frame_setting_is_config_code_before_audio(
@@ -1037,6 +1041,37 @@ def _damage_tv_header_byte_flipped(d):
     (d / "tv.tvm").write_bytes(bytes(data))
 
 
+def _set_double_rehashed(d, name, old, value):
+    """Overwrite the first 8 bytes of `old`, found in file `name`, with the
+    double `value`, and rehash the file."""
+    data = (d / name).read_bytes()
+    at = data.index(old)
+    (d / name).write_bytes(data[:at] + struct.pack("<d", value) + data[at + 8:])
+    _rehash(d, name)
+
+
+def _damage_backend_mean_nan_rehashed(d):
+    mu = backend_from_bytes((d / "backend.gbe").read_bytes()).mu
+    _set_double_rehashed(d, "backend.gbe", mu.tobytes(), np.nan)
+
+
+def _damage_backend_alpha_rehashed(d):
+    alpha = backend_from_bytes((d / "backend.gbe").read_bytes()).alpha
+    _set_double_rehashed(d, "backend.gbe", struct.pack("<d", alpha), 7.5)
+
+
+def _damage_ubm_mean_nan_rebound(d):
+    # T is bound to the damaged UBM's checksum, so nothing but the UBM is wrong.
+    def bound():
+        return sha256_hex((d / "ubm.gmm").read_bytes()[HEADER_BYTES:]).encode()
+
+    before = bound()
+    means = gmm_from_bytes((d / "ubm.gmm").read_bytes()).means
+    _set_double_rehashed(d, "ubm.gmm", means.tobytes(), np.nan)
+    (d / "tv.tvm").write_bytes((d / "tv.tvm").read_bytes().replace(before, bound()))
+    _rehash(d, "tv.tvm")
+
+
 @pytest.mark.parametrize("damage, named", [
     (_damage_malformed_index, "bundle.json"),
     (_damage_index_omits_ubm, "bundle.json"),
@@ -1053,6 +1088,9 @@ def _damage_tv_header_byte_flipped(d):
     (_trailing_bytes_rehashed("ubm.gmm"), "ubm.gmm: trailing bytes"),
     (_trailing_bytes_rehashed("backend.gbe"), "backend.gbe: trailing bytes"),
     (_damage_tv_header_byte_flipped, "bundle file corrupted: tv.tvm"),
+    (_damage_backend_mean_nan_rehashed, "backend.gbe: backend parameters contain NaN"),
+    (_damage_ubm_mean_nan_rebound, "ubm.gmm: GMM parameters contain NaN"),
+    (_damage_backend_alpha_rehashed, "backend.gbe: alpha must lie in [0, 1], got 7.5"),
 ])
 def test_bad_bundle_is_config_code(workspace, bundle, tmp_path, capsys, damage, named):
     damaged = tmp_path / "bundle"
@@ -1063,6 +1101,51 @@ def test_bad_bundle_is_config_code(workspace, bundle, tmp_path, capsys, damage, 
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: [config] ") and named in err
+
+
+def test_overflowing_t_posterior_is_ivector_code(workspace, bundle, tmp_path, capsys):
+    # T passes its own finiteness check, but its posterior precision does not.
+    damaged = tmp_path / "bundle"
+    shutil.copytree(bundle, damaged)
+    tv = tv_from_bytes((damaged / "tv.tvm").read_bytes())
+    tv.t[:, :, 0] = 1e200
+    (damaged / "tv.tvm").write_bytes(tv_to_bytes(tv))
+    _rehash(damaged, "tv.tvm")
+    wav = next((workspace / "corpus").glob("scenes/test_*.wav"))
+    rc = main(["classify", "--bundle", str(damaged), "--audio", str(wav)])
+    err = capsys.readouterr().err
+    assert rc == 9
+    assert err.startswith("error: [ivector] ") and err.count("\n") == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=st.sampled_from(["config.txt", "ubm.gmm", "tv.tvm", "backend.gbe"]),
+       at=st.integers(0, 2**31), flip=st.integers(0, 255))
+def test_damaged_bundle_classifies_or_names_one_stage(workspace, bundle, name, at, flip):
+    # One model file of a tiny bundle gets byte `at` (modulo its size) XORed
+    # with `flip`, or is cut to that length when `flip` is 0, and is rehashed.
+    wav = next((workspace / "corpus").glob("scenes/test_*.wav"))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        damaged = Path(tmp) / "bundle"
+        shutil.copytree(bundle, damaged)
+        data = bytearray((damaged / name).read_bytes())
+        at %= len(data) + (flip == 0)
+        if flip:
+            data[at] ^= flip
+        else:
+            del data[at:]
+        (damaged / name).write_bytes(bytes(data))
+        _rehash(damaged, name)
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["classify", "--bundle", str(damaged), "--audio", str(wav)])
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1, lines
+        stage = re.fullmatch(r"error: \[([a-z-]+)\] .*", lines[0])
+        assert stage and cli.EXIT_CODES[stage[1]] == rc, (rc, lines)
 
 
 def test_bundle_files_are_read_once(bundle, tmp_path, monkeypatch):

@@ -381,3 +381,14 @@ class TestSerialization:
             model.weights, model.means + 1e-9, model.variances, model.var_floor
         )
         assert gmm_checksum(other) != gmm_checksum(model)
+
+    @pytest.mark.parametrize("name", ["weights", "means", "variances", "var_floor"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, rng, name, bad):
+        model = random_model(rng)
+        params = dict(weights=model.weights, means=model.means, variances=model.variances,
+                      var_floor=model.var_floor)
+        params[name] = params[name].copy()
+        params[name].flat[0] = bad
+        with pytest.raises(GmmError, match="NaN or infinity"):
+            GmmModel(**params)

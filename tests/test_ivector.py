@@ -190,6 +190,16 @@ class TestExtractIvector:
         with pytest.raises(IVectorError):
             call(tv, ubm, stats)
 
+    @pytest.mark.parametrize("call", E_STEP_CALLS.values(), ids=E_STEP_CALLS.keys())
+    def test_overflowing_posterior_rejected(self, rng, call):
+        # T is finite, but its Gram and linear term overflow, with no warning.
+        ubm = make_ubm(rng)
+        t = make_tv(rng, ubm, rank=2).t
+        t[:, :, 0] = 1e200
+        stats = SufficientStats(np.ones(3), np.ones((3, 2)))
+        with pytest.raises(IVectorError, match="not finite"):
+            call(TvMatrix(t, gmm_checksum(ubm)), ubm, stats)
+
     def test_component_order_invariance(self, rng):
         ubm = make_ubm(rng, 4, 3)
         tv = make_tv(rng, ubm, rank=2)
