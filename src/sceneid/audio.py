@@ -34,6 +34,9 @@ _COSINE_WINDOWS = {
 # coefficients). Coprime rates such as 16001 -> 16000 Hz need 320,021; a
 # nonsense header rate would ask for billions.
 MAX_FILTER_TAPS = 1 << 22
+# Largest factor `resample` raises the rate by. Memory follows the output, so
+# a header rate of 1 Hz would turn each input sample into 16,000 at 16 kHz.
+MAX_UPSAMPLE = 16
 # Stored taps of one rate pair's resampling matrix (192 KB). A pair whose
 # filter is longer stores it once.
 _MATRIX_TAPS = 1 << 14
@@ -151,7 +154,8 @@ def read_wav(path) -> AudioBuffer:
         raise SceneidError(f"{bits}-bit payload not a multiple of {width} bytes")
 
     if format_tag == _WAVE_FORMAT_IEEE_FLOAT:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signalling NaN, rejected below
+            samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(samples)):
             raise SceneidError("non-finite (NaN or infinite) float samples")
     else:
@@ -282,13 +286,19 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     output has the bits of scipy.signal's `resample_poly` with that filter:
     each output starts from 0.0 and adds its taps' products one at a time in
     ascending input index. A pair of rates whose filter would exceed
-    MAX_FILTER_TAPS raises ValueError.
+    MAX_FILTER_TAPS, or that raises the rate more than MAX_UPSAMPLE times,
+    raises ValueError.
     """
     if int(target_rate) <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     target_rate = int(target_rate)
     if target_rate == buf.sample_rate:
         return AudioBuffer(buf.samples.copy(), target_rate)
+    if target_rate > MAX_UPSAMPLE * buf.sample_rate:
+        raise ValueError(
+            f"resampling {buf.sample_rate} Hz to {target_rate} Hz raises the rate more than "
+            f"{MAX_UPSAMPLE} times"
+        )
 
     _filter_half_len(buf.sample_rate, target_rate)  # refuse the pair even for no output
     x = buf.samples

@@ -9,7 +9,6 @@ substituted before the mel stage (see sceneid.noisefloor).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,10 @@ MAX_FEATURE_DIM = 1024
 # Longest analysis frame, in samples: 21.8 s at 48 kHz. The config check
 # builds arrays over the frame's FFT bins before any audio is read.
 MAX_FRAME_LEN = 1 << 20
+
+# Most weights a mel bank may hold, n_mels x (fft/2 + 1): 256 MiB of float64.
+# The default 40 filters at MAX_FRAME_LEN hold 20,971,560.
+MAX_MEL_BANK_ENTRIES = 1 << 25
 
 # Largest SDC spread m or block step p, in frames. Shifts only move clamped
 # frame indices, so larger ones change nothing on any real clip.
@@ -194,7 +197,13 @@ class FeatureConfig:
         frame_len = self.frame.frame_len(self.sample_rate)
         if frame_len > MAX_FRAME_LEN:
             raise ValueError(f"a frame of {frame_len} samples exceeds {MAX_FRAME_LEN}")
-        _check_mel_bank(self.n_mels, self.fft_size(), self.sample_rate, self.fmin_hz, self.fmax_hz)
+        fft_size = self.fft_size()
+        if self.n_mels * (fft_size // 2 + 1) > MAX_MEL_BANK_ENTRIES:
+            raise ValueError(
+                f"a bank of {self.n_mels} mel filters over {fft_size // 2 + 1} FFT bins "
+                f"exceeds {MAX_MEL_BANK_ENTRIES} weights"
+            )
+        _check_mel_bank(self.n_mels, fft_size, self.sample_rate, self.fmin_hz, self.fmax_hz)
         if not 1 <= self.n_ceps <= self.n_mels:
             raise ValueError(f"need 1 <= n_ceps <= n_mels={self.n_mels}, got {self.n_ceps}")
         if self.sdc is not None and self.sdc.n > self.n_ceps:
@@ -213,59 +222,42 @@ class FeatureConfig:
         return fft_size_for(self.frame.frame_len(self.sample_rate))
 
 
-def extract_features(
-    buf: AudioBuffer, config: FeatureConfig = FeatureConfig(), recording_id: str = ""
-) -> np.ndarray:
+def check_buffer(buf: AudioBuffer, config: FeatureConfig) -> int:
+    """Frame count of one recording, checked before any of it is transformed:
+    its rate is the configured one, it holds at least one frame and, with the
+    noise floor on, more than the tracker's `init_frames`."""
+    if buf.sample_rate != config.sample_rate:
+        raise ValueError(
+            f"buffer rate {buf.sample_rate} differs from configured {config.sample_rate}"
+        )
+    n_frames = frame_count(buf.samples.size, buf.sample_rate, config.frame)
+    if config.noise_floor is not None:
+        check_tracker_length(n_frames, config.noise_floor)
+    return n_frames
+
+
+def extract_features(buf: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """Full front end: frame -> power spectrogram -> [noise floor] -> MFCC -> [SDC].
 
-    Returns the (T, D) float64 feature rows; `recording_id` names the
-    recording in an error."""
-    (feats,) = extract_features_many([buf], config, [recording_id])
+    Returns the (T, D) float64 feature rows."""
+    (feats,) = extract_features_many([buf], config)
     return feats
 
 
-@contextmanager
-def _naming(recording_id: str):
-    """Prefix an error raised for one recording with its id; the type is kept."""
-    try:
-        yield
-    except (SceneidError, ValueError) as exc:
-        if not recording_id:
-            raise
-        raise type(exc)(f"{recording_id}: {exc}") from exc
-
-
-def extract_features_many(
-    bufs, config: FeatureConfig = FeatureConfig(), recording_ids=None
-) -> list[np.ndarray]:
+def extract_features_many(bufs, config: FeatureConfig = FeatureConfig()) -> list[np.ndarray]:
     """`extract_features` for several recordings, in their order.
 
     Power spectra of recordings with the same frame count share one (N, T, B)
     stack, and the noise tracker runs over each stack in place, one step per
-    frame for all of its recordings. Every recording is checked (rate, length,
-    tracker length) before any is transformed, and each is framed only just
+    frame for all of its recordings. Every recording is checked
+    (`check_buffer`) before any is transformed, and each is framed only just
     before its row of the stack is filled, so one framed matrix is alive at a
-    time. The output equals per-recording `extract_features` bit for bit. An
-    error raised for one recording names its id in `recording_ids`.
+    time. The output equals per-recording `extract_features` bit for bit.
     """
     bufs = list(bufs)
-    ids = [""] * len(bufs) if recording_ids is None else list(recording_ids)
-    if len(ids) != len(bufs):
-        raise ValueError(f"{len(bufs)} buffers but {len(ids)} recording ids")
-    if not bufs:
-        return []
-
     by_length: dict[int, list[int]] = {}
-    for i, (buf, rid) in enumerate(zip(bufs, ids)):
-        with _naming(rid):
-            if buf.sample_rate != config.sample_rate:
-                raise ValueError(
-                    f"buffer rate {buf.sample_rate} differs from configured {config.sample_rate}"
-                )
-            n_frames = frame_count(buf.samples.size, buf.sample_rate, config.frame)
-            if config.noise_floor is not None:
-                check_tracker_length(n_frames, config.noise_floor)
-        by_length.setdefault(n_frames, []).append(i)
+    for i, buf in enumerate(bufs):
+        by_length.setdefault(check_buffer(buf, config), []).append(i)
 
     fft_size = config.fft_size()
     bank = make_mel_bank(
@@ -279,10 +271,9 @@ def extract_features_many(
         if config.noise_floor is not None:
             track_noise_floor(stack, config.noise_floor)
         for j, i in enumerate(members):
-            with _naming(ids[i]):
-                out[i] = mfcc(stack[j], bank, config.n_ceps)
-                if config.sdc is not None:
-                    out[i] = append_sdc(out[i], config.sdc)
+            out[i] = mfcc(stack[j], bank, config.n_ceps)
+            if config.sdc is not None:
+                out[i] = append_sdc(out[i], config.sdc)
     return out
 
 

@@ -24,7 +24,7 @@ from . import ivector as ivector_mod
 from .audio import AudioBuffer, read_wav, resample, wav_bytes
 from .config import PipelineConfig
 from .errors import SceneidError
-from .features import extract_features_many
+from .features import check_buffer, extract_features_many
 from .manifest import CorpusManifest, ManifestError
 from .mixer import condition_tag, draw_speech, mix_at_sbr, usable_speech_pool
 from .noisefloor import NoiseFloorError
@@ -261,11 +261,23 @@ def load_audio(path, sample_rate: int | None) -> AudioBuffer:
         return buf if sample_rate is None else resample(buf, sample_rate)
 
 
-def _reject_silent(rec_id, buf: AudioBuffer) -> None:
+def _reject_silent(buf: AudioBuffer) -> None:
     """A digitally silent recording (every sample exactly zero) has no scene
     to classify."""
     if not np.any(buf.samples):
-        raise PipelineStageError(STAGE_FEATURES, f"{rec_id}: recording is digitally silent")
+        raise SceneidError("recording is digitally silent")
+
+
+@contextmanager
+def _front_end_errors(rec_id=None):
+    """Front-end failures of recording `rec_id` (None: of a batch): a tracker
+    too short for its seed frames in the noise-floor stage, any other in the
+    features stage."""
+    with (
+        stage(STAGE_FEATURES, SceneidError, ValueError, item=rec_id),
+        stage(STAGE_NOISE_FLOOR, NoiseFloorError, item=rec_id),
+    ):
+        yield
 
 
 def features_for_buffers(items, config: PipelineConfig):
@@ -273,20 +285,20 @@ def features_for_buffers(items, config: PipelineConfig):
 
     Yields one (recording id, (T, D) feature rows) pair per input pair, in
     order. `items` is drawn one chunk at a time, so a lazy iterable never has
-    more than a chunk of audio alive. A digitally silent recording is
-    rejected (`_reject_silent`); a failure names its recording id.
+    more than a chunk of audio alive. Each recording of a chunk is checked in
+    input order, under its id, before any is transformed: not digitally
+    silent (`_reject_silent`), then `check_buffer`.
     """
     feature_config = config.to_feature_config()
     items = iter(items)
     while chunk := list(itertools.islice(items, FEATURE_CHUNK)):
         for rec_id, buf in chunk:
-            _reject_silent(rec_id, buf)
+            with _front_end_errors(rec_id):
+                _reject_silent(buf)
+                check_buffer(buf, feature_config)
+        with _front_end_errors():
+            feats = extract_features_many([buf for _, buf in chunk], feature_config)
         ids = [rec_id for rec_id, _ in chunk]
-        with (
-            stage(STAGE_FEATURES, SceneidError, ValueError),
-            stage(STAGE_NOISE_FLOOR, NoiseFloorError),
-        ):
-            feats = extract_features_many([buf for _, buf in chunk], feature_config, ids)
         del chunk  # free this chunk's audio before the next one is drawn
         yield from zip(ids, feats)
 
@@ -491,7 +503,8 @@ def _conditions(manifest, rate, speech_pool, sbr_list, seed, exclude_speakers):
         speech_cache: dict = {}
         clips = zip(manifest.entries, manifest_buffers(manifest, rate))
         for ei, (entry, (rec_id, buf)) in enumerate(clips):
-            _reject_silent(rec_id, buf)  # before any mix of it is drawn
+            with stage(STAGE_FEATURES, SceneidError, item=rec_id):
+                _reject_silent(buf)  # before any mix of it is drawn
             for ci, sbr_db in enumerate(sbr_list):
                 if sbr_db is None:
                     yield ci, ei, entry, buf, None, None

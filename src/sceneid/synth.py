@@ -39,6 +39,10 @@ def _dualband(f, jit):
     )
 
 
+# Longest clip `generate_corpus` makes, in samples: 17.5 min at 16 kHz, 43.7 s
+# at 384 kHz. Each clip is built in float64 with a few full-length temporaries.
+MAX_CLIP_SAMPLES = 1 << 24
+
 SCENE_CLASSES = (
     ("rumble", _rumble),
     ("midtone", _midtone),
@@ -152,12 +156,14 @@ def generate_corpus(
     # Shorter clips end inside the first 10 ms onset ramp of a speech burst.
     if not (np.isfinite(clip_seconds) and clip_seconds >= 0.01):
         raise ValueError(f"clip length must be finite and at least 0.01 s, got {clip_seconds}")
+    n_samples = int(round(clip_seconds * sample_rate))
+    if n_samples > MAX_CLIP_SAMPLES:
+        raise ValueError(f"a clip of {n_samples} samples exceeds {MAX_CLIP_SAMPLES}")
     out_dir = Path(out_dir)
     scenes_dir = out_dir / "scenes"
     speech_dir = out_dir / "speech"
     scenes_dir.mkdir(parents=True, exist_ok=True)
     speech_dir.mkdir(parents=True, exist_ok=True)
-    n_samples = int(round(clip_seconds * sample_rate))
 
     train_entries, test_entries = [], []
     item = 0

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,15 @@ class TestReadWav:
         path = tmp_path / "nonfinite.wav"
         path.write_bytes(make_wav_bytes(payload, format_tag=3, bits=32))
         # read_wav leaves naming the file to its caller (see test_cli.py).
+        with pytest.raises(SceneidError, match="non-finite"):
+            read_wav(path)
+
+    def test_float32_signalling_nan_rejected_without_a_warning(self, tmp_path):
+        # Widening a signalling NaN raises numpy's "invalid value" warning,
+        # which the warning filters of this suite turn into an error.
+        payload = struct.pack("<fIf", 0.25, 0x7F800001, -0.75)
+        path = tmp_path / "snan.wav"
+        path.write_bytes(make_wav_bytes(payload, format_tag=3, bits=32))
         with pytest.raises(SceneidError, match="non-finite"):
             read_wav(path)
 
@@ -299,6 +309,13 @@ class TestResample:
         assert 20 * 209717 + 1 > MAX_FILTER_TAPS
         with pytest.raises(ValueError, match=f"{source_rate} Hz to 16000 Hz"):
             resample(AudioBuffer(np.zeros(10), source_rate), 16000)
+
+    def test_upsampling_limit(self):
+        # 1000 Hz is the lowest rate raised to 16 kHz: each input sample
+        # becomes at most MAX_UPSAMPLE output samples.
+        assert resample(AudioBuffer(np.ones(10), 1000), 16000).samples.size == 160
+        with pytest.raises(ValueError, match="999 Hz to 16000 Hz raises the rate more than 16"):
+            resample(AudioBuffer(np.ones(10), 999), 16000)
 
     def test_length_arithmetic(self):
         # 48001 samples at 48 kHz: 16000.33 output samples round down to 16000.

@@ -35,7 +35,7 @@ from sceneid.mixer import draw_speech, usable_speech_pool
 from sceneid.noisefloor import noise_floor_spectrogram
 from sceneid.pipeline import ModelBundle, features_for_buffers, load_audio
 from sceneid.serialize import HEADER_BYTES, sha256_hex
-from sceneid.synth import scene_clip, speech_clip
+from sceneid.synth import MAX_CLIP_SAMPLES, generate_corpus, scene_clip, speech_clip
 
 from conftest import make_wav_bytes, pcm16_wav_bytes
 
@@ -1379,3 +1379,92 @@ def test_bad_synth_argument_is_config_code_writing_nothing(tmp_path, capsys, opt
     assert captured.err.startswith("error: [config] ") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_synth_clip_limit_is_checked_before_anything_is_made(tmp_path):
+    # No clip is drawn here, so the limit alone decides: 100,000 s at 16 kHz
+    # would be 1.6e9 samples (11.9 GiB), 30 s at 384 kHz (11,520,000) is fine.
+    empty = dict(train_per_class=0, test_per_class=0, n_speakers_train=0, n_speakers_eval=0)
+    with pytest.raises(ValueError, match=f"1600000000 samples exceeds {MAX_CLIP_SAMPLES}"):
+        generate_corpus(tmp_path / "huge", clip_seconds=100000.0, **empty)
+    assert not (tmp_path / "huge").exists()
+    paths = generate_corpus(tmp_path / "ok", clip_seconds=30.0, sample_rate=384000, **empty)
+    assert CorpusManifest.load(paths["train"]).entries == []
+
+
+def test_oversized_mel_bank_or_synth_clip_is_config_code_under_a_memory_cap(tmp_path):
+    # Each ended in a multi-GiB allocation traceback: a 2000 x 524289 mel
+    # bank and an 11.9 GiB synth clip. The run gets a 3 GiB address space, so
+    # a regression fails here instead of reaching the host's memory.
+    wav = tmp_path / "long.wav"  # 41 s: longer than one 40 s frame
+    wav.write_bytes(pcm16_wav_bytes(np.ones(41 * 16000, dtype=np.int16)))
+    calls = [
+        ["extract-features", "--audio", str(wav), "--out", str(tmp_path / "f.csv"),
+         "--set", "frame_ms=40000", "--set", "n_mels=2000"],
+        ["synth", "--out", str(tmp_path / "o"), "--classes", "1", "--train-per-class", "1",
+         "--test-per-class", "0", "--clip-seconds", "100000"],
+    ]
+    code = ("import json, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from sceneid.cli import main\n"
+            "print([main(argv) for argv in json.loads(sys.argv[1])])\n")
+    src = Path(sceneid.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)], env=env,
+                          capture_output=True, text=True)
+    assert proc.stdout == "[2, 2]\n", proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: [config] ") for line in lines)
+    assert "2000 mel filters over 524289 FFT bins" in lines[0]
+    assert "samples exceeds" in lines[1]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "f.csv").exists()
+
+
+def _exclude_speaker_argv(command, workspace, bundle, out, excluded):
+    corpus = workspace / "corpus"
+    argv = {
+        "sweep": ["sweep", "--bundle", str(bundle), "--manifest", str(corpus / "test.jsonl"),
+                  "--speech-pool", str(corpus / "speech_eval.jsonl"), "--sbrs", "5"],
+        "build-corpus": ["build-corpus", "--manifest", str(corpus / "test.jsonl"),
+                         "--speech-pool", str(corpus / "speech_eval.jsonl"),
+                         "--sbrs", "clean,5"],
+    }[command] + ["--seed", "3", "--out", str(out)]
+    for speaker in excluded:
+        argv += ["--exclude-speaker", speaker]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["sweep", "build-corpus"])
+def test_excluded_speaker_is_never_mixed_in(
+    workspace, bundle, tmp_path, monkeypatch, capsys, command
+):
+    # The excluded speaker is the one the first mix draws from the whole pool.
+    pool = CorpusManifest.load(workspace / "corpus" / "speech_eval.jsonl")
+    excluded = draw_speech(usable_speech_pool(pool, [5.0]), 3, 0, 0)[1].speaker_id
+    speakers = {str(pool.resolve(e)): e.speaker_id for e in pool.entries}
+    read, real_load = [], pipeline.load_audio
+
+    def recording_load(path, rate):
+        read.append(str(path))
+        return real_load(path, rate)
+
+    monkeypatch.setattr(pipeline, "load_audio", recording_load)
+    out = tmp_path / "out"
+    assert main(_exclude_speaker_argv(command, workspace, bundle, out, [excluded])) == 0
+    used = {speakers[path] for path in read if path in speakers}
+    assert used and excluded not in used
+    if command == "build-corpus":
+        built = CorpusManifest.load(out / "manifest.jsonl")
+        mixed = {e.speaker_id for e in built.entries if e.condition == "sbr+5dB"}
+        assert mixed and excluded not in mixed and mixed <= used
+
+
+@pytest.mark.parametrize("command", ["sweep", "build-corpus"])
+def test_excluding_every_speaker_is_mixer_code(workspace, bundle, tmp_path, capsys, command):
+    pool = CorpusManifest.load(workspace / "corpus" / "speech_eval.jsonl")
+    everyone = sorted({e.speaker_id for e in pool.entries})
+    rc = main(_exclude_speaker_argv(command, workspace, bundle, tmp_path / "out", everyone))
+    err = capsys.readouterr().err
+    assert rc == 7
+    assert err.startswith("error: [mixer] speech pool is empty (or fully excluded)")
+    assert err.count("\n") == 1

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sceneid import features
 from sceneid.audio import AudioBuffer, frame_signal
 from sceneid.errors import SceneidError
 from sceneid.features import (
@@ -10,6 +11,7 @@ from sceneid.features import (
     SdcConfig,
     _check_mel_bank,
     append_sdc,
+    check_buffer,
     extract_features,
     extract_features_many,
     feature_csv,
@@ -17,7 +19,7 @@ from sceneid.features import (
     mfcc,
     power_spectrogram,
 )
-from sceneid.noisefloor import SppParams
+from sceneid.noisefloor import NoiseFloorError, SppParams
 
 from conftest import update_loop
 
@@ -264,8 +266,7 @@ class TestExtractFeaturesMany:
     def test_ragged_batch_matches_reference(self, rng, noise_floor):
         cfg = FeatureConfig(noise_floor=SppParams() if noise_floor else None)
         bufs = [AudioBuffer(0.1 * rng.standard_normal(n), 16000) for n in self.LENGTHS]
-        ids = [f"clip{i}" for i in range(len(bufs))]
-        got = extract_features_many(bufs, cfg, recording_ids=ids)
+        got = extract_features_many(bufs, cfg)
         bank = make_mel_bank(40, 1024, 16000)
         for buf, feats in zip(bufs, got):
             spec = power_spectrogram(frame_signal(buf, cfg.frame))
@@ -274,15 +275,23 @@ class TestExtractFeaturesMany:
             manual = append_sdc(mfcc(spec, bank, 21), cfg.sdc)
             assert np.array_equal(feats, manual)
 
-    def test_error_names_the_failing_recording(self):
+    def test_short_recording_is_rejected_before_any_transform(self, monkeypatch):
         bufs = [AudioBuffer(np.zeros(16000), 16000), AudioBuffer(np.zeros(100), 16000)]
-        with pytest.raises(ValueError, match="^short: .*shorter than one"):
-            extract_features_many(bufs, FeatureConfig(), recording_ids=["ok", "short"])
+        monkeypatch.setattr(features, "_power_into", None)  # reached only past the checks
+        with pytest.raises(ValueError, match="^buffer of 100 samples is shorter than one"):
+            extract_features_many(bufs, FeatureConfig())
 
-    def test_empty_and_mismatched_ids(self):
+    def test_empty_batch(self):
         assert extract_features_many([], FeatureConfig()) == []
-        with pytest.raises(ValueError, match="recording ids"):
-            extract_features_many([AudioBuffer(np.zeros(16000), 16000)], recording_ids=[])
+
+
+class TestCheckBuffer:
+    def test_returns_frame_count_and_checks_tracker_length(self):
+        buf = AudioBuffer(np.zeros(2240), 16000)  # 6 frames of 640, hop 320
+        assert check_buffer(buf, FeatureConfig()) == 6
+        assert check_buffer(buf, FeatureConfig(noise_floor=SppParams(init_frames=5))) == 6
+        with pytest.raises(NoiseFloorError, match="6 frames; need more than init_frames=6"):
+            check_buffer(buf, FeatureConfig(noise_floor=SppParams(init_frames=6)))
 
 
 class TestContainer:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sceneid import manifest as manifest_mod
 from sceneid.audio import AudioBuffer
 from sceneid.config import ConfigError, PipelineConfig, parse_sbr_token
-from sceneid.features import FeatureConfig
+from sceneid.features import MAX_FRAME_LEN, FeatureConfig
 from sceneid.manifest import CorpusManifest, ManifestEntry, ManifestError
 from sceneid.noisefloor import SppParams
 from sceneid.pipeline import PipelineStageError, features_for_buffers
@@ -223,6 +223,14 @@ class TestConfig:
         assert PipelineConfig().to_spp_params() == SppParams()
         assert PipelineConfig(noise_floor=True).to_feature_config().noise_floor == SppParams()
         assert PipelineConfig(use_sdc=False).to_feature_config().sdc is None
+
+    def test_mel_bank_size_is_bounded(self):
+        # 2000 filters over the 524,289 bins of a 40 s frame would be a 7.8 GiB
+        # bank; the default 40 over the longest frame's bins still pass.
+        with pytest.raises(ConfigError, match="2000 mel filters over 524289 FFT bins exceeds"):
+            PipelineConfig().apply_overrides(["frame_ms=40000", "n_mels=2000"])
+        longest = PipelineConfig().apply_overrides([f"frame_ms={MAX_FRAME_LEN / 16}"])
+        assert longest.n_mels * (longest.to_feature_config().fft_size() // 2 + 1) == 20_971_560
 
     def test_init_frames_checked_once_in_spp_params(self):
         assert PipelineConfig(nf_init_frames=9).to_spp_params().init_frames == 9
