@@ -163,10 +163,10 @@ def read_wav(path) -> AudioBuffer:
             b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
             vals = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
             vals -= (vals >> 23 & 1) << 24  # sign extend
-            ints = vals.astype(np.float64)
+            samples = vals.astype(np.float64)
         else:
-            ints = np.frombuffer(payload, dtype=f"<i{width}").astype(np.float64)
-        samples = ints / float(2 ** (bits - 1))
+            samples = np.frombuffer(payload, dtype=f"<i{width}").astype(np.float64)
+        samples /= float(2 ** (bits - 1))  # in place: one array per recording
 
     if samples.size % channels != 0:
         raise SceneidError("payload length inconsistent with channel count")
@@ -287,13 +287,13 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     each output starts from 0.0 and adds its taps' products one at a time in
     ascending input index. A pair of rates whose filter would exceed
     MAX_FILTER_TAPS, or that raises the rate more than MAX_UPSAMPLE times,
-    raises ValueError.
+    raises ValueError. At equal rates `buf` itself is returned.
     """
     if int(target_rate) <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     target_rate = int(target_rate)
     if target_rate == buf.sample_rate:
-        return AudioBuffer(buf.samples.copy(), target_rate)
+        return buf
     if target_rate > MAX_UPSAMPLE * buf.sample_rate:
         raise ValueError(
             f"resampling {buf.sample_rate} Hz to {target_rate} Hz raises the rate more than "

@@ -19,10 +19,10 @@ from . import pipeline as pipe
 from .audio import frame_signal, wav_bytes
 from .config import ConfigError, PipelineConfig, finite_sbr, parse_sbr_token
 from .errors import SceneidError
-from .features import feature_csv, power_spectrogram
+from .features import cepstral_features, feature_csv, power_spectrogram
 from .manifest import CorpusManifest, ManifestError
 from .mixer import condition_tag
-from .noisefloor import NoiseFloorError, noise_floor_spectrogram
+from .noisefloor import noise_floor_spectrogram
 from .synth import generate_corpus
 
 EXIT_CODES = {
@@ -134,18 +134,25 @@ def _write_csv(path, rows) -> None:
 
 
 def cmd_extract_features(args) -> int:
+    """One front-end pass: the recording is framed once and tracked at most
+    once, for the features, the noise-floor dump or both. Nothing is written
+    unless every array was made."""
     cfg = _load_config(args)
+    feature_config = cfg.to_feature_config()
     buf = pipe.load_audio(args.audio, cfg.sample_rate)
-    ((_, feats),) = pipe.features_for_buffers([(args.audio, buf)], cfg)
-    if args.dump_spectrogram or args.dump_noise_floor:
-        with pipe.stage(pipe.STAGE_FEATURES, SceneidError, ValueError, item=args.audio):
-            spec = power_spectrogram(frame_signal(buf, cfg.to_feature_config().frame))
-        if args.dump_spectrogram:
-            _write_csv(args.dump_spectrogram, spec)
-        if args.dump_noise_floor:
-            with pipe.stage(pipe.STAGE_NOISE_FLOOR, NoiseFloorError, item=args.audio):
-                floor = noise_floor_spectrogram(spec, cfg.to_spp_params())
-            _write_csv(args.dump_noise_floor, floor)
+    with pipe.front_end_errors(args.audio):
+        pipe.check_recording(buf, feature_config)
+        spec = power_spectrogram(frame_signal(buf, feature_config.frame))
+        floor = None
+        if cfg.noise_floor or args.dump_noise_floor:
+            floor = noise_floor_spectrogram(spec, cfg.to_spp_params())  # a copy
+        feats = cepstral_features(
+            floor if cfg.noise_floor else spec, feature_config.mel_bank(), feature_config
+        )
+    if args.dump_spectrogram:
+        _write_csv(args.dump_spectrogram, spec)
+    if args.dump_noise_floor:
+        _write_csv(args.dump_noise_floor, floor)
     _write_csv(args.out, feats)
     print(f"{args.out}: {feats.shape[0]} frames x {feats.shape[1]} dims")
     return 0
@@ -194,7 +201,8 @@ def cmd_train_backend(args) -> int:
     missing = [rid for rid in ids if rid not in by_path]
     if missing:
         raise pipe.PipelineStageError(
-            pipe.STAGE_MANIFEST, f"no manifest labels for {len(missing)} iVector ids"
+            pipe.STAGE_MANIFEST,
+            f"no manifest labels for {len(missing)} iVector ids, the first {missing[0]!r}",
         )
     model = pipe.train_backend(cfg, w, [by_path[rid] for rid in ids])
     pipe.write_output(args.out, backend_mod.backend_to_bytes(model))

@@ -35,6 +35,11 @@ MAX_MEL_BANK_ENTRIES = 1 << 25
 # frame indices, so larger ones change nothing on any real clip.
 MAX_SDC_SHIFT = 10_000
 
+# Bound on psd_floor x (fft/2 + 1) with the noise floor on. A tracked bin
+# never exceeds max(psd_floor, its periodograms) and mel weights are at most
+# 1, so each band's weighted sum in `mfcc` then stays finite.
+MAX_FLOOR_BAND_SUM = float(np.finfo(np.float64).max) / 2
+
 
 @dataclass(frozen=True)
 class SdcConfig:
@@ -198,9 +203,10 @@ class FeatureConfig:
         if frame_len > MAX_FRAME_LEN:
             raise ValueError(f"a frame of {frame_len} samples exceeds {MAX_FRAME_LEN}")
         fft_size = self.fft_size()
-        if self.n_mels * (fft_size // 2 + 1) > MAX_MEL_BANK_ENTRIES:
+        n_bins = fft_size // 2 + 1
+        if self.n_mels * n_bins > MAX_MEL_BANK_ENTRIES:
             raise ValueError(
-                f"a bank of {self.n_mels} mel filters over {fft_size // 2 + 1} FFT bins "
+                f"a bank of {self.n_mels} mel filters over {n_bins} FFT bins "
                 f"exceeds {MAX_MEL_BANK_ENTRIES} weights"
             )
         _check_mel_bank(self.n_mels, fft_size, self.sample_rate, self.fmin_hz, self.fmax_hz)
@@ -217,9 +223,22 @@ class FeatureConfig:
             raise ValueError(
                 f"sdc_m={self.sdc.m} and sdc_p={self.sdc.p} must be at most {MAX_SDC_SHIFT} frames"
             )
+        if self.noise_floor is not None and (
+            self.noise_floor.psd_floor * n_bins >= MAX_FLOOR_BAND_SUM
+        ):
+            raise ValueError(
+                f"psd_floor={self.noise_floor.psd_floor} times {n_bins} FFT bins must stay "
+                f"below {MAX_FLOOR_BAND_SUM:.4g}, or the mel band sums overflow"
+            )
 
     def fft_size(self) -> int:
         return fft_size_for(self.frame.frame_len(self.sample_rate))
+
+    def mel_bank(self) -> np.ndarray:
+        """The (n_mels, fft/2 + 1) `make_mel_bank` weights of this config."""
+        return make_mel_bank(
+            self.n_mels, self.fft_size(), self.sample_rate, self.fmin_hz, self.fmax_hz
+        )
 
 
 def check_buffer(buf: AudioBuffer, config: FeatureConfig) -> int:
@@ -260,9 +279,7 @@ def extract_features_many(bufs, config: FeatureConfig = FeatureConfig()) -> list
         by_length.setdefault(check_buffer(buf, config), []).append(i)
 
     fft_size = config.fft_size()
-    bank = make_mel_bank(
-        config.n_mels, fft_size, config.sample_rate, config.fmin_hz, config.fmax_hz
-    )
+    bank = config.mel_bank()
     out: list = [None] * len(bufs)
     for n_frames, members in by_length.items():
         stack = np.empty((len(members), n_frames, fft_size // 2 + 1))
@@ -271,10 +288,16 @@ def extract_features_many(bufs, config: FeatureConfig = FeatureConfig()) -> list
         if config.noise_floor is not None:
             track_noise_floor(stack, config.noise_floor)
         for j, i in enumerate(members):
-            out[i] = mfcc(stack[j], bank, config.n_ceps)
-            if config.sdc is not None:
-                out[i] = append_sdc(out[i], config.sdc)
+            out[i] = cepstral_features(stack[j], bank, config)
     return out
+
+
+def cepstral_features(spec: np.ndarray, bank: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """The (T, D) feature rows of one (T, B) spectrogram, raw or tracked:
+    `mfcc` over `bank` (`config.mel_bank()`), then `append_sdc` when
+    `config.sdc` is set."""
+    rows = mfcc(spec, bank, config.n_ceps)
+    return rows if config.sdc is None else append_sdc(rows, config.sdc)
 
 
 def feature_csv(rows: np.ndarray) -> str:

@@ -177,8 +177,7 @@ class _TvOperator:
 def extract_ivector(tv: TvMatrix, ubm: GmmModel, stats: SufficientStats) -> np.ndarray:
     """The (R,) MAP estimate of w: solve
     (I + sum_c n_c T_c' S_c^-1 T_c) w = sum_c T_c' S_c^-1 f_c."""
-    w, _ = _TvOperator(tv, ubm).posterior(stats.n[None], stats.f[None])
-    return w[0]
+    return extract_ivectors(tv, ubm, [stats])[0]
 
 
 def extract_ivectors(tv: TvMatrix, ubm: GmmModel, stats) -> np.ndarray:

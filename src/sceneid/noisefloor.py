@@ -54,12 +54,16 @@ class SppParams:
     init_frames: int = 5  # periodograms averaged to seed the floor
 
     def __post_init__(self) -> None:
+        # A prior SNR of 0 (xi_h1_db below about -3236) times an infinite
+        # |X|^2 / psd is NaN in the tracker's posterior.
         try:
-            finite = math.isfinite(self.xi_h1_db) and math.isfinite(self.xi_h1)
+            finite = math.isfinite(self.xi_h1_db) and 0.0 < self.xi_h1 < math.inf
         except OverflowError:
             finite = False
         if not finite:
-            raise ValueError(f"xi_h1_db must give a finite prior SNR, got {self.xi_h1_db}")
+            raise ValueError(
+                f"xi_h1_db must give a finite positive prior SNR, got {self.xi_h1_db}"
+            )
         for name in ("prior_h1", "spp_smooth", "psd_smooth", "spp_clamp"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -91,6 +95,11 @@ def check_tracker_length(n_frames: int, params: SppParams) -> None:
         )
 
 
+# At a subnormal floor |X|^2 / psd overflows to inf and the speech posterior
+# saturates to 1, the formula's limit. Every other step stays within the
+# range of its operands: means, products with a factor in [0, 1], and convex
+# combinations.
+@np.errstate(over="ignore")
 def track_noise_floor(stack: np.ndarray, params: SppParams = SppParams()) -> None:
     """Replace each row of an (N, T, B) periodogram stack with the tracked floor.
 

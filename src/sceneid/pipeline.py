@@ -24,7 +24,7 @@ from . import ivector as ivector_mod
 from .audio import AudioBuffer, read_wav, resample, wav_bytes
 from .config import PipelineConfig
 from .errors import SceneidError
-from .features import check_buffer, extract_features_many
+from .features import FeatureConfig, check_buffer, extract_features_many
 from .manifest import CorpusManifest, ManifestError
 from .mixer import condition_tag, draw_speech, mix_at_sbr, usable_speech_pool
 from .noisefloor import NoiseFloorError
@@ -269,7 +269,7 @@ def _reject_silent(buf: AudioBuffer) -> None:
 
 
 @contextmanager
-def _front_end_errors(rec_id=None):
+def front_end_errors(rec_id=None):
     """Front-end failures of recording `rec_id` (None: of a batch): a tracker
     too short for its seed frames in the noise-floor stage, any other in the
     features stage."""
@@ -280,23 +280,30 @@ def _front_end_errors(rec_id=None):
         yield
 
 
+def check_recording(buf: AudioBuffer, feature_config: FeatureConfig) -> None:
+    """The checks a recording passes before it is transformed: not digitally
+    silent (`_reject_silent`), then `check_buffer`. Raised as library errors,
+    for `front_end_errors` to name the recording."""
+    _reject_silent(buf)
+    check_buffer(buf, feature_config)
+
+
 def features_for_buffers(items, config: PipelineConfig):
     """Featurize (recording id, mono buffer) pairs, FEATURE_CHUNK at a time.
 
     Yields one (recording id, (T, D) feature rows) pair per input pair, in
     order. `items` is drawn one chunk at a time, so a lazy iterable never has
-    more than a chunk of audio alive. Each recording of a chunk is checked in
-    input order, under its id, before any is transformed: not digitally
-    silent (`_reject_silent`), then `check_buffer`.
+    more than a chunk of audio alive. Each recording of a chunk is checked
+    (`check_recording`) in input order, under its id, before any is
+    transformed.
     """
     feature_config = config.to_feature_config()
     items = iter(items)
     while chunk := list(itertools.islice(items, FEATURE_CHUNK)):
         for rec_id, buf in chunk:
-            with _front_end_errors(rec_id):
-                _reject_silent(buf)
-                check_buffer(buf, feature_config)
-        with _front_end_errors():
+            with front_end_errors(rec_id):
+                check_recording(buf, feature_config)
+        with front_end_errors():
             feats = extract_features_many([buf for _, buf in chunk], feature_config)
         ids = [rec_id for rec_id, _ in chunk]
         del chunk  # free this chunk's audio before the next one is drawn

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import sceneid
 from sceneid import backend as backend_mod
-from sceneid import cli, pipeline
+from sceneid import audio, cli, noisefloor, pipeline
 from sceneid.audio import AudioBuffer, frame_signal, read_wav, wav_bytes
 from sceneid.backend import backend_from_bytes, score
 from sceneid.cli import build_parser, main
@@ -269,6 +269,35 @@ def test_extract_features_with_dumps(workspace, tmp_path, capsys):
     floor = noise_floor_spectrogram(power, cfg.to_spp_params())
     for path, frames in ((spec, power), (nf, floor)):
         assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:], frames)
+
+
+@pytest.mark.parametrize("noise_floor", ["false", "true"])
+def test_extract_features_is_one_front_end_pass(workspace, tmp_path, monkeypatch, capsys,
+                                                noise_floor):
+    # Features and both dumps come from one framing and one tracker run,
+    # whether the features take the raw spectrogram or the tracked floor.
+    calls = {"frame_signal": 0, "track_noise_floor": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for mod in [m for n, m in sys.modules.items() if n.startswith("sceneid")]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, wrapper)
+
+    counted(audio, "frame_signal")
+    counted(noisefloor, "track_noise_floor")
+    wav = next((workspace / "corpus").glob("scenes/train_*.wav"))
+    rc = main(["extract-features", "--audio", str(wav), "--out", str(tmp_path / "f.csv"),
+               "--dump-spectrogram", str(tmp_path / "s.csv"),
+               "--dump-noise-floor", str(tmp_path / "nf.csv"),
+               "--set", f"noise_floor={noise_floor}"])
+    assert rc == 0
+    assert calls == {"frame_signal": 1, "track_noise_floor": 1}
 
 
 def test_readme_tables_match_parser_and_config():
@@ -576,6 +605,7 @@ class TestExitCodes:
         "n_ceps=50", "sdc_n=30", "nf_init_frames=0", "psd_floor=nan", "psd_floor=inf",
         "spp_xi_h1_db=1e308", "spp_prior_h1=1e-310", "seed=-1", "sdc_k=1000", "sdc_k=100000000",
         "sdc_p=100000000000000000000", "sdc_m=100000000000000000000",
+        "psd_floor=1e308", "spp_xi_h1_db=-4000",
     ])
     def test_invalid_frame_setting_is_config_code_before_audio(
         self, tmp_path, capsys, override
@@ -763,6 +793,40 @@ class TestExitCodes:
                    "--set", "noise_floor=true"] + TINY_SET)
         assert rc == 6
         assert str(short) in capsys.readouterr().err
+
+    def test_overflowing_psd_floor_is_config_code_before_audio(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        # psd_floor x (fft/2 + 1) would overflow the mel band sums; the config
+        # stage rejects it before any audio is read (for `train`, a case of
+        # test_invalid_frame_setting_is_config_code_before_audio).
+        wav = str(next((workspace / "corpus").glob("scenes/train_*.wav")))
+        _forbid_audio(monkeypatch)
+        rc = main(["extract-features", "--audio", wav, "--out", str(tmp_path / "f.csv"),
+                   "--set", "noise_floor=true", "--set", "psd_floor=1e308"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: [config] psd_floor=1e+308 times 513 FFT bins"), err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_backend_ivector_without_label_is_manifest_code_naming_it(
+        self, workspace, tmp_path, capsys
+    ):
+        corpus = workspace / "corpus"
+        manifest = corpus / "train.jsonl"
+        ids = [json.loads(line)["path"] for line in manifest.read_text().splitlines()]
+        ids[2:4] = ["stray-a.wav", "stray-b.wav"]
+        ivectors = tmp_path / "w.ivec"
+        ivectors.write_bytes(
+            ivectors_to_bytes(ids, np.random.default_rng(0).normal(size=(len(ids), 4)))
+        )
+        rc = main(["train-backend", "--manifest", str(manifest), "--ivectors", str(ivectors),
+                   "--out", str(tmp_path / "b.gbe")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: [manifest] no manifest labels for 2 iVector ids, the first 'stray-a.wav'\n"
+        )
+        assert not (tmp_path / "b.gbe").exists()
 
     def test_short_clip_noise_floor_dump_names_it(self, tmp_path, capsys):
         # 0.1 s is 4 frames; the features need no tracker, the dump does.

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneid import features
-from sceneid.audio import AudioBuffer, frame_signal
+from sceneid.audio import AudioBuffer, FrameConfig, frame_signal
 from sceneid.errors import SceneidError
 from sceneid.features import (
     FeatureConfig,
@@ -292,6 +292,24 @@ class TestCheckBuffer:
         assert check_buffer(buf, FeatureConfig(noise_floor=SppParams(init_frames=5))) == 6
         with pytest.raises(NoiseFloorError, match="6 frames; need more than init_frames=6"):
             check_buffer(buf, FeatureConfig(noise_floor=SppParams(init_frames=6)))
+
+
+class TestPsdFloorBound:
+    """With the noise floor on, psd_floor x (fft/2 + 1) stays below
+    MAX_FLOOR_BAND_SUM, so a floor-level spectrogram has finite mel band sums."""
+
+    def test_largest_legal_floor_gives_finite_features(self, rng):
+        limit = features.MAX_FLOOR_BAND_SUM / 513  # 513 bins of a 1024-point FFT
+        cfg = FeatureConfig(noise_floor=SppParams(psd_floor=limit * (1 - 1e-12)))
+        feats = extract_features(AudioBuffer(0.1 * rng.standard_normal(16000), 16000), cfg)
+        assert np.all(np.isfinite(feats))
+        with pytest.raises(ValueError, match="^psd_floor=.* times 513 FFT bins must stay below"):
+            FeatureConfig(noise_floor=SppParams(psd_floor=limit))
+
+    def test_1e300_is_legal_at_the_longest_frame(self):
+        longest = FrameConfig(features.MAX_FRAME_LEN / 16.0)  # ms at 16 kHz
+        cfg = FeatureConfig(frame=longest, noise_floor=SppParams(psd_floor=1e300))
+        assert cfg.fft_size() == features.MAX_FRAME_LEN
 
 
 class TestContainer:

@@ -282,6 +282,20 @@ class TestTrackNoiseFloor:
         with pytest.raises(NoiseFloorError):
             track_noise_floor(np.ones((2, 5, 8)))
 
+    def test_subnormal_floor_saturates_without_a_warning(self, rng):
+        # Seeded by digital silence, the floor is a subnormal psd_floor and
+        # |X|^2 / psd overflows: the posterior saturates to 1, the formula's
+        # limit, and numpy stays silent (warnings are errors under pytest).
+        params = SppParams(psd_floor=5e-324)
+        rows = rng.exponential(1.0, (20, 9))
+        rows[: params.init_frames] = 0.0
+        stack = rows[None].copy()
+        track_noise_floor(stack, params)
+        with np.errstate(over="ignore"):
+            want = update_loop(rows, params)
+        assert np.array_equal(stack[0], want)
+        assert np.all(stack[0, params.init_frames] == 5e-324)  # P = 1 keeps the floor
+
     @settings(deadline=None, max_examples=40)
     @given(case=tracker_cases(), seed=st.integers(0, 2**32 - 1))
     @example(case=(SppParams(init_frames=1), (2, 40, 5)), seed=0)
