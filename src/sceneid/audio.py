@@ -246,29 +246,49 @@ def _polyphase_matrix(source_rate: int, target_rate: int):
     numtaps = 2 * half_len + 1
     cutoff = 0.45 * min(source_rate, target_rate) / (0.5 * (source_rate * up))
     alpha = 0.5 * (numtaps - 1)
-    n = np.arange(numtaps, dtype=np.float64)
-    h = cutoff * np.sinc(cutoff * (n - alpha))
-    h *= i0(8.0 * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / i0(8.0)  # Kaiser, beta 8
-    h /= np.sum(h)  # unit gain at DC
-    h *= up
-
     pre = down - half_len % down
     lo = (half_len + pre) // down  # outputs resample_poly drops in front
     taps = -(-(pre + numtaps) // up)
     table = np.zeros(taps * up)
-    table[pre : pre + numtaps] = h
+
+    # The filter is designed in place, in its slice of the table, with one
+    # more array for n - alpha and one for the sinc. Every operation is
+    # firwin's, so the coefficients keep its bits.
+    h = table[pre : pre + numtaps]
+    x = np.arange(-half_len, half_len + 1, dtype=np.float64)  # n - alpha, exact
+    np.divide(x, alpha, out=h)
+    h **= 2.0
+    np.subtract(1, h, out=h)
+    np.sqrt(h, out=h)
+    h *= 8.0
+    i0(h, out=h)
+    h /= i0(8.0)  # the Kaiser window, beta 8
+    x *= cutoff
+    x *= np.pi
+    x[half_len] = 1.0  # sinc(0) is 1, set below; this keeps 0 / 0 out
+    sinc = np.sin(x)
+    sinc /= x
+    sinc[half_len] = 1.0
+    del x
+    sinc *= cutoff
+    h *= sinc
+    del sinc
+    h /= np.sum(h)  # unit gain at DC
+    h *= up
+
     positions = (lo + np.arange(up)) * down  # each class's first output, up-sampled grid
     coefs = table.reshape(taps, up)[::-1, positions % up]  # (taps, up)
+    del table, h
     j0 = positions // up
 
     per = max(1, _MATRIX_TAPS // (up * taps))
     rows = per * up
     width = per * down + int(j0[-1]) + taps
-    starts = (np.arange(per)[:, None] * down + j0).reshape(-1, 1)
+    starts = (np.arange(per)[:, None] * down + j0).reshape(-1, 1).astype(np.int32)
     matrix = sparse.csr_array(
         (
             np.tile(coefs.T, (per, 1)).reshape(-1),
-            (starts + np.arange(taps)).astype(np.int32).reshape(-1),
+            (starts + np.arange(taps, dtype=np.int32)).reshape(-1),
             np.arange(0, rows * taps + 1, taps, dtype=np.int32),
         ),
         shape=(rows, width),

@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import stat
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,7 +30,6 @@ from .features import FeatureConfig, check_buffer, extract_features_many
 from .manifest import CorpusManifest, ManifestError
 from .mixer import condition_tag, draw_speech, mix_at_sbr, usable_speech_pool
 from .noisefloor import NoiseFloorError
-from .serialize import sha256_hex
 
 # The model files of a bundle, in the order they are decoded: name ->
 # (ModelBundle field, encoder, decoder).
@@ -39,6 +40,9 @@ _BUNDLE_FILES = {
     "tv.tvm": ("tv", ivector_mod.tv_to_bytes, ivector_mod.tv_from_bytes),
     "backend.gbe": ("backend", backend_mod.backend_to_bytes, backend_mod.backend_from_bytes),
 }
+
+# A digest as `bundle.json` lists it (`file_digest`).
+_DIGEST = re.compile("[0-9a-f]{8}")
 
 STAGE_CONFIG = "config"
 STAGE_MANIFEST = "manifest"
@@ -172,8 +176,9 @@ class ModelBundle:
     backend: backend_mod.BackendModel
 
     def save(self, bundle_dir) -> None:
-        """Write the four model files and `bundle.json`, which lists their
-        SHA-256 hashes, each file opened once."""
+        """Write the four model files and `bundle.json`, which lists each
+        file's `file_digest`, taken on the bytes written; each file is opened
+        once."""
         bundle_dir = Path(bundle_dir)
         with _file_errors(bundle_dir):
             bundle_dir.mkdir(parents=True, exist_ok=True)
@@ -181,7 +186,7 @@ class ModelBundle:
                    _BUNDLE_FILES.items()}
         for name, data in encoded.items():
             write_output(bundle_dir / name, data)
-        index = {"files": {name: sha256_hex(data) for name, data in encoded.items()}}
+        index = {"files": {name: file_digest(data) for name, data in encoded.items()}}
         write_output(
             bundle_dir / "bundle.json",
             (json.dumps(index, sort_keys=True, indent=2) + "\n").encode("utf-8"),
@@ -191,9 +196,11 @@ class ModelBundle:
     def load(cls, bundle_dir) -> "ModelBundle":
         """Load a bundle whose index lists, and checksums, exactly its files.
 
-        Every file is read once, by `read_model_file`, and every checksum
-        is checked before any file is parsed. Every failure to read a
-        bundle file is a config-stage error naming it.
+        An index whose values are not `file_digest`s (an older sceneid's
+        SHA-256 values, say) is refused before any model file is read. Every
+        file is read once, by `read_model_file`, and every checksum is checked
+        before any file is parsed. Every failure to read a bundle file is a
+        config-stage error naming it.
         """
         bundle_dir = Path(bundle_dir)
         for name in (*_BUNDLE_FILES, "bundle.json"):
@@ -205,17 +212,33 @@ class ModelBundle:
             raise PipelineStageError(
                 STAGE_CONFIG, f"bundle.json must list exactly the files {list(_BUNDLE_FILES)}"
             )
+        if not all(isinstance(v, str) and _DIGEST.fullmatch(v) for v in files.values()):
+            raise PipelineStageError(
+                STAGE_CONFIG, "bundle.json lists no 8-hex-digit CRC-32 checksums (older "
+                "sceneid versions listed SHA-256); retrain the bundle"
+            )
         raw = {  # every file is read before any is parsed
             name: read_model_file(lambda data: data, bundle_dir / name) for name in _BUNDLE_FILES
         }
         for name, data in raw.items():
-            if sha256_hex(data) != files[name]:
+            if file_digest(data) != files[name]:
                 raise PipelineStageError(STAGE_CONFIG, f"bundle file corrupted: {name}")
         fields = {}
         for name, (attr, _, decode) in _BUNDLE_FILES.items():
             with _file_errors(bundle_dir / name):
                 fields[attr] = decode(raw.pop(name))
         return cls(**fields)
+
+
+def file_digest(data) -> str:
+    """A bundle file's checksum, as `bundle.json` lists it: the CRC-32
+    (`zlib.crc32`) of its bytes, as 8 lowercase hex digits.
+
+    It guards against accidental damage, not tampering (the index sits beside
+    the files): any error burst of up to 32 bits, so any one damaged byte,
+    changes it.
+    """
+    return f"{zlib.crc32(data):08x}"
 
 
 def _file_errors(path):

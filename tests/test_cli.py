@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -33,7 +34,7 @@ from sceneid.ivector import extract_ivector, ivectors_to_bytes, tv_from_bytes, t
 from sceneid.manifest import CorpusManifest
 from sceneid.mixer import draw_speech, usable_speech_pool
 from sceneid.noisefloor import noise_floor_spectrogram
-from sceneid.pipeline import ModelBundle, features_for_buffers, load_audio
+from sceneid.pipeline import ModelBundle, features_for_buffers, file_digest, load_audio
 from sceneid.serialize import HEADER_BYTES, sha256_hex
 from sceneid.synth import MAX_CLIP_SAMPLES, generate_corpus, scene_clip, speech_clip
 
@@ -1032,7 +1033,7 @@ def _damage_index_omits_ubm(d):
 
 def _rehash(d, name):
     index = json.loads((d / "bundle.json").read_text())
-    index["files"][name] = sha256_hex((d / name).read_bytes())
+    index["files"][name] = file_digest((d / name).read_bytes())
     (d / "bundle.json").write_text(json.dumps(index))
 
 
@@ -1124,6 +1125,15 @@ def _damage_backend_alpha_rehashed(d):
     _set_double_rehashed(d, "backend.gbe", struct.pack("<d", alpha), 7.5)
 
 
+def _reindexed(digest, what):
+    def damage(d):
+        index = json.loads((d / "bundle.json").read_text())
+        index["files"] = {name: digest((d / name).read_bytes()) for name in index["files"]}
+        (d / "bundle.json").write_text(json.dumps(index))
+    damage.__name__ = f"_damage_index_of_{what}"
+    return damage
+
+
 def _damage_ubm_mean_nan_rebound(d):
     # T is bound to the damaged UBM's checksum, so nothing but the UBM is wrong.
     def bound():
@@ -1134,6 +1144,10 @@ def _damage_ubm_mean_nan_rebound(d):
     _set_double_rehashed(d, "ubm.gmm", means.tobytes(), np.nan)
     (d / "tv.tvm").write_bytes((d / "tv.tvm").read_bytes().replace(before, bound()))
     _rehash(d, "tv.tvm")
+
+
+OLD_INDEX = ("bundle.json lists no 8-hex-digit CRC-32 checksums (older sceneid versions "
+             "listed SHA-256); retrain the bundle")
 
 
 @pytest.mark.parametrize("damage, named", [
@@ -1155,6 +1169,11 @@ def _damage_ubm_mean_nan_rebound(d):
     (_damage_backend_mean_nan_rehashed, "backend.gbe: backend parameters contain NaN"),
     (_damage_ubm_mean_nan_rebound, "ubm.gmm: GMM parameters contain NaN"),
     (_damage_backend_alpha_rehashed, "backend.gbe: alpha must lie in [0, 1], got 7.5"),
+    # An older sceneid's index, and other values that are no `file_digest`.
+    (_reindexed(lambda data: hashlib.sha256(data).hexdigest(), "sha256_values"), OLD_INDEX),
+    (_reindexed(lambda data: file_digest(data)[1:], "7_hex_digits"), OLD_INDEX),
+    (_reindexed(lambda data: file_digest(data).upper(), "upper_case_hex"), OLD_INDEX),
+    (_reindexed(lambda data: int(file_digest(data), 16), "integers"), OLD_INDEX),
 ])
 def test_bad_bundle_is_config_code(workspace, bundle, tmp_path, capsys, damage, named):
     damaged = tmp_path / "bundle"
@@ -1164,7 +1183,7 @@ def test_bad_bundle_is_config_code(workspace, bundle, tmp_path, capsys, damage, 
     rc = main(["classify", "--bundle", str(damaged), "--audio", str(wav)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: [config] ") and named in err
+    assert err.startswith("error: [config] ") and named in err and err.count("\n") == 1
 
 
 def test_overflowing_t_posterior_is_ivector_code(workspace, bundle, tmp_path, capsys):
@@ -1182,12 +1201,13 @@ def test_overflowing_t_posterior_is_ivector_code(workspace, bundle, tmp_path, ca
     assert err.startswith("error: [ivector] ") and err.count("\n") == 1
 
 
-@settings(max_examples=50, deadline=None)
-@given(name=st.sampled_from(["config.txt", "ubm.gmm", "tv.tvm", "backend.gbe"]),
-       at=st.integers(0, 2**31), flip=st.integers(0, 255))
-def test_damaged_bundle_classifies_or_names_one_stage(workspace, bundle, name, at, flip):
-    # One model file of a tiny bundle gets byte `at` (modulo its size) XORed
-    # with `flip`, or is cut to that length when `flip` is 0, and is rehashed.
+BUNDLE_MODEL_FILES = st.sampled_from(["config.txt", "ubm.gmm", "tv.tvm", "backend.gbe"])
+
+
+def _classify_damaged(workspace, bundle, name, at, flip, rehash):
+    """Classify one clip with a copy of `bundle` whose file `name` has byte
+    `at` (modulo its size) XORed with `flip`, or is cut to that length when
+    `flip` is 0, and is rehashed if `rehash`: (exit code, stderr lines)."""
     wav = next((workspace / "corpus").glob("scenes/test_*.wav"))
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -1200,20 +1220,39 @@ def test_damaged_bundle_classifies_or_names_one_stage(workspace, bundle, name, a
         else:
             del data[at:]
         (damaged / name).write_bytes(bytes(data))
-        _rehash(damaged, name)
+        if rehash:
+            _rehash(damaged, name)
         with redirect_stdout(out), redirect_stderr(err):
             rc = main(["classify", "--bundle", str(damaged), "--audio", str(wav)])
-    lines = err.getvalue().splitlines()
+    return rc, err.getvalue().splitlines()
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=BUNDLE_MODEL_FILES, at=st.integers(0, 2**31), flip=st.integers(0, 255))
+def test_damaged_bundle_classifies_or_names_one_stage(workspace, bundle, name, at, flip):
+    # Rehashed, the damage passes the checksum and reaches the parsers and
+    # the models behind it.
+    rc, lines = _classify_damaged(workspace, bundle, name, at, flip, rehash=True)
     if rc == 0:
         assert lines == []
     else:
         assert len(lines) == 1, lines
         stage = re.fullmatch(r"error: \[([a-z-]+)\] .*", lines[0])
         assert stage and cli.EXIT_CODES[stage[1]] == rc, (rc, lines)
+        assert "bundle file corrupted" not in lines[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=BUNDLE_MODEL_FILES, at=st.integers(0, 2**31), flip=st.integers(1, 255))
+def test_any_damaged_byte_is_caught_by_the_checksum(workspace, bundle, name, at, flip):
+    # CRC-32 detects every error burst of up to 32 bits, so any one byte
+    # changed, anywhere in any model file, fails the checksum.
+    rc, lines = _classify_damaged(workspace, bundle, name, at, flip, rehash=False)
+    assert (rc, lines) == (2, [f"error: [config] bundle file corrupted: {name}"])
 
 
 def test_bundle_files_are_read_once(bundle, tmp_path, monkeypatch):
-    # Each file is hashed and parsed from one read; saving opens each file
+    # Each file is checksummed and parsed from one read; saving opens each file
     # once, to write it, and reads none back.
     opened = []
     written = []

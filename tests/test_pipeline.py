@@ -115,9 +115,9 @@ WAV_RATES = st.one_of(
 )
 # Peak traced memory of one recording's front end: this many bytes per byte
 # of the file, plus the design of one MAX_FILTER_TAPS filter, which peaks at
-# about seven times its 32 MiB of coefficients.
+# about three times its 32 MiB of coefficients.
 PEAK_PER_FILE_BYTE = 4096
-FILTER_DESIGN_BYTES = 8 * MAX_FILTER_TAPS * 8
+FILTER_DESIGN_BYTES = 4 * MAX_FILTER_TAPS * 8
 
 
 @settings(deadline=None, max_examples=60)
