@@ -161,7 +161,8 @@ def cmd_extract_features(args) -> int:
 def cmd_train_ubm(args) -> int:
     cfg = _load_config(args)
     manifest = _load_manifest(args.manifest, args.fold, args.exclude_fold)
-    ubm = pipe.train_ubm(cfg, pipe.manifest_features(manifest, cfg))
+    pool, _ = pipe.pooled_features(manifest, cfg)
+    ubm = pipe.train_ubm(cfg, pool)
     pipe.write_output(args.out, gmm_mod.gmm_to_bytes(ubm))
     fit = f"final LL {ubm.ll_history[-1]:.6f}" if ubm.ll_history else "k-means only, no EM"
     print(f"{args.out}: {ubm.n_components} components, {fit}")

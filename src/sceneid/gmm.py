@@ -10,6 +10,23 @@ blocks of `_FRAME_BLOCK`, and the EM, the statistics and `log_likelihood`
 each consume its blocks, so no (frames, components) matrix is kept whole.
 The block size is a constant, not a setting: sums are added in the same
 order on every run, so reruns stay byte-identical.
+
+`train_ubm` takes the training frames as one pooled (N, F) matrix and makes
+no other matrix of that size, nor an (N, C) one: beyond the pool it holds
+O(_FRAME_BLOCK (F + C)) values and a few N-long vectors. It walks the pool
+in the same blocks for the finiteness check, the squared norms of
+k-means++, each Lloyd pass's distances (one GEMM per block, with their
+argmin and minimum), and the per-cluster sums behind the Lloyd means, the
+variance floor and the initial variances (`_add_rows`). Those sums add
+each frame in frame order, the order numpy reduces a column in, so they
+keep their bits. A GEMM row can round differently in a block than in the whole pool,
+because OpenBLAS picks its kernel by where its row split puts the row: 8 of
+30 random shapes (N up to 4 blocks, C=2-256, F=76, OpenBLAS 0.3.31 on a
+2-core x86-64 VM, 1 or 2 threads) had some rows differ in the last bits.
+That can only change a Lloyd decision that is a tie within rounding, which
+takes duplicate centres, i.e. fewer distinct frames than components. The
+k-means++ seeding distances stay one GEMV `x @ x[i]` over the whole pool:
+blocked, they differed in 16 of the same 30 shapes at 2 threads.
 """
 
 from __future__ import annotations
@@ -85,19 +102,61 @@ class SufficientStats:
     f: np.ndarray  # (C, F) first-order sums centered on the UBM means
 
 
+def _blocks(n: int) -> list:
+    """Slices of `_FRAME_BLOCK` consecutive rows covering n rows, the last
+    one ragged."""
+    return [slice(start, min(start + _FRAME_BLOCK, n)) for start in range(0, n, _FRAME_BLOCK)]
+
+
 def _frames(feats, what: str) -> np.ndarray:
     """`feats` as a (T, F) float64 frame matrix, which must be 2-D, non-empty
     and finite."""
     x = np.asarray(feats, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise GmmError(f"{what} must be a non-empty 2-D frame matrix")
-    if not np.all(np.isfinite(x)):
+    if not all(np.isfinite(x[rows]).all() for rows in _blocks(x.shape[0])):
         raise GmmError(f"{what} contain NaN or infinity")
     return x
 
 
+def _add_rows(sums: np.ndarray, groups: np.ndarray, rows: np.ndarray) -> None:
+    """sums[groups[t]] += rows[t] for every row t, in row order.
+
+    One flat `np.add.at` over the (C, F) sums: each sum gets its rows in the
+    order a 2-D `np.add.at(sums, groups, rows)` adds them, and that numpy's
+    axis-0 reduction adds the rows of a matrix of two or more columns.
+    """
+    f = sums.shape[1]
+    np.add.at(sums.reshape(-1), (groups[:, None] * f + np.arange(f)).ravel(), rows.ravel())
+
+
+def _group_variances(x: np.ndarray, groups: np.ndarray, k: int) -> np.ndarray:
+    """(k, F): row c is `x[groups == c].var(axis=0)`, bit for bit, and 0 for
+    an empty group.
+
+    The sums and then the squared deviations from each group's mean are
+    added in frame order, block by block (`_add_rows`). Numpy sums a single
+    column pairwise rather than row by row, so a one-feature pool is reduced
+    group by group instead; each group is then at most N values.
+    """
+    counts = np.bincount(groups, minlength=k)
+    if x.shape[1] == 1:
+        return np.array([x[groups == c].var(axis=0) if counts[c] else [0.0] for c in range(k)])
+    sums = np.zeros((k, x.shape[1]))
+    for rows in _blocks(x.shape[0]):
+        _add_rows(sums, groups[rows], x[rows])
+    divisor = np.maximum(counts, 1)[:, None]
+    means = sums / divisor
+    squares = np.zeros_like(sums)
+    for rows in _blocks(x.shape[0]):
+        dev = x[rows] - means[groups[rows]]
+        dev *= dev
+        _add_rows(squares, groups[rows], dev)
+    return squares / divisor
+
+
 def _e_step(model: GmmModel, x: np.ndarray):
-    """Yield (rows, x_block, gamma, per_frame_ll) over blocks of _FRAME_BLOCK frames.
+    """Yield (x_block, gamma, per_frame_ll) over blocks of _FRAME_BLOCK frames.
 
     gamma is the block's posterior gamma_t(c), shape (block, C), rows summing
     to one; per_frame_ll is log sum_c w_c N(x_t; mu_c, sigma_c^2), shape
@@ -118,8 +177,7 @@ def _e_step(model: GmmModel, x: np.ndarray):
         + (model.means**2 * inv_var).sum(axis=1)
     )
     coef = np.vstack([-0.5 * inv_var.T, (model.means * inv_var).T, const])  # (2F + 1, C)
-    for start in range(0, x.shape[0], _FRAME_BLOCK):
-        rows = slice(start, start + _FRAME_BLOCK)
+    for rows in _blocks(x.shape[0]):
         xb = x[rows]
         gamma = np.hstack([xb * xb, xb, np.ones((xb.shape[0], 1))]) @ coef
         peak = gamma.max(axis=1, keepdims=True)
@@ -128,7 +186,7 @@ def _e_step(model: GmmModel, x: np.ndarray):
         total = gamma.sum(axis=1, keepdims=True)
         gamma /= total
         gamma[gamma < _TINY] = 0.0
-        yield rows, xb, gamma, np.log(total[:, 0]) + peak[:, 0]
+        yield xb, gamma, np.log(total[:, 0]) + peak[:, 0]
 
 
 def log_likelihood(model: GmmModel, frame) -> float:
@@ -136,7 +194,7 @@ def log_likelihood(model: GmmModel, frame) -> float:
     x = np.asarray(frame, dtype=np.float64).reshape(1, -1)
     if x.shape[1] != model.n_features:
         raise GmmError(f"frame has {x.shape[1]} dims, model expects {model.n_features}")
-    ((_, _, _, per_frame),) = _e_step(model, x)
+    ((_, _, per_frame),) = _e_step(model, x)
     return float(per_frame[0])
 
 
@@ -148,15 +206,19 @@ def _seed_distances(x: np.ndarray, x_sq: np.ndarray, i: int) -> np.ndarray:
     duplicate of frame i is at exactly zero.
     """
     d2 = x_sq - 2.0 * (x @ x[i]) + x_sq[i]
-    near = d2 < _CANCELLATION * (x_sq + x_sq[i])
-    d2[near] = ((x[near] - x[i]) ** 2).sum(axis=1)
+    near = np.flatnonzero(d2 < _CANCELLATION * (x_sq + x_sq[i]))
+    for start in range(0, near.size, _FRAME_BLOCK):
+        rows = near[start:start + _FRAME_BLOCK]
+        d2[rows] = ((x[rows] - x[i]) ** 2).sum(axis=1)
     return d2
 
 
 def _kmeans_plus_plus(x: np.ndarray, k: int, rng: np.random.Generator, n_iters: int):
     """Seeded k-means++ initialization plus a few Lloyd refinement passes."""
     n = x.shape[0]
-    x_sq = (x**2).sum(axis=1)
+    x_sq = np.empty(n)
+    for rows in _blocks(n):
+        x_sq[rows] = (x[rows] ** 2).sum(axis=1)
     centers = np.empty((k, x.shape[1]))
     pick = rng.integers(n)
     d2 = _seed_distances(x, x_sq, pick)
@@ -168,23 +230,28 @@ def _kmeans_plus_plus(x: np.ndarray, k: int, rng: np.random.Generator, n_iters: 
         d2 = np.minimum(d2, _seed_distances(x, x_sq, pick))
 
     assign = np.zeros(n, dtype=np.int64)
+    nearest = np.empty(n)  # each frame's squared distance to its centre
     for _ in range(n_iters):
-        dists = x_sq[:, None] - 2.0 * (x @ centers.T) + (centers**2).sum(axis=1)
-        assign = dists.argmin(axis=1)
+        c_sq = (centers**2).sum(axis=1)
+        for rows in _blocks(n):
+            dists = x_sq[rows, None] - 2.0 * (x[rows] @ centers.T) + c_sq
+            assign[rows] = dists.argmin(axis=1)
+            nearest[rows] = dists.min(axis=1)
         counts = np.bincount(assign, minlength=k)
         empty = counts == 0
         if empty.any():
             # Empty clusters are re-seeded in cluster order on the farthest
             # frame, which ends in the last of them; a cluster after the first
             # empty one is averaged without that frame.
-            far = dists.min(axis=1).argmax()
+            far = nearest.argmax()
             owner = assign[far]
             if empty.argmax() < owner:
                 counts[owner] -= 1
                 empty[owner] = counts[owner] == 0
                 assign[far] = np.flatnonzero(empty)[-1]
         sums = np.zeros_like(centers)
-        np.add.at(sums, assign, x)  # in frame order, the order a per-cluster mean adds in
+        for rows in _blocks(n):  # in frame order, the order a per-cluster mean adds in
+            _add_rows(sums, assign[rows], x[rows])
         full = ~empty
         centers[full] = sums[full] / counts[full, None]
         if not full.all():
@@ -208,17 +275,16 @@ def train_ubm(
     if n_frames < n_components:
         raise GmmError(f"{n_frames} frames cannot support {n_components} components")
 
-    floor = _VAR_FLOOR_SCALE * np.maximum(x.var(axis=0), 1e-30)
+    pooled = _group_variances(x, np.zeros(n_frames, dtype=np.int64), 1)[0]
+    floor = _VAR_FLOOR_SCALE * np.maximum(pooled, 1e-30)
     rng = np.random.default_rng(seed)
     centers, assign = _kmeans_plus_plus(x, n_components, rng, kmeans_iters)
 
-    weights = np.empty(n_components)
-    variances = np.empty_like(centers)
-    for c in range(n_components):
-        mask = assign == c
-        weights[c] = max(mask.sum(), 1) / n_frames
-        variances[c] = x[mask].var(axis=0) if mask.sum() > 1 else floor / _VAR_FLOOR_SCALE
+    counts = np.bincount(assign, minlength=n_components)
+    weights = np.maximum(counts, 1) / n_frames
     weights /= weights.sum()
+    variances = _group_variances(x, assign, n_components)
+    variances[counts <= 1] = floor / _VAR_FLOOR_SCALE
     variances = np.maximum(variances, floor)
 
     model = GmmModel(weights, centers, variances, floor, seed=seed)
@@ -228,7 +294,7 @@ def train_ubm(
         sum_x = np.zeros_like(model.means)
         sum_xx = np.zeros_like(model.means)
         ll_sum = 0.0
-        for _, xb, gamma, per_frame in _e_step(model, x):
+        for xb, gamma, per_frame in _e_step(model, x):
             nk += gamma.sum(axis=0)
             sum_x += gamma.T @ xb
             sum_xx += gamma.T @ (xb * xb)
@@ -254,7 +320,7 @@ def accumulate_stats(model: GmmModel, feats) -> SufficientStats:
         raise GmmError(f"frames have {x.shape[1]} dims, model expects {model.n_features}")
     n = np.zeros(model.n_components)
     first = np.zeros_like(model.means)
-    for _, xb, gamma, _ in _e_step(model, x):
+    for xb, gamma, _ in _e_step(model, x):
         n += gamma.sum(axis=0)
         first += gamma.T @ xb
     return SufficientStats(n, first - n[:, None] * model.means)

@@ -354,12 +354,35 @@ def manifest_features(manifest: CorpusManifest, config: PipelineConfig) -> list:
     return list(features_for_buffers(manifest_buffers(manifest, config.sample_rate), config))
 
 
-def train_ubm(config: PipelineConfig, feats) -> gmm_mod.GmmModel:
-    """UBM stage: k-means++ and EM over the pooled frames of every
-    (recording id, feature rows) pair in `feats`."""
+def pooled_features(manifest: CorpusManifest, config: PipelineConfig):
+    """`manifest_features`, with every recording's rows copied into one
+    (N, D) frame pool: the pool, and one (entry path, view of its rows in the
+    pool) pair per entry, in manifest order.
+
+    Each recording's own array is dropped as soon as it is copied, so the
+    frames are held once, in the pool, before `train_ubm` starts. The copy
+    runs from the last recording to the first: freed in the reverse of the
+    order they were made, the arrays go back to the system as they are
+    freed (the allocator trims the top of its heap), not all at the end.
+    """
+    feats = manifest_features(manifest, config)
+    pool = np.empty((sum(len(rows) for _, rows in feats), feats[0][1].shape[1]))
+    end = len(pool)
+    for i in reversed(range(len(feats))):
+        rec_id, rows = feats[i]
+        view = pool[end - len(rows):end]
+        view[...] = rows
+        feats[i] = (rec_id, view)
+        end -= len(rows)
+    del rows  # the first recording's own array
+    return pool, feats
+
+
+def train_ubm(config: PipelineConfig, frames) -> gmm_mod.GmmModel:
+    """UBM stage: k-means++ and EM over the (N, D) frame pool `frames`."""
     with stage(STAGE_GMM, gmm_mod.GmmError):
         return gmm_mod.train_ubm(
-            np.vstack([rows for _, rows in feats]),
+            frames,
             config.ubm_components,
             n_iters=config.ubm_iters,
             seed=config.seed,
@@ -397,10 +420,10 @@ def train_backend(config: PipelineConfig, w_matrix, labels) -> backend_mod.Backe
 
 def run_training(config: PipelineConfig, manifest: CorpusManifest) -> ModelBundle:
     """features -> UBM -> statistics -> T -> iVectors -> backend."""
-    feats = manifest_features(manifest, config)
-    ubm = train_ubm(config, feats)
+    pool, feats = pooled_features(manifest, config)
+    ubm = train_ubm(config, pool)
     stats = list(collect_stats(ubm, feats))
-    del feats  # the frames are not needed past the statistics
+    del pool, feats  # the frames are not needed past the statistics
     tv = train_tv(config, ubm, stats)
     w_matrix = extract_ivectors(tv, ubm, stats)
     gb = train_backend(config, w_matrix, [e.label for e in manifest.entries])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sceneid.audio import AudioBuffer
+from sceneid.gmm import GmmModel
 from sceneid.noisefloor import NoiseFloorError, SppParams
 
 
@@ -146,3 +147,96 @@ def update_loop(rows, params=SppParams()):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+# Reference UBM initialization: k-means++ and the initial GMM as they were
+# first written, over the whole pooled frame matrix at once. `gmm.train_ubm`
+# walks the pool in blocks instead, and with n_iters=0 must return this
+# reference's model bit for bit, except where a Lloyd pass meets a tie within
+# rounding (see `reference_kmeans`).
+
+# Distances closer than this fraction of |x|^2 + |c|^2 are within rounding
+# error of the expanded form (about 2F ulps, F <= 1024 features).
+_CANCELLATION = 1e-12
+
+# Variances never drop below this times the pooled per-dimension variance.
+_VAR_FLOOR_SCALE = 1e-3
+
+
+def reference_seed_distances(x, x_sq, i):
+    """Squared distances of every frame to frame i, by the expanded form,
+    except where that is within rounding error of zero."""
+    d2 = x_sq - 2.0 * (x @ x[i]) + x_sq[i]
+    near = d2 < _CANCELLATION * (x_sq + x_sq[i])
+    d2[near] = ((x[near] - x[i]) ** 2).sum(axis=1)
+    return d2
+
+
+def reference_kmeans(x, k, rng, n_iters):
+    """k-means++ seeding, then Lloyd passes on the full (N, k) distance
+    matrix with one 2-D `np.add.at` of the frames per pass.
+
+    Returns (centers, assign, tied). `tied` says that some Lloyd decision was
+    a tie within rounding error: a frame's two nearest centres, or, when a
+    cluster is re-seeded, the two farthest frames. The pooled GEMM and a
+    blocked one round a row differently depending on where the BLAS splits
+    the rows, so they may break such a tie differently; no other decision
+    can differ between them.
+    """
+    n = x.shape[0]
+    x_sq = (x**2).sum(axis=1)
+    centers = np.empty((k, x.shape[1]))
+    pick = rng.integers(n)
+    d2 = reference_seed_distances(x, x_sq, pick)
+    centers[0] = x[pick]
+    for c in range(1, k):
+        total = d2.sum()
+        pick = rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total)
+        centers[c] = x[pick]
+        d2 = np.minimum(d2, reference_seed_distances(x, x_sq, pick))
+
+    assign = np.zeros(n, dtype=np.int64)
+    tied = False
+    for _ in range(n_iters):
+        c_sq = (centers**2).sum(axis=1)
+        dists = x_sq[:, None] - 2.0 * (x @ centers.T) + c_sq
+        rounding = _CANCELLATION * (x_sq.max() + c_sq.max())
+        if k > 1:
+            nearest_two = np.partition(dists, 1, axis=1)
+            tied |= bool(np.any(nearest_two[:, 1] - nearest_two[:, 0] <= rounding))
+        assign = dists.argmin(axis=1)
+        counts = np.bincount(assign, minlength=k)
+        empty = counts == 0
+        if empty.any():
+            nearest = dists.min(axis=1)
+            far = nearest.argmax()
+            tied |= bool(np.count_nonzero(nearest >= nearest[far] - rounding) > 1)
+            owner = assign[far]
+            if empty.argmax() < owner:
+                counts[owner] -= 1
+                empty[owner] = counts[owner] == 0
+                assign[far] = np.flatnonzero(empty)[-1]
+        sums = np.zeros_like(centers)
+        np.add.at(sums, assign, x)
+        full = ~empty
+        centers[full] = sums[full] / counts[full, None]
+        if not full.all():
+            centers[empty] = x[far]
+            assign[far] = np.flatnonzero(empty)[-1]
+    return centers, assign, tied
+
+
+def reference_init(x, centers, assign, seed):
+    """The initial GMM of k-means `centers` and `assign`: the floor from
+    `x.var`, and each cluster's weight and variance from one boolean-mask
+    pass over the frames per cluster."""
+    n_frames = x.shape[0]
+    floor = _VAR_FLOOR_SCALE * np.maximum(x.var(axis=0), 1e-30)
+    weights = np.empty(centers.shape[0])
+    variances = np.empty_like(centers)
+    for c in range(centers.shape[0]):
+        mask = assign == c
+        weights[c] = max(mask.sum(), 1) / n_frames
+        variances[c] = x[mask].var(axis=0) if mask.sum() > 1 else floor / _VAR_FLOOR_SCALE
+    weights /= weights.sum()
+    return GmmModel(weights, centers, np.maximum(variances, floor), floor, seed=seed)

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from conftest import reference_init, reference_kmeans
 from sceneid import gmm
 from sceneid.gmm import (
     GmmError,
@@ -18,7 +23,7 @@ from sceneid.gmm import (
 def responsibilities(model: GmmModel, x) -> np.ndarray:
     """Posterior gamma_t(c) of every frame: the gamma blocks of the E-step, stacked."""
     blocks = gmm._e_step(model, np.asarray(x, dtype=np.float64))
-    return np.vstack([gamma for _, _, gamma, _ in blocks])
+    return np.vstack([gamma for _, gamma, _ in blocks])
 
 
 def random_model(rng, n_components=5, n_features=3) -> GmmModel:
@@ -247,6 +252,64 @@ class TestKmeansPlusPlus:
         if n_iters:
             assert any(c < owner for c, owner in events)
             assert any(c > owner for c, owner in events)
+
+
+@st.composite
+def ubm_cases(draw):
+    """(frames, components, k-means iterations, seed): up to three full
+    frame blocks and a ragged tail, one-row tails included. Frames are
+    either all distinct or drawn from a few distinct rows, which makes
+    duplicate centres, empty clusters and the seeding's near-zero path."""
+    k = draw(st.integers(1, 64))
+    n_features = draw(st.sampled_from([1, 2, 3, 7, 76]))
+    n = max(draw(st.integers(0, 3)) * gmm._FRAME_BLOCK + draw(st.integers(0, 300)), k)
+    distinct = draw(st.none() | st.integers(1, 2 * k))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if distinct is None:
+        x = rng.normal(0, 1, (n, n_features))
+    else:
+        x = rng.normal(0, 1, (distinct, n_features))[rng.integers(0, distinct, n)]
+    return x, k, draw(st.integers(0, 3)), seed
+
+
+class TestPooledReference:
+    """`train_ubm` walks the frame pool in blocks; the initial model it
+    trains equals the pooled reference (conftest) bit for bit, unless a
+    Lloyd decision across blocks is a tie within rounding."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=ubm_cases())
+    def test_initial_model_matches_pooled_reference(self, case):
+        x, k, kmeans_iters, seed = case
+        model = train_ubm(x, k, n_iters=0, seed=seed, kmeans_iters=kmeans_iters)
+        centers, assign, tied = reference_kmeans(x, k, np.random.default_rng(seed), kmeans_iters)
+        if tied and len(gmm._blocks(x.shape[0])) > 1:
+            # Across blocks the GEMM may break a rounding tie otherwise (see
+            # reference_kmeans), so the rest of the initial model is checked
+            # on the blocked k-means' own centres and assignments.
+            event("Lloyd tie within rounding across blocks")
+            centers, assign = gmm._kmeans_plus_plus(x, k, np.random.default_rng(seed),
+                                                    kmeans_iters)
+        expected = reference_init(x, centers, assign, seed)
+        for name in ("weights", "means", "variances", "var_floor"):
+            assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+
+    @pytest.mark.parametrize("n, k", [(50_000, 16), (20_000, 256)])
+    def test_memory_beyond_the_pool_is_bounded(self, n, k):
+        # Beyond its input, training holds a few blocks of frames and of
+        # distances or posteriors, plus a few values per frame; a whole-pool
+        # (N, F) or (N, C) temporary is over the bound at these sizes.
+        n_features = 76
+        x = np.random.default_rng(0).normal(0, 1, (n, n_features))
+        block_bytes = gmm._FRAME_BLOCK * (n_features + k) * 8
+        tracemalloc.start()
+        try:
+            train_ubm(x, k, n_iters=1, seed=0, kmeans_iters=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * block_bytes + 100 * n
 
 
 class TestLogLikelihood:

@@ -180,18 +180,32 @@ class TestRunTraining:
         assert loaded.backend.class_labels == tiny_bundle.backend.class_labels
 
     def test_feature_matrices_are_freed_before_t_training(self, tiny_corpus, monkeypatch):
-        refs = []
+        # Each recording's own feature array is freed once it is copied into
+        # the frame pool, before the UBM is trained; the pool itself is freed
+        # before the T matrix is trained.
+        refs, pool_refs = [], []
+        manifest_features = pipeline.manifest_features
         train_ubm, train_tv = pipeline.train_ubm, pipeline.train_tv
 
-        def keep_refs(config, feats):
-            refs.extend(weakref.ref(rows) for _, rows in feats)
-            return train_ubm(config, feats)
+        def keep_refs(manifest, config):
+            feats = manifest_features(manifest, config)
+            # the array that owns each recording's memory
+            refs.extend(weakref.ref(rows if rows.base is None else rows.base)
+                        for _, rows in feats)
+            return feats
+
+        def check_pooled(config, frames):
+            assert refs and all(ref() is None for ref in refs)
+            pool_refs.append(weakref.ref(frames))
+            return train_ubm(config, frames)
 
         def check_freed(config, ubm, stats):
             assert refs and all(ref() is None for ref in refs)
+            assert pool_refs and all(ref() is None for ref in pool_refs)
             return train_tv(config, ubm, stats)
 
-        monkeypatch.setattr(pipeline, "train_ubm", keep_refs)
+        monkeypatch.setattr(pipeline, "manifest_features", keep_refs)
+        monkeypatch.setattr(pipeline, "train_ubm", check_pooled)
         monkeypatch.setattr(pipeline, "train_tv", check_freed)
         run_training(tiny_config(tv_iters=0), tiny_corpus["train"])
 
