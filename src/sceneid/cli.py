@@ -185,9 +185,10 @@ def cmd_extract_ivectors(args) -> int:
     manifest = _load_manifest(args.manifest, args.fold, args.exclude_fold)
     ubm = pipe.read_model_file(gmm_mod.gmm_from_bytes, args.ubm)
     tv = pipe.read_model_file(ivector_mod.tv_from_bytes, args.tv)
-    stats = list(pipe.collect_stats(ubm, pipe.manifest_features(manifest, cfg)))
-    w = pipe.extract_ivectors(tv, ubm, stats)
+    pipe.check_manifest(manifest)
     ids = [e.path for e in manifest.entries]
+    buffers = pipe.manifest_buffers(manifest, cfg.sample_rate)
+    w = pipe.ivectors_for_buffers(cfg, ubm, tv, buffers, len(ids))
     pipe.write_output(args.out, ivector_mod.ivectors_to_bytes(ids, w))
     print(f"{args.out}: {w.shape[0]} iVectors of rank {w.shape[1]}")
     return 0
@@ -231,7 +232,8 @@ def cmd_classify(args) -> int:
     else:
         ids = args.audio
         buffers = ((a, pipe.load_audio(a, rate)) for a in args.audio)
-    scores = pipe.score_ivectors(bundle, pipe.ivectors_for_buffers(bundle, buffers, len(ids)))
+    w = pipe.ivectors_for_buffers(bundle.config, bundle.ubm, bundle.tv, buffers, len(ids))
+    scores = pipe.score_ivectors(bundle, w)
     labels = bundle.backend.class_labels
     predicted = backend_mod.best_labels(bundle.backend, scores)
     lines = [

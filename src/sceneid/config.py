@@ -24,27 +24,28 @@ class ConfigError(SceneidError):
 
 @dataclass
 class PipelineConfig:
-    sample_rate: int = 16000
-    frame_ms: float = 40.0
-    overlap: float = 0.5
-    window: str = "hann"
-    n_mels: int = 40
-    n_ceps: int = 21
-    fmin_hz: float = 0.0
-    fmax_hz: float | None = None  # None = Nyquist
-    sdc_m: int = 2
-    sdc_k: int = 2
-    sdc_n: int = 11
-    sdc_p: int = 3
+    # Each front-end default is read from the dataclass that owns it.
+    sample_rate: int = FeatureConfig.sample_rate
+    frame_ms: float = FrameConfig.frame_len_ms
+    overlap: float = FrameConfig.overlap_fraction
+    window: str = FrameConfig.window
+    n_mels: int = FeatureConfig.n_mels
+    n_ceps: int = FeatureConfig.n_ceps
+    fmin_hz: float = FeatureConfig.fmin_hz
+    fmax_hz: float | None = FeatureConfig.fmax_hz  # None = Nyquist
+    sdc_m: int = SdcConfig.m
+    sdc_k: int = SdcConfig.k
+    sdc_n: int = SdcConfig.n
+    sdc_p: int = SdcConfig.p
     use_sdc: bool = True
     noise_floor: bool = False
-    spp_xi_h1_db: float = 20.0
-    spp_prior_h1: float = 0.5
-    spp_smooth: float = 0.9
-    psd_smooth: float = 0.8
-    spp_clamp: float = 0.99
-    psd_floor: float = 1e-12
-    nf_init_frames: int = 5
+    spp_xi_h1_db: float = SppParams.xi_h1_db
+    spp_prior_h1: float = SppParams.prior_h1
+    spp_smooth: float = SppParams.spp_smooth
+    psd_smooth: float = SppParams.psd_smooth
+    spp_clamp: float = SppParams.spp_clamp
+    psd_floor: float = SppParams.psd_floor
+    nf_init_frames: int = SppParams.init_frames
     ubm_components: int = 256
     ubm_iters: int = 25
     kmeans_iters: int = 10
@@ -121,6 +122,8 @@ class PipelineConfig:
         for key in ("ubm_iters", "kmeans_iters", "tv_iters", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must not be negative, got {getattr(self, key)}")
+        if self.seed > 2**64 - 1:  # `ubm.gmm` stores it as a u64
+            raise ConfigError(f"seed must be at most 2**64 - 1, got {self.seed}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         try:

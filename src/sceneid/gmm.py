@@ -84,6 +84,8 @@ class GmmModel:
             raise GmmError(f"weights sum to {self.weights.sum()!r}, not 1")
         if np.any(self.variances < self.var_floor - 1e-300):
             raise GmmError("variance below floor")
+        if not 0 <= self.seed < 2**64:  # stored as a u64
+            raise GmmError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     @property
     def n_components(self) -> int:
@@ -329,7 +331,7 @@ def accumulate_stats(model: GmmModel, feats) -> SufficientStats:
 def gmm_to_bytes(model: GmmModel) -> bytes:
     return _GMM_FORMAT.encode(
         model.n_components, model.n_features, model.weights, model.means,
-        model.variances, model.var_floor, model.seed & 0xFFFFFFFFFFFFFFFF,
+        model.variances, model.var_floor, model.seed,
     )
 
 

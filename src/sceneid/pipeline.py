@@ -347,17 +347,21 @@ def manifest_buffers(manifest: CorpusManifest, rate: int | None):
     return ((e.path, load_audio(manifest.resolve(e), rate)) for e in manifest.entries)
 
 
-def manifest_features(manifest: CorpusManifest, config: PipelineConfig) -> list:
-    """Check the manifest, then read and featurize every entry: one
-    (entry path, (T, D) feature rows) pair per entry, in manifest order."""
+def manifest_features(manifest: CorpusManifest, config: PipelineConfig):
+    """Check the manifest (`check_manifest`), then return the lazy
+    `features_for_buffers` stream of its entries: one (entry path, (T, D)
+    feature rows) pair per entry, in manifest order, each chunk read and
+    featurized as it is drawn. A bad manifest fails here, before any audio is
+    read; a faulty recording fails when its chunk is drawn."""
     check_manifest(manifest)
-    return list(features_for_buffers(manifest_buffers(manifest, config.sample_rate), config))
+    return features_for_buffers(manifest_buffers(manifest, config.sample_rate), config)
 
 
 def pooled_features(manifest: CorpusManifest, config: PipelineConfig):
     """`manifest_features`, with every recording's rows copied into one
     (N, D) frame pool: the pool, and one (entry path, view of its rows in the
-    pool) pair per entry, in manifest order.
+    pool) pair per entry, in manifest order. The UBM needs the whole pool, so
+    this is where the stream becomes a list.
 
     Each recording's own array is dropped as soon as it is copied, so the
     frames are held once, in the pool, before `train_ubm` starts. The copy
@@ -365,7 +369,7 @@ def pooled_features(manifest: CorpusManifest, config: PipelineConfig):
     order they were made, the arrays go back to the system as they are
     freed (the allocator trims the top of its heap), not all at the end.
     """
-    feats = manifest_features(manifest, config)
+    feats = list(manifest_features(manifest, config))
     pool = np.empty((sum(len(rows) for _, rows in feats), feats[0][1].shape[1]))
     end = len(pool)
     for i in reversed(range(len(feats))):
@@ -433,7 +437,8 @@ def run_training(config: PipelineConfig, manifest: CorpusManifest) -> ModelBundl
 class _Stream:
     """`count` items drawn lazily from `items`: an iterable whose length is
     known before it is drawn, so a caller (the benchmark's tracer, say) can
-    count the recordings of a streamed `extract_ivectors` call."""
+    count the recordings of the `extract_ivectors` call that
+    `ivectors_for_buffers` streams them into."""
 
     def __init__(self, items, count: int):
         self._items, self._count = items, count
@@ -445,8 +450,12 @@ class _Stream:
         return self._count
 
 
-def ivectors_for_buffers(bundle: ModelBundle, items, count: int) -> np.ndarray:
-    """`count` (recording id, mono buffer) pairs -> (count, R) iVector matrix.
+def ivectors_for_buffers(
+    config: PipelineConfig, ubm: gmm_mod.GmmModel, tv: ivector_mod.TvMatrix, items, count: int
+) -> np.ndarray:
+    """`count` (recording id, mono buffer) pairs -> (count, R) iVector matrix,
+    featurized by `config` and extracted with `ubm` and `tv`: a bundle's
+    models, or the loose model files of `extract-ivectors`.
 
     Everything is a stream: `items` is drawn one feature chunk at a time,
     each recording's statistics go to `extract_ivectors` as they are made, and
@@ -454,8 +463,8 @@ def ivectors_for_buffers(bundle: ModelBundle, items, count: int) -> np.ndarray:
     of audio and features and a tile of statistics are alive at once, beyond
     the iVector rows; a fault surfaces when its item is drawn.
     """
-    stats = collect_stats(bundle.ubm, features_for_buffers(items, bundle.config))
-    return extract_ivectors(bundle.tv, bundle.ubm, _Stream(stats, count))
+    stats = collect_stats(ubm, features_for_buffers(items, config))
+    return extract_ivectors(tv, ubm, _Stream(stats, count))
 
 
 def score_ivectors(bundle: ModelBundle, w_matrix) -> np.ndarray:
@@ -477,7 +486,7 @@ def _check_test_manifest(bundle: ModelBundle, manifest: CorpusManifest) -> None:
 def _evaluate(bundle: ModelBundle, items, truth, conditions) -> EvalReport:
     """Classify (recording id, mono buffer) pairs, drawn lazily, and score the
     predictions against the true labels and condition tags of the same items."""
-    w_matrix = ivectors_for_buffers(bundle, items, len(truth))
+    w_matrix = ivectors_for_buffers(bundle.config, bundle.ubm, bundle.tv, items, len(truth))
     with stage(STAGE_BACKEND, backend_mod.BackendError):
         predictions = backend_mod.classify_many(bundle.backend, w_matrix)
     return EvalReport.from_predictions(

@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -246,6 +247,82 @@ def test_stagewise_training_matches_composite(workspace, capsys):
     bundle = workspace / "bundle"
     for made, ref in [("ubm.gmm", "ubm.gmm"), ("tv.tvm", "tv.tvm"), ("backend.gbe", "backend.gbe")]:
         assert (stage / made).read_bytes() == (bundle / ref).read_bytes()
+
+
+def _step_argv(command, entries, bundle, tmp_path, name) -> list:
+    """`train-tv` or `extract-ivectors` over the manifest entries `entries`,
+    written to tmp_path/name.jsonl, with the bundle's models."""
+    manifest = tmp_path / f"{name}.jsonl"
+    manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    models = ["--ubm", str(bundle / "ubm.gmm")]
+    if command == "extract-ivectors":
+        models += ["--tv", str(bundle / "tv.tvm")]
+    return [command, "--manifest", str(manifest), *models, "--out", str(tmp_path / "out")]
+
+
+def _train_entries(workspace) -> list:
+    corpus = workspace / "corpus"
+    entries = [json.loads(line) for line in (corpus / "train.jsonl").read_text().splitlines()]
+    return [{"path": str(corpus / e["path"]), "label": e["label"]} for e in entries]
+
+
+@pytest.mark.parametrize("command", ["train-tv", "extract-ivectors"])
+def test_step_command_streams_to_the_one_fault_in_a_later_chunk(
+    workspace, bundle, tmp_path, capsys, command
+):
+    # The step commands draw recordings chunk by chunk: a recording too short
+    # for the tracker in the second feature chunk still fails in its own stage,
+    # named, and nothing is written.
+    short = tmp_path / "short.wav"
+    short.write_bytes(wav_bytes(AudioBuffer(0.1 * np.ones(2000), 16000)))  # 5 frames
+    entries = _train_entries(workspace)
+    entries.insert(pipeline.FEATURE_CHUNK + 1, {"path": str(short), "label": entries[0]["label"]})
+    argv = _step_argv(command, entries, bundle, tmp_path, "m")
+    rc = main(argv + ["--set", "noise_floor=true"] + TINY_SET)
+    err = capsys.readouterr().err
+    assert rc == 6
+    assert err.startswith(f"error: [noise-floor] {short}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_step_commands_hold_a_feature_chunk_not_every_recording(
+    workspace, bundle, tmp_path, monkeypatch, capsys
+):
+    # extract-ivectors holds one feature chunk and the iVector rows; train-tv
+    # holds one feature chunk and every recording's statistics. Doubling the
+    # recordings from N to 2N raises the traced peak by less than a chunk of
+    # feature rows (plus N recordings' statistics for train-tv), not by N
+    # recordings' rows.
+    monkeypatch.setattr(pipeline, "FEATURE_CHUNK", 4)
+    n = 12
+    entries = _train_entries(workspace)
+    ((_, feats),) = features_for_buffers(
+        [("clip", load_audio(entries[0]["path"], 16000))], PipelineConfig()
+    )
+    ubm = gmm_from_bytes((bundle / "ubm.gmm").read_bytes())
+    chunk_bytes = pipeline.FEATURE_CHUNK * feats.nbytes  # every clip has the same length
+    stats_bytes = n * (ubm.means.size + ubm.weights.size) * 8
+
+    def peak(command, count):
+        picked = []
+        for i in range(count):  # a stride coprime to the class blocks visits every class
+            e = entries[(5 * i) % len(entries)]
+            copy = tmp_path / f"{count}_{i:02d}.wav"  # one file per manifest entry
+            shutil.copyfile(e["path"], copy)
+            picked.append({"path": str(copy), "label": e["label"]})
+        argv = _step_argv(command, picked, bundle, tmp_path, str(count)) + TINY_SET
+        assert main(argv) == 0  # warms caches and lazy imports
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for command, bound in [("extract-ivectors", chunk_bytes),
+                           ("train-tv", chunk_bytes + stats_bytes)]:
+        small, large = peak(command, n), peak(command, 2 * n)
+        assert large - small < bound, (command, small, large, bound)
 
 
 def test_extract_features_with_dumps(workspace, tmp_path, capsys):
@@ -651,7 +728,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("override", [
         "ubm_components=0", "tv_rank=0", "ubm_iters=-1", "kmeans_iters=-1", "tv_iters=-1",
-        "alpha=3", "alpha=-0.5", "alpha=nan",
+        "alpha=3", "alpha=-0.5", "alpha=nan", "seed=18446744073709551616",
     ])
     def test_invalid_model_size_is_config_code_before_audio(self, tmp_path, capsys, override):
         # The missing file is never opened: the config is rejected first.
@@ -662,6 +739,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: [config] ") and override.split("=")[0] in err
+
+    def test_largest_seed_trains_and_is_read_back(self, workspace, tmp_path, capsys):
+        # 2**64 - 1 is the largest seed `ubm.gmm` holds (one more is a config error).
+        out = tmp_path / "u.gmm"
+        rc = main(["train-ubm", "--manifest", str(workspace / "corpus" / "train.jsonl"),
+                   "--out", str(out)] + TINY_SET + ["--set", f"seed={2**64 - 1}"])
+        assert rc == 0
+        assert gmm_from_bytes(out.read_bytes()).seed == 2**64 - 1
 
     def test_kmeans_only_ubm_is_valid(self, workspace, tmp_path, capsys):
         # ubm_iters=0 keeps the k-means++ UBM; the summary has no EM likelihood.

@@ -445,6 +445,12 @@ class TestSerialization:
         )
         assert gmm_checksum(other) != gmm_checksum(model)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_rejected(self, rng, seed):
+        model = random_model(rng)
+        with pytest.raises(GmmError, match="seed must lie in"):
+            GmmModel(model.weights, model.means, model.variances, model.var_floor, seed=seed)
+
     @pytest.mark.parametrize("name", ["weights", "means", "variances", "var_floor"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameter_rejected(self, rng, name, bad):

@@ -218,7 +218,8 @@ class TestConfig:
         assert spp.psd_smooth == 0.8
 
     def test_defaults_agree_with_the_library(self):
-        # The defaults are stated twice: here and in the dataclasses.
+        # The front-end defaults are stated once, in the dataclasses, and
+        # PipelineConfig reads them from there.
         assert PipelineConfig().to_feature_config() == FeatureConfig()
         assert PipelineConfig().to_spp_params() == SppParams()
         assert PipelineConfig(noise_floor=True).to_feature_config().noise_floor == SppParams()

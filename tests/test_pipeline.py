@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from sceneid import audio, pipeline
 from sceneid.audio import MAX_FILTER_TAPS, AudioBuffer
 from sceneid.backend import train_backend
-from sceneid.config import PipelineConfig
+from sceneid.config import ConfigError, PipelineConfig
 from sceneid.features import extract_features
-from sceneid.gmm import GmmModel, gmm_checksum
+from sceneid.gmm import GmmModel, gmm_checksum, gmm_from_bytes, gmm_to_bytes
 from sceneid.ivector import TvMatrix
 from sceneid.manifest import CorpusManifest, ManifestEntry
 from sceneid.mixer import condition_tag
@@ -161,6 +161,24 @@ def test_any_wav_ends_in_feature_rows_or_one_stage_error_naming_it(
     assert peak < PEAK_PER_FILE_BYTE * len(data) + FILTER_DESIGN_BYTES
 
 
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(min_value=-2, max_value=2**65))
+def test_any_seed_fails_at_config_load_or_round_trips_through_ubm_gmm(seed):
+    # `ubm.gmm` stores the seed as a u64: a seed it cannot hold is a config
+    # error, and any other comes back from the file unchanged.
+    valid = 0 <= seed < 2**64
+    try:
+        config = PipelineConfig().apply_overrides(
+            [f"seed={seed}", "ubm_components=2", "ubm_iters=1", "kmeans_iters=1"]
+        )
+    except ConfigError:
+        assert not valid
+        return
+    assert valid
+    ubm = pipeline.train_ubm(config, np.random.default_rng(0).normal(size=(40, 3)))
+    assert gmm_from_bytes(gmm_to_bytes(ubm)).seed == seed
+
+
 class TestRunTraining:
     def test_end_to_end_bundle(self, tiny_bundle):
         assert tiny_bundle.ubm.n_components == 8
@@ -188,7 +206,7 @@ class TestRunTraining:
         train_ubm, train_tv = pipeline.train_ubm, pipeline.train_tv
 
         def keep_refs(manifest, config):
-            feats = manifest_features(manifest, config)
+            feats = list(manifest_features(manifest, config))
             # the array that owns each recording's memory
             refs.extend(weakref.ref(rows if rows.base is None else rows.base)
                         for _, rows in feats)
